@@ -40,9 +40,6 @@ class CallGraph:
     nodes: tuple  # PredId, sorted
     edges: tuple  # (caller: PredId, callee: PredId), sorted
 
-    def successors(self, p: PredId) -> list[PredId]:
-        return [q for (s, q) in self.edges if s == p]
-
 
 def build_call_graph(program: Program) -> CallGraph:
     nodes = set()

@@ -50,9 +50,6 @@ class BindingStore:
         self.bindings.append(None)
         return v
 
-    def new_vars(self, n: int, names=None) -> list:
-        return [self.new_var(names[i] if names else "_G") for i in range(n)]
-
     def walk(self, t: Term) -> Term:
         bindings = self.bindings
         while type(t) is Var:
@@ -138,59 +135,159 @@ def unify(a: Term, b: Term, store: BindingStore) -> bool:
     return True
 
 
-def instantiate(term: Term, varmap: list) -> Term:
-    """Rebuild a normalized term (vars numbered 0..n-1) over fresh variables."""
+def unify_stored(live: Term, stored: Term, varmap: list, names, store: BindingStore) -> bool:
+    """Unify a live term with a stored term whose variables are numbered 0..n-1.
+
+    varmap[i] is the live term stored variable i stands for, None until it is
+    first met; the stored term itself is never copied.  A first occurrence
+    facing a bound live subterm takes it without a binding.  One facing an
+    unbound live variable becomes a new store variable named names[i] ("_G"
+    when names is None) that the live variable is bound to, as unification
+    against a renamed copy would do.  On failure the store is restored.
+    """
+    bindings = store.bindings
+    trail = store.trail
+    mark = len(trail)
+    stack = [(live, stored)]
+    while stack:
+        x, y = stack.pop()
+        while type(x) is Var:
+            b = bindings[x.id]
+            if b is None:
+                break
+            x = b
+        ty = type(y)
+        if ty is Var:
+            v = varmap[y.id]
+            if v is None:
+                if type(x) is Var:
+                    v = Var(len(bindings), names[y.id] if names else "_G")
+                    bindings.append(None)
+                    bindings[x.id] = v
+                    trail.append(x.id)
+                    x = v
+                varmap[y.id] = x
+                continue
+            if unify(x, v, store):
+                continue
+            break
+        if x is y:
+            continue
+        tx = type(x)
+        if tx is Var:
+            bindings[x.id] = instantiate(y, varmap, store, names) if ty is Struct else y
+            trail.append(x.id)
+            continue
+        if tx is not ty:
+            break
+        if tx is Atom:
+            if x.name != y.name:
+                break
+        elif tx is Int:
+            if x.value != y.value:
+                break
+        else:
+            if x.functor != y.functor or len(x.args) != len(y.args):
+                break
+            stack.extend(zip(x.args, y.args))
+    else:
+        return True
+    store.undo_to(mark)
+    return False
+
+
+def instantiate(term: Term, varmap: list, store: BindingStore = None, names=None) -> Term:
+    """Rebuild a normalized term (vars numbered 0..n-1) through varmap.
+
+    A slot that is still None gets a new store variable named names[i] ("_G"
+    when names is None); slots already filled are shared, never copied.
+    Iterative: compound arguments are descended through an explicit stack.
+    """
     if type(term) is Var:
-        return varmap[term.id]
+        v = varmap[term.id]
+        if v is None:
+            v = varmap[term.id] = store.new_var(names[term.id] if names else "_G")
+        return v
     if type(term) is not Struct:
         return term
-    out: list = []
-    todo: list = [(term, False)]
-    while todo:
-        t, rebuild = todo.pop()
-        if rebuild:
-            n = len(t.args)
-            args = tuple(out[-n:])
-            del out[-n:]
-            out.append(Struct(t.functor, args))
-        elif type(t) is Var:
-            out.append(varmap[t.id])
-        elif type(t) is Struct:
-            todo.append((t, True))
-            for a in reversed(t.args):
-                todo.append((a, False))
-        else:
-            out.append(t)
-    return out[0]
+    stack: list = []  # (functor, args, built, next index) of the enclosing compounds
+    functor, args, built, i = term.functor, term.args, [], 0
+    while True:
+        n = len(args)
+        while i < n:
+            a = args[i]
+            i += 1
+            ta = type(a)
+            if ta is Var:
+                v = varmap[a.id]
+                if v is None:
+                    v = varmap[a.id] = store.new_var(names[a.id] if names else "_G")
+                built.append(v)
+            elif ta is Struct:
+                stack.append((functor, args, built, i))
+                functor, args, built, i = a.functor, a.args, [], 0
+                n = len(args)
+            else:
+                built.append(a)
+        t = Struct(functor, tuple(built))
+        if not stack:
+            return t
+        functor, args, built, i = stack.pop()
+        built.append(t)
 
 
 # -- arithmetic and built-ins ----------------------------------------------------
 
 
 def eval_arith(t: Term, store: BindingStore) -> int:
-    t = store.walk(t)
+    """Value of an integer expression; iterative, so any nesting depth is safe."""
+    walk = store.walk
+    t = walk(t)
     if type(t) is Int:
         return t.value
-    if type(t) is Var:
-        raise InstantiationError("unbound variable in arithmetic expression")
     if type(t) is Struct and len(t.args) == 2:
-        op = t.functor
-        a = eval_arith(t.args[0], store)
-        b = eval_arith(t.args[1], store)
-        if op == "+":
-            return a + b
-        if op == "-":
-            return a - b
-        if op == "*":
-            return a * b
-        if op == "//":
-            if b == 0:
-                raise TypeMismatchError("zero divisor")
-            return a // b
-        if op == "mod":
-            if b == 0:
-                raise TypeMismatchError("zero divisor")
-            return a % b
+        a = walk(t.args[0])
+        b = walk(t.args[1])
+        if type(a) is Int and type(b) is Int:
+            return _arith_op(t, a.value, b.value)
+    values: list = []
+    todo: list = [(t, False)]
+    while todo:
+        x, ready = todo.pop()
+        if ready:
+            b = values.pop()
+            values.append(_arith_op(x, values.pop(), b))
+            continue
+        x = walk(x)
+        if type(x) is Int:
+            values.append(x.value)
+        elif type(x) is Var:
+            raise InstantiationError("unbound variable in arithmetic expression")
+        elif type(x) is Struct and len(x.args) == 2:
+            todo.append((x, True))
+            todo.append((x.args[1], False))
+            todo.append((x.args[0], False))
+        else:
+            raise TypeMismatchError(f"not an integer expression: {x}")
+    return values[0]
+
+
+def _arith_op(t: Struct, a: int, b: int) -> int:
+    op = t.functor
+    if op == "+":
+        return a + b
+    if op == "-":
+        return a - b
+    if op == "*":
+        return a * b
+    if op == "//":
+        if b == 0:
+            raise TypeMismatchError("zero divisor")
+        return a // b
+    if op == "mod":
+        if b == 0:
+            raise TypeMismatchError("zero divisor")
+        return a % b
     raise TypeMismatchError(f"not an integer expression: {t}")
 
 
@@ -247,7 +344,15 @@ TABLING_PRIMS = {("slg", 1), ("slgcall", 1), ("answer", 2)}
 
 
 def compile_index(program: Program) -> dict:
-    """(name, arity) -> list of (head, body, nvars, var_names)."""
+    """(name, arity) -> (clauses, by_first, var_first).
+
+    Each clause is (head, body, nvars, var_names), in source order.  by_first
+    maps a first-argument key (an atom or integer itself, or the (functor,
+    arity) of a compound) to the clauses that can match a call whose first
+    argument has that key: the clauses with that key or with a variable there,
+    in source order.  var_first holds the variable-first clauses alone, for
+    keys no clause has.  Built in one pass over the clauses.
+    """
     from .terms import vars_of_all
 
     index: dict = {}
@@ -257,8 +362,29 @@ def compile_index(program: Program) -> dict:
         names = ["_G"] * n
         for v in vars_of_all((c.head, *c.body)):
             names[v.id] = v.name
-        index.setdefault((p.name, p.arity), []).append((c.head, c.body, n, names))
+        entry = (c.head, c.body, n, names)
+        clauses, by_first, var_first = index.setdefault((p.name, p.arity), ([], {}, []))
+        clauses.append(entry)
+        if p.arity == 0:
+            continue
+        key = first_arg_key(c.head.args[0])
+        if key is None:
+            var_first.append(entry)
+            for bucket in by_first.values():
+                bucket.append(entry)
+        elif key in by_first:
+            by_first[key].append(entry)
+        else:
+            by_first[key] = var_first + [entry]
     return index
+
+
+def first_arg_key(t: Term):
+    """Index key of a dereferenced first argument; None for a variable."""
+    tt = type(t)
+    if tt is Struct:
+        return (t.functor, len(t.args))
+    return None if tt is Var else t
 
 
 # -- choice points -----------------------------------------------------------------
@@ -281,19 +407,20 @@ class ClauseCP:
         while self.i < len(clauses):
             head, body, nvars, names = clauses[self.i]
             self.i += 1
+            goals = self.rest
             if nvars:
-                varmap = store.new_vars(nvars, names)
-                head = instantiate(head, varmap)
-            if unify(self.goal, head, store):
-                goals = self.rest
-                if nvars:
-                    for g in reversed(body):
-                        goals = (instantiate(g, varmap), goals)
-                else:
-                    for g in reversed(body):
-                        goals = (g, goals)
-                m.goals = goals
-                return True
+                varmap = [None] * nvars
+                if not unify_stored(self.goal, head, varmap, names, store):
+                    continue
+                for g in reversed(body):
+                    goals = (instantiate(g, varmap, store, names), goals)
+            else:
+                if not unify(self.goal, head, store):
+                    continue
+                for g in reversed(body):
+                    goals = (g, goals)
+            m.goals = goals
+            return True
         return False
 
 
@@ -320,8 +447,8 @@ class StoredIterCP:
         while self.i < len(self.stored):
             term, nvars = self.stored[self.i]
             self.i += 1
-            inst = instantiate(term, store.new_vars(nvars)) if nvars else term
-            if unify(self.target, inst, store):
+            if (unify_stored(self.target, term, [None] * nvars, None, store) if nvars
+                    else unify(self.target, term, store)):
                 if self.push_goal is not None:
                     m.goals = (self.push_goal, self.rest)
                 else:
@@ -345,6 +472,15 @@ class Machine:
         self.runtime = runtime
         self.budget = budget if budget is not None else Budget()
         self.counters = counters
+        self._resume_by_backtracking = False
+        self.pending_request = None
+
+    def reset(self):
+        """Forget all bindings, goals and choice points, for reuse."""
+        self.store.bindings.clear()
+        self.store.trail.clear()
+        self.goals = None
+        self.cps.clear()
         self._resume_by_backtracking = False
         self.pending_request = None
 
@@ -432,9 +568,14 @@ class Machine:
                     return (EXHAUSTED, None)
                 continue
 
-            clauses = self.index.get(key)
-            if clauses is None:
+            pred = self.index.get(key)
+            if pred is None:
                 raise ExistenceError(f"unknown predicate {key[0]}/{key[1]}")
+            clauses, by_first, var_first = pred
+            if by_first:
+                first = first_arg_key(self.store.walk(args[0]))
+                if first is not None:
+                    clauses = by_first.get(first, var_first)
             if self.counters is not None and key[0].startswith("slg_"):
                 self.counters.slg_resolutions += 1
             self.cps.append(ClauseCP(goal, clauses, self.store.mark(), rest))

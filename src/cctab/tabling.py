@@ -29,7 +29,8 @@ from .engine import (
     StoredIterCP,
     compile_index,
     instantiate,
-    unify,
+    unify,  # unused here; bench/tracing.py counts the calls made through this name
+    unify_stored,
 )
 from .errors import InstantiationError, TablingError, TypeMismatchError
 from .terms import Atom, Int, Program, Struct, Term, Var, pred_of, term_size
@@ -155,8 +156,7 @@ class GeneratorEntry:
 class TableSpace:
     """Call-variant table: generators, answers, continuations, completion stack."""
 
-    def __init__(self, mode: Mode = Mode.GENERAL):
-        self.mode = mode
+    def __init__(self):
         self.entries: list = []
         self.variant_index: dict = {}
         self.stack: list = []  # ids of EVALUATING generators, oldest first
@@ -255,7 +255,7 @@ class Engine:
         self.program = program
         self.index = compile_index(program)
         self.mode = mode
-        self.space = TableSpace(mode)
+        self.space = TableSpace()
         self.depth_budget = depth_budget
 
     @property
@@ -281,20 +281,25 @@ class Engine:
         machine.push_goals(live_goals)
         try:
             yield from self._drive(machine, mapping, qvars, live_goals, budget)
-        except Exception:
+        except GeneratorExit:
+            # Closed at a yield, where no evaluation is in progress; a purge
+            # here could run at garbage collection, inside another query.
+            raise
+        except BaseException:
             self._purge_incomplete()
             raise
 
     def _drive(self, machine, mapping, qvars, live_goals, budget):
         frames: list = [_QueryFrame(machine)]
         space = self.space
+        idle: list = []  # reset resumption machines, reused for the next pair
         while frames:
             frame = frames[-1]
             if isinstance(frame, _GenFrame) and frame.draining:
                 if frame.arena:
                     stored, ans = frame.arena.popleft()
                     space.counters.resumptions += 1
-                    rm = self._resume_machine(stored, ans, budget)
+                    rm = self._resume_machine(stored, ans, budget, idle)
                     if rm is not None:
                         frames.append(_ResumeFrame(rm))
                     continue
@@ -321,6 +326,8 @@ class Engine:
                     return
                 if isinstance(frame, _ResumeFrame):
                     frames.pop()
+                    frame.machine.reset()
+                    idle.append(frame.machine)
                     continue
                 if frame.origin == "slg":
                     frame.draining = True
@@ -482,18 +489,32 @@ class Engine:
 
     def _generator_machine(self, entry, pred_name, budget):
         m = Machine(self.index, runtime=self, budget=budget, counters=self.counters)
-        call_live = instantiate(entry.call, m.store.new_vars(entry.call_nvars))
+        call_live = instantiate(entry.call, [None] * entry.call_nvars, m.store)
         m.goals = (Struct(f"slg_{pred_name}", (call_live, Int(entry.id))), None)
         return m
 
-    def _resume_machine(self, stored, ans, budget):
-        m = Machine(self.index, runtime=self, budget=budget, counters=self.counters)
-        cont_live = instantiate(stored.term, m.store.new_vars(stored.nvars))
+    def _resume_machine(self, stored, ans, budget, idle):
+        """A machine set to run the stored continuation with ans for its pending
+        call, or None when they do not unify.  Neither stored term is copied
+        beyond what the resumed goal needs."""
+        m = idle.pop() if idle else Machine(self.index, runtime=self, budget=budget,
+                                            counters=self.counters)
+        store = m.store
+        varmap = [None] * stored.nvars
+        pending = stored.term.args[2]
         ans_term, ans_nvars = ans
-        ans_live = instantiate(ans_term, m.store.new_vars(ans_nvars)) if ans_nvars else ans_term
-        if not unify(cont_live.args[2], ans_live, m.store):
+        if ans_nvars:
+            # the answer is the stored side here, so an unbound variable of the
+            # continuation is bound to the answer's fresh variable, not the reverse
+            ok = unify_stored(instantiate(pending, varmap, store), ans_term,
+                              [None] * ans_nvars, None, store)
+        else:
+            ok = unify_stored(ans_term, pending, varmap, None, store)
+        if not ok:
+            m.reset()
+            idle.append(m)
             return None
-        m.goals = (cont_live, None)
+        m.goals = (instantiate(stored.term, varmap, store), None)
         return m
 
     def _finish_group(self, frame):

@@ -129,3 +129,16 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout.splitlines() == ["path(1, 2)", "path(1, 3)"]
+
+
+def test_deep_arithmetic_expression(tmp_path):
+    # in a child process: a failure here is a traceback thousands of frames deep
+    f = tmp_path / "deep.pl"
+    f.write_text("q(X) :- X is " + " + ".join(["1"] * 5000) + ".\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "cctab.cli", str(f), "--query", "q(X)"],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr[-300:]) == (0, "q(5000)\n", "")

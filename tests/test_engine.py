@@ -215,3 +215,84 @@ def test_meta_call():
 def test_call_unbound_raises():
     with pytest.raises(InstantiationError):
         list(solve(parse_query("call(G)"), parse_program("x.")))
+
+
+# -- clause selection by first argument ---------------------------------------------
+
+
+def _sols(program, query, var):
+    return [print_term(s[var]) for s in solve(parse_query(query), parse_program(program))]
+
+
+def test_first_argument_constants_and_variables_interleaved():
+    p = "p(a, 1).\np(X, 2).\np(b, 3).\np(a, 4).\np(Y, 5).\n"
+    assert _sols(p, "p(a, N)", "N") == ["1", "2", "4", "5"]
+    assert _sols(p, "p(b, N)", "N") == ["2", "3", "5"]
+    assert _sols(p, "p(c, N)", "N") == ["2", "5"]
+    assert _sols(p, "p(f(a), N)", "N") == ["2", "5"]
+    assert _sols(p, "p(K, N)", "N") == ["1", "2", "3", "4", "5"]
+
+
+def test_first_argument_integer_is_not_atom():
+    p = "p(1, int).\np(a, atom).\np(2, two).\n"
+    assert _sols(p, "p(1, T)", "T") == ["int"]
+    assert _sols(p, "p(a, T)", "T") == ["atom"]
+    assert _sols(p, "p(3, T)", "T") == []
+
+
+def test_first_argument_compounds_keyed_by_functor_and_arity():
+    p = "r(f(X), one).\nr(f(X, Y), two).\nr(g(X), three).\nr(Z, any).\nr(f(b), four).\n"
+    assert _sols(p, "r(f(a), T)", "T") == ["one", "any"]
+    assert _sols(p, "r(f(b), T)", "T") == ["one", "any", "four"]
+    assert _sols(p, "r(f(a, b), T)", "T") == ["two", "any"]
+    assert _sols(p, "r(g(c), T)", "T") == ["three", "any"]
+    assert _sols(p, "r(f, T)", "T") == ["any"]
+
+
+def test_first_argument_nil_and_cons():
+    p = (
+        "s([], nil).\ns([H|T], cons).\n"
+        "len([], 0).\nlen([H|T], N) :- len(T, M), N is M + 1.\n"
+    )
+    assert _sols(p, "s([], X)", "X") == ["nil"]
+    assert _sols(p, "s([a], X)", "X") == ["cons"]
+    assert _sols(p, "s(L, X)", "X") == ["nil", "cons"]
+    assert _sols(p, "len([a, b, c], N)", "N") == ["3"]
+
+
+def test_first_argument_bound_through_a_variable():
+    p = "p(a, 1).\np(b, 2).\np(X, 3).\n"
+    assert _sols(p, "K = b, p(K, N)", "N") == ["2", "3"]
+
+
+def test_unbound_first_argument_tries_every_clause_in_source_order():
+    p = "p(a, 1).\np(f(x), 2).\np(X, 3).\np(1, 4).\np([], 5).\np([H|T], 6).\n"
+    got = [(print_term(s["K"]), print_term(s["N"]))
+           for s in solve(parse_query("p(K, N)"), parse_program(p))]
+    assert [n for _, n in got] == ["1", "2", "3", "4", "5", "6"]
+    assert got[0] == ("a", "1") and got[4] == ("[]", "5")
+
+
+def test_clause_variable_names_survive_head_unification():
+    # the query variable B is bound to the clause variable, whose name prints
+    assert _sols("q(a, K).\nr(K, c).\n", "q(A, B), r(B, C)", "B") == ["K"]
+    assert _sols("q(a, K).\nr(J, c).\n", "q(A, B), r(B, C)", "B") == ["J"]
+    assert _sols("q(A, K) :- s(K).\ns(M).\n", "q(A, B)", "B") == ["M"]
+
+
+# -- arithmetic depth ---------------------------------------------------------------
+
+
+def test_deeply_nested_arithmetic_evaluates():
+    p = parse_program("q(X) :- X is " + " + ".join(["1"] * 5000) + ".\n")
+    deep = parse_term(" - ".join(["1"] * 3000) + " * 2")
+    store = BindingStore()
+    try:
+        got = [print_term(s["X"]) for s in solve(parse_query("q(X)"), p)]
+        equal = eval_builtin(Struct("=:=", (deep, Int(-2999))), store)
+    except RecursionError:
+        got = equal = "RecursionError"  # caught: pytest would print every frame
+    assert got == ["5000"] and equal is True
+    store, expr = fresh_store_terms("1 + 2 * (3 - X)")
+    with pytest.raises(InstantiationError):
+        eval_builtin(Struct("is", (store.new_var("V"), expr)), store)

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from cctab import (
@@ -319,3 +321,70 @@ def test_tabling_primitive_outside_engine_errors():
 
     with pytest.raises(ExistenceError, match="tabling primitive"):
         list(solve(parse_query("slg(foo(X))"), parse_program("foo(1).")))
+
+
+# Exact work counters and table contents, pinned: a change to the engine's hot
+# path must do the same tabling work in the same order.
+PINNED = [
+    (lambda: gen_fixture("chain", 48), "path(X, Y)",
+     dict(suspensions=95, resumptions=2209, e_cells=285, h_cells=380, generators=49,
+          answers=2304, slg_resolutions=2258), 1176, "9b6fffcc29c84dc7"),
+    (lambda: gen_fixture("cycle", 20), "path(X, Y)",
+     dict(suspensions=42, resumptions=882, e_cells=126, h_cells=168, generators=22,
+          answers=882, slg_resolutions=904), 441, "a2050a3d42e35fec"),
+    (lambda: read_fixture("mixed_loop.pl"), "t(A)",
+     dict(suspensions=1, resumptions=2, e_cells=1, h_cells=10, generators=1,
+          answers=2, slg_resolutions=2), 2, "0809ac5c047899c1"),
+]
+
+
+def table_digest(eng) -> str:
+    """Digest of every variant and its answers, in creation and insertion order."""
+    h = hashlib.sha256()
+    for e in eng.space.entries:
+        h.update(print_term(e.call).encode() + b"\n")
+        for t in eng.answer_terms(e.call):
+            h.update(print_term(t).encode() + b";")
+        h.update(b"\n")
+    return h.hexdigest()[:16]
+
+
+@pytest.mark.parametrize("make_src, query, counts, n_answers, digest", PINNED,
+                         ids=["chain48", "cycle20", "mixed_loop"])
+def test_pinned_counters_and_answer_order(make_src, query, counts, n_answers, digest):
+    eng = make_engine(make_src())
+    assert len(answers(eng, query)) == n_answers
+    got = {k: getattr(eng.counters, k) for k in counts}
+    assert got == counts
+    assert table_digest(eng) == digest
+
+
+def test_non_ground_tabled_answer_prints_fresh_variable():
+    eng = make_engine(":- table p/2.\np(a, X).\np(b, c).\n")
+    assert answers(eng, "p(a, Y)") == ["p(a, _G)"]
+    assert answers(eng, "p(Z, Y)") == ["p(a, _G)", "p(b, c)"]
+    eng = make_engine(":- table p/2.\np(a, X) :- q(X).\nq(W).\n")
+    assert answers(eng, "p(a, Y)") == answers(eng, "p(a, Y)") == ["p(a, _G)"]
+
+
+def test_interrupted_query_leaves_table_space_consistent(monkeypatch):
+    import cctab.tabling
+
+    class InterruptAt500(cctab.tabling.Budget):
+        def __init__(self, steps):
+            super().__init__(steps)
+            self.spent = 0
+
+        def spend(self):
+            self.spent += 1
+            if self.spent == 500:
+                raise KeyboardInterrupt
+            super().spend()
+
+    eng = make_engine(gen_fixture("cycle", 20))
+    monkeypatch.setattr(cctab.tabling, "Budget", InterruptAt500)
+    with pytest.raises(KeyboardInterrupt):
+        answers(eng, "path(X, Y)")
+    monkeypatch.undo()
+    assert eng.space.stack == [] and eng.space.arenas == []
+    assert len(answers(eng, "path(X, Y)")) == 441
