@@ -15,7 +15,7 @@ from .errors import (
     ResourceLimitError,
     TypeMismatchError,
 )
-from .terms import Atom, Int, Program, Struct, Term, Var, clause_nvars
+from .terms import Atom, Int, Program, Struct, Term, Var, copy_term, renumber, vars_of_all
 
 DEFAULT_BUDGET = 10_000_000
 
@@ -73,26 +73,18 @@ class BindingStore:
             bindings[trail.pop()] = None
 
     def resolve(self, term: Term) -> Term:
-        """Deep copy of term with all bindings applied."""
-        out: list = []
-        todo: list = [(term, False)]
-        walk = self.walk
-        while todo:
-            t, rebuild = todo.pop()
-            if rebuild:
-                n = len(t.args)
-                args = tuple(out[-n:])
-                del out[-n:]
-                out.append(Struct(t.functor, args))
-                continue
-            t = walk(t)
-            if type(t) is Struct:
-                todo.append((t, True))
-                for a in reversed(t.args):
-                    todo.append((a, False))
-            else:
-                out.append(t)
-        return out[0]
+        """Copy of term with all bindings applied; unbound variables stay."""
+        return copy_term(term, lambda v: v, self.walk)
+
+    def freeze(self, term: Term) -> tuple:
+        """(copy, nvars): term with all bindings applied and its unbound
+        variables renumbered 0..nvars-1 in first-occurrence order, keeping names.
+
+        Two terms are variants exactly when their frozen copies are equal, so
+        the copy is also the term's variant key.
+        """
+        ids: dict = {}
+        return copy_term(term, renumber(ids, True), self.walk), len(ids)
 
 
 def unify(a: Term, b: Term, store: BindingStore) -> bool:
@@ -202,6 +194,9 @@ def instantiate(term: Term, varmap: list, store: BindingStore = None, names=None
     A slot that is still None gets a new store variable named names[i] ("_G"
     when names is None); slots already filled are shared, never copied.
     Iterative: compound arguments are descended through an explicit stack.
+    This is copy_term with the variable policy inlined: it copies every
+    clause body and resumed continuation, and a call per variable there
+    costs measurable solve time.
     """
     if type(term) is Var:
         v = varmap[term.id]
@@ -239,9 +234,9 @@ def instantiate(term: Term, varmap: list, store: BindingStore = None, names=None
 # -- arithmetic and built-ins ----------------------------------------------------
 
 
-def eval_arith(t: Term, store: BindingStore) -> int:
-    """Value of an integer expression; iterative, so any nesting depth is safe."""
-    walk = store.walk
+def eval_arith(t: Term, walk) -> int:
+    """Value of an integer expression whose variables walk dereferences (a
+    BindingStore.walk); iterative, so any nesting depth is safe."""
     t = walk(t)
     if type(t) is Int:
         return t.value
@@ -292,12 +287,13 @@ def _arith_op(t: Struct, a: int, b: int) -> int:
 
 
 def _bi_is(args, store):
-    return unify(args[0], Int(eval_arith(args[1], store)), store)
+    return unify(args[0], Int(eval_arith(args[1], store.walk)), store)
 
 
 def _bi_compare(op):
     def run(args, store):
-        return op(eval_arith(args[0], store), eval_arith(args[1], store))
+        walk = store.walk
+        return op(eval_arith(args[0], walk), eval_arith(args[1], walk))
 
     return run
 
@@ -353,14 +349,13 @@ def compile_index(program: Program) -> dict:
     in source order.  var_first holds the variable-first clauses alone, for
     keys no clause has.  Built in one pass over the clauses.
     """
-    from .terms import vars_of_all
-
     index: dict = {}
     for c in program.clauses:
         p = c.pred()
-        n = clause_nvars(c)
+        cvars = vars_of_all((c.head, *c.body))
+        n = max((v.id for v in cvars), default=-1) + 1
         names = ["_G"] * n
-        for v in vars_of_all((c.head, *c.body)):
+        for v in cvars:
             names[v.id] = v.name
         entry = (c.head, c.body, n, names)
         clauses, by_first, var_first = index.setdefault((p.name, p.arity), ([], {}, []))
@@ -488,6 +483,26 @@ class Machine:
         for g in reversed(list(goals)):
             self.goals = (g, self.goals)
 
+    def start(self, goals) -> tuple:
+        """Push a copy of the query goals with one fresh store variable per
+        query variable.
+
+        Returns ({name: live variable} for the named query variables in
+        first-occurrence order, [live goals]).
+        """
+        live: dict = {}  # query variable id -> its store variable
+        new_var = self.store.new_var
+
+        def var(v: Var) -> Var:
+            w = live.get(v.id)
+            if w is None:
+                w = live[v.id] = new_var(v.name)
+            return w
+
+        live_goals = [copy_term(g, var) for g in goals]
+        self.push_goals(live_goals)
+        return {w.name: w for w in live.values() if w.name != "_"}, live_goals
+
     def backtrack(self) -> bool:
         cps = self.cps
         while cps:
@@ -590,33 +605,15 @@ def solve(goals, program: Program, depth_budget: int = DEFAULT_BUDGET, runtime=N
     Yields one dict per solution mapping the query's variable names to their
     (resolved) values, in SLD order: leftmost goal, textual clause order.
     """
-    from .terms import vars_of_all
-
     if isinstance(goals, (Atom, Struct, Var, Int)):
         goals = [goals]
     machine = Machine(compile_index(program), runtime=runtime, budget=Budget(depth_budget))
-    qvars = vars_of_all(goals)
-    mapping = {}
-    for v in qvars:
-        mapping[v.id] = machine.store.new_var(v.name)
-    dense = _dense_map(mapping)
-    machine.push_goals([instantiate(g, dense) for g in goals])
+    named, _ = machine.start(goals)
     while True:
         event, _ = machine.run()
         if event == SOLUTION:
-            yield {
-                v.name: machine.store.resolve(mapping[v.id])
-                for v in qvars
-                if v.name != "_"
-            }
+            yield {name: machine.store.resolve(v) for name, v in named.items()}
         elif event == EXHAUSTED:
             return
         else:
             raise ExistenceError("tabled call reached plain SLD solver")
-
-
-def _dense_map(mapping: dict) -> list:
-    out = [None] * (max(mapping) + 1 if mapping else 0)
-    for k, v in mapping.items():
-        out[k] = v
-    return out

@@ -8,9 +8,22 @@ index keeps matching affordable on hundred-node graphs.
 
 from __future__ import annotations
 
-from .errors import RangeRestrictionError, ResourceLimitError
+from .engine import eval_arith
+from .errors import InstantiationError, RangeRestrictionError, ResourceLimitError, TypeMismatchError
 from .syntax import print_clause, print_term
-from .terms import Atom, Clause, Int, PredId, Program, Struct, Term, Var, pred_of
+from .terms import (
+    Atom,
+    Clause,
+    Int,
+    PredId,
+    Program,
+    Struct,
+    Term,
+    Var,
+    canonical_variant,
+    copy_term,
+    pred_of,
+)
 
 DEFAULT_CAP = 100_000
 
@@ -24,12 +37,7 @@ _COMPARE = {
 
 
 def _subst(t: Term, env: dict) -> Term:
-    if type(t) is Var:
-        bound = env.get(t.id)
-        return t if bound is None else bound
-    if type(t) is not Struct:
-        return t
-    return Struct(t.functor, tuple(_subst(a, env) for a in t.args))
+    return copy_term(t, lambda v: env.get(v.id, v))
 
 
 def _is_ground(t: Term) -> bool:
@@ -75,25 +83,13 @@ def _match(pattern: Term, fact: Term, env: dict):
     return out
 
 
-def _arith(t: Term, clause: Clause) -> int:
-    if type(t) is Int:
-        return t.value
-    if type(t) is Struct and len(t.args) == 2 and t.functor in ("+", "-", "*", "//", "mod"):
-        a = _arith(t.args[0], clause)
-        b = _arith(t.args[1], clause)
-        if t.functor == "+":
-            return a + b
-        if t.functor == "-":
-            return a - b
-        if t.functor == "*":
-            return a * b
-        if b == 0:
-            raise RangeRestrictionError(f"zero divisor in clause: {print_clause(clause)}")
-        return a // b if t.functor == "//" else a % b
-    raise RangeRestrictionError(
-        f"clause not range-restricted (unbound or non-integer arithmetic): "
-        f"{print_clause(clause)}"
-    )
+def _arith(t: Term, env: dict, clause: Clause) -> int:
+    """Value of an integer expression under env, by the engine's evaluator."""
+    try:
+        return eval_arith(t, lambda x: env.get(x.id, x) if type(x) is Var else x)
+    except (InstantiationError, TypeMismatchError) as e:
+        # an unbound variable here means the clause is not range-restricted
+        raise RangeRestrictionError(f"{e} in clause: {print_clause(clause)}") from None
 
 
 class _FactStore:
@@ -135,7 +131,7 @@ def _eval_builtin_goal(goal: Term, env: dict, clause: Clause):
     if name == "fail":
         return
     if name == "is":
-        value = Int(_arith(_subst(args[1], env), clause))
+        value = Int(_arith(args[1], env, clause))
         lhs = _subst(args[0], env)
         if type(lhs) is Var:
             out = dict(env)
@@ -145,8 +141,8 @@ def _eval_builtin_goal(goal: Term, env: dict, clause: Clause):
             yield env
         return
     if name in _COMPARE:
-        a = _arith(_subst(args[0], env), clause)
-        b = _arith(_subst(args[1], env), clause)
+        a = _arith(args[0], env, clause)
+        b = _arith(args[1], env, clause)
         if _COMPARE[name](a, b):
             yield env
         return
@@ -254,11 +250,11 @@ def compare_answer_sets(space, facts: dict, pred: PredId, call: Term = None):
     Returns (equal, missing, extra); missing/extra are sorted lists of terms
     the engine lacks / has beyond the oracle's set for the queried variant.
     """
-    from .tabling import COMPLETE, canon_key
+    from .tabling import COMPLETE
 
     space = getattr(space, "space", space)
     if call is not None:
-        entry = space.lookup(canon_key(call))
+        entry = space.lookup(canonical_variant(call))
         if entry is None or entry.status != COMPLETE:
             raise RangeRestrictionError(f"no completed table entry for {print_term(call)}")
     else:

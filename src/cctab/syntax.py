@@ -22,7 +22,6 @@ from .terms import (
     Struct,
     Term,
     Var,
-    list_items,
     normalize_clause,
 )
 
@@ -282,21 +281,31 @@ class _Parser:
             self.expect("end")
             clauses.append(normalize_clause(head, body))
         program = Program(tuple(clauses), frozenset(tabled), frozenset(bridges))
-        defined = set(program.defined_preds())
+        defined = {c.pred() for c in program.clauses}
         for pred in sorted(tabled | bridges):
             if pred not in defined:
                 log.warning("directive for undefined predicate %s", pred)
         return program
 
 
+def _descend(p: _Parser, parse):
+    """parse(), with a term nested deeper than the host stack allows reported
+    as a ParseError at the token reached."""
+    try:
+        return parse()
+    except RecursionError:
+        raise p.error("term nested too deeply") from None
+
+
 def parse_program(text: str) -> Program:
-    return _Parser(text).parse_program()
+    p = _Parser(text)
+    return _descend(p, p.parse_program)
 
 
 def parse_term(text: str) -> Term:
     """Parse a single term (no trailing period required)."""
     p = _Parser(text)
-    t = p.parse_term()
+    t = _descend(p, p.parse_term)
     if p.peek().kind not in ("eof", "end"):
         raise p.error(f"trailing input after term: {p.peek().text!r}")
     return t
@@ -306,7 +315,7 @@ def parse_query(text: str) -> list[Term]:
     """Parse a comma-separated goal list; accepts an optional trailing period."""
     p = _Parser(text)
     tok = p.peek()
-    goals = p.parse_body()
+    goals = _descend(p, p.parse_body)
     for g in goals:
         p.check_goal(g, tok)
     if p.peek().kind == "end":
@@ -326,35 +335,49 @@ def _needs_parens(t: Term, max_prio: int) -> bool:
 
 
 def print_term(t: Term) -> str:
-    if isinstance(t, Var):
-        return t.name
-    if isinstance(t, Atom):
-        return t.name
-    if isinstance(t, Int):
-        return str(t.value)
-    items = list_items(t)
-    if items is not None:
-        return "[" + ", ".join(print_term(x) for x in items) + "]"
-    if isinstance(t, Struct) and t.functor == "." and len(t.args) == 2:
-        head, tail = t.args
-        parts = [head]
-        while isinstance(tail, Struct) and tail.functor == "." and len(tail.args) == 2:
-            parts.append(tail.args[0])
-            tail = tail.args[1]
-        inner = ", ".join(print_term(x) for x in parts)
-        return f"[{inner}|{print_term(tail)}]"
+    """Source text of t.  Iterative: todo holds the strings and subterms still
+    to print, next one last, so any nesting depth is safe."""
+    out: list = []
+    todo: list = [t]
+    while todo:
+        x = todo.pop()
+        if type(x) is str:
+            out.append(x)
+        elif isinstance(x, (Var, Atom)):
+            out.append(x.name)
+        elif isinstance(x, Int):
+            out.append(str(x.value))
+        else:
+            todo.extend(reversed(_print_parts(x)))
+    return "".join(out)
+
+
+def _print_parts(t: Struct) -> list:
+    """The strings and subterms whose printed forms, joined, print t."""
+    if t.functor == "." and len(t.args) == 2:
+        items = []
+        while isinstance(t, Struct) and t.functor == "." and len(t.args) == 2:
+            items.append(t.args[0])
+            t = t.args[1]
+        return ["[", *_joined(items), *(() if t == NIL else ("|", t)), "]"]
     if t.functor in INFIX_OPS and len(t.args) == 2:
         prio, kind = INFIX_OPS[t.functor]
         lmax = prio if kind == "yfx" else prio - 1
         left, right = t.args
-        ls = print_term(left)
-        rs = print_term(right)
-        if _needs_parens(left, lmax):
-            ls = f"({ls})"
-        if _needs_parens(right, prio - 1):
-            rs = f"({rs})"
-        return f"{ls} {t.functor} {rs}"
-    return f"{t.functor}(" + ", ".join(print_term(a) for a in t.args) + ")"
+        ls = ["(", left, ")"] if _needs_parens(left, lmax) else [left]
+        rs = ["(", right, ")"] if _needs_parens(right, prio - 1) else [right]
+        return [*ls, f" {t.functor} ", *rs]
+    return [f"{t.functor}(", *_joined(t.args), ")"]
+
+
+def _joined(terms) -> list:
+    """terms with ", " between each two."""
+    out: list = []
+    for x in terms:
+        if out:
+            out.append(", ")
+        out.append(x)
+    return out
 
 
 def print_clause(c: Clause) -> str:

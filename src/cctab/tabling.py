@@ -33,7 +33,7 @@ from .engine import (
     unify_stored,
 )
 from .errors import InstantiationError, TablingError, TypeMismatchError
-from .terms import Atom, Int, Program, Struct, Term, Var, pred_of, term_size
+from .terms import Atom, Int, Program, Struct, Term, Var, canonical_variant, pred_of, term_size
 from .translate import Mode
 
 EVALUATING = "evaluating"
@@ -63,72 +63,6 @@ class Counters:
         )
 
 
-def canon_key(t: Term) -> tuple:
-    """Hashable key equal for two terms iff they are variants."""
-    out: list = []
-    nums: dict = {}
-    stack = [t]
-    while stack:
-        x = stack.pop()
-        tx = type(x)
-        if tx is Var:
-            k = nums.get(x.id)
-            if k is None:
-                k = len(nums)
-                nums[x.id] = k
-            out.append(k)
-        elif tx is Atom:
-            out.append(("a", x.name))
-        elif tx is Int:
-            out.append(("i", x.value))
-        else:
-            out.append(("s", x.functor, len(x.args)))
-            stack.extend(reversed(x.args))
-    return tuple(out)
-
-
-def freeze(t: Term) -> tuple:
-    """(term, nvars) with variables renumbered 0.. in first-occurrence order.
-
-    Sharing is preserved; ground terms are returned as-is with nvars 0.
-    """
-    stack = [t]
-    has_var = False
-    while stack:
-        x = stack.pop()
-        if type(x) is Var:
-            has_var = True
-            break
-        if type(x) is Struct:
-            stack.extend(x.args)
-    if not has_var:
-        return (t, 0)
-    mapping: dict = {}
-    out: list = []
-    todo: list = [(t, False)]
-    while todo:
-        x, rebuild = todo.pop()
-        tx = type(x)
-        if rebuild:
-            n = len(x.args)
-            args = tuple(out[-n:])
-            del out[-n:]
-            out.append(Struct(x.functor, args))
-        elif tx is Var:
-            v = mapping.get(x.id)
-            if v is None:
-                v = Var(len(mapping), x.name)
-                mapping[x.id] = v
-            out.append(v)
-        elif tx is Struct:
-            todo.append((x, True))
-            for a in reversed(x.args):
-                todo.append((a, False))
-        else:
-            out.append(x)
-    return (out[0], len(mapping))
-
-
 @dataclass
 class StoredCont:
     """A suspended consumer, dereferenced and copied into table storage."""
@@ -141,11 +75,10 @@ class StoredCont:
 @dataclass
 class GeneratorEntry:
     id: int
-    call: Term  # canonical call, vars 0..call_nvars-1
+    call: Term  # frozen call, vars 0..call_nvars-1; its variant key
     call_nvars: int
-    key: tuple = None
     answers: list = field(default_factory=list)  # (term, nvars), insertion order
-    index: set = field(default_factory=set)  # canon keys of answers
+    index: set = field(default_factory=set)  # the answer terms, as variant keys
     continuations: list = field(default_factory=list)  # StoredCont
     status: str = EVALUATING
     pos: int = None  # completion stack index while EVALUATING
@@ -163,14 +96,15 @@ class TableSpace:
         self.arenas: list = []  # active resumption worklists, innermost last
         self.counters = Counters()
 
-    def lookup(self, key):
-        eid = self.variant_index.get(key)
+    def lookup(self, call: Term):
+        """The entry of a frozen call's variant, or None."""
+        eid = self.variant_index.get(call)
         return None if eid is None else self.entries[eid]
 
-    def new_generator(self, call: Term, call_nvars: int, key, creator=None) -> GeneratorEntry:
-        entry = GeneratorEntry(id=len(self.entries), call=call, call_nvars=call_nvars, key=key)
+    def new_generator(self, call: Term, call_nvars: int, creator=None) -> GeneratorEntry:
+        entry = GeneratorEntry(id=len(self.entries), call=call, call_nvars=call_nvars)
         self.entries.append(entry)
-        self.variant_index[key] = entry.id
+        self.variant_index[call] = entry.id
         entry.pos = len(self.stack)
         self.stack.append(entry.id)
         entry.deplink = entry.pos
@@ -206,17 +140,9 @@ def complete(space: TableSpace, leader: GeneratorEntry):
 class _Request:
     call: Term
     call_nvars: int
-    key: tuple
     pred_name: str
     origin: str  # "slg" | "slgcall"
     creator_id: int = None
-
-
-class _QueryFrame:
-    __slots__ = ("machine",)
-
-    def __init__(self, machine):
-        self.machine = machine
 
 
 class _GenFrame:
@@ -228,13 +154,6 @@ class _GenFrame:
         self.origin = origin
         self.arena = arena
         self.draining = False
-
-
-class _ResumeFrame:
-    __slots__ = ("machine",)
-
-    def __init__(self, machine):
-        self.machine = machine
 
 
 @dataclass
@@ -266,21 +185,13 @@ class Engine:
 
     def solve(self, goals, depth_budget: int = None):
         """Enumerate solutions of a goal or goal list; local scheduling."""
-        from .terms import vars_of_all
-
         if not isinstance(goals, (list, tuple)):
             goals = [goals]
         budget = Budget(depth_budget if depth_budget is not None else self.depth_budget)
         machine = Machine(self.index, runtime=self, budget=budget, counters=self.counters)
-        qvars = vars_of_all(goals)
-        mapping = {v.id: machine.store.new_var(v.name) for v in qvars}
-        dense = [None] * (max(mapping) + 1 if mapping else 0)
-        for k, v in mapping.items():
-            dense[k] = v
-        live_goals = [instantiate(g, dense) for g in goals]
-        machine.push_goals(live_goals)
+        named, live_goals = machine.start(goals)
         try:
-            yield from self._drive(machine, mapping, qvars, live_goals, budget)
+            yield from self._drive(machine, named, live_goals, budget)
         except GeneratorExit:
             # Closed at a yield, where no evaluation is in progress; a purge
             # here could run at garbage collection, inside another query.
@@ -289,45 +200,45 @@ class Engine:
             self._purge_incomplete()
             raise
 
-    def _drive(self, machine, mapping, qvars, live_goals, budget):
-        frames: list = [_QueryFrame(machine)]
+    def _drive(self, machine, named, live_goals, budget):
+        # A frame is a _GenFrame, or else the Machine of the query itself
+        # (frame is machine) or of a resumption.
+        frames: list = [machine]
         space = self.space
         idle: list = []  # reset resumption machines, reused for the next pair
         while frames:
             frame = frames[-1]
-            if isinstance(frame, _GenFrame) and frame.draining:
+            gen = type(frame) is _GenFrame
+            if gen and frame.draining:
                 if frame.arena:
                     stored, ans = frame.arena.popleft()
                     space.counters.resumptions += 1
                     rm = self._resume_machine(stored, ans, budget, idle)
                     if rm is not None:
-                        frames.append(_ResumeFrame(rm))
+                        frames.append(rm)
                     continue
                 self._finish_group(frame)
                 space.arenas.pop()
                 frames.pop()
                 continue
 
-            event, req = frame.machine.run()
+            event, req = (frame.machine if gen else frame).run()
             if event == SOLUTION:
-                if not isinstance(frame, _QueryFrame):
+                if frame is not machine:
                     raise TablingError("internal: translated clause body succeeded")
+                store = machine.store
                 yield Solution(
-                    bindings={
-                        v.name: machine.store.resolve(mapping[v.id])
-                        for v in qvars
-                        if v.name != "_"
-                    },
-                    goals=[machine.store.resolve(g) for g in live_goals],
+                    bindings={name: store.resolve(v) for name, v in named.items()},
+                    goals=[store.resolve(g) for g in live_goals],
                 )
                 continue
             if event == EXHAUSTED:
-                if isinstance(frame, _QueryFrame):
+                if frame is machine:
                     return
-                if isinstance(frame, _ResumeFrame):
+                if not gen:
                     frames.pop()
-                    frame.machine.reset()
-                    idle.append(frame.machine)
+                    frame.reset()
+                    idle.append(frame)
                     continue
                 if frame.origin == "slg":
                     frame.draining = True
@@ -338,7 +249,7 @@ class Engine:
             creator = None
             if req.creator_id is not None:
                 creator = space.entries[req.creator_id]
-            entry = space.new_generator(req.call, req.call_nvars, req.key, creator)
+            entry = space.new_generator(req.call, req.call_nvars, creator)
             gm = self._generator_machine(entry, req.pred_name, budget)
             arena = None
             if req.origin == "slg":
@@ -352,7 +263,7 @@ class Engine:
 
     def answer_terms(self, call: Term) -> list:
         """Stored answers for the variant of call, in insertion order."""
-        entry = self.space.lookup(canon_key(call))
+        entry = self.space.lookup(canonical_variant(call))
         if entry is None:
             return []
         return [t for (t, _n) in entry.answers]
@@ -366,26 +277,22 @@ class Engine:
             raise InstantiationError("slg/1: unbound call")
         if type(call) is Int:
             raise TypeMismatchError("slg/1: integer is not a callable term")
-        resolved = store.resolve(call)
-        key = canon_key(resolved)
-        entry = self.space.lookup(key)
+        frozen, nvars = store.freeze(call)
+        entry = self.space.lookup(frozen)
         if entry is None:
-            pred = pred_of(resolved)
+            pred = pred_of(frozen)
             if (f"slg_{pred.name}", 2) not in self.index:
                 raise TablingError(f"not a tabled predicate: {pred}")
-            term, nvars = freeze(resolved)
-            machine.pending_request = _Request(term, nvars, key, pred.name, "slg")
+            machine.pending_request = _Request(frozen, nvars, pred.name, "slg")
             return "request"
-        if entry.status == COMPLETE:
-            machine.cps.append(StoredIterCP(call, entry.answers, store.mark(), rest))
-            return "retry"
-        if self.mode is Mode.LEGACY:
-            # The original scheme: read whatever answers exist right now and
-            # fail past them; nothing is suspended, later answers are lost.
+        if entry.status == COMPLETE or self.mode is Mode.LEGACY:
+            # In legacy mode, the original scheme: read whatever answers exist
+            # right now and fail past them; nothing is suspended, later answers
+            # are lost.
             machine.cps.append(StoredIterCP(call, entry.answers, store.mark(), rest))
             return "retry"
         raise TablingError(
-            f"tabled call {pred_of(resolved)} reached its own evaluation outside "
+            f"tabled call {pred_of(frozen)} reached its own evaluation outside "
             f"slgcall; bridge declarations are incomplete for this program"
         )
 
@@ -401,16 +308,14 @@ class Engine:
         pending = store.walk(cont.args[2])
         if type(pending) not in (Atom, Struct):
             raise TablingError("malformed continuation term: pending call is not callable")
-        resolved = store.resolve(pending)
-        key = canon_key(resolved)
-        entry = self.space.lookup(key)
+        frozen, nvars = store.freeze(pending)
+        entry = self.space.lookup(frozen)
         if entry is None:
-            pred = pred_of(resolved)
+            pred = pred_of(frozen)
             if (f"slg_{pred.name}", 2) not in self.index:
                 raise TablingError(f"not a tabled predicate: {pred}")
-            term, nvars = freeze(resolved)
             machine.pending_request = _Request(
-                term, nvars, key, pred.name, "slgcall", creator_id=id_t.value
+                frozen, nvars, pred.name, "slgcall", creator_id=id_t.value
             )
             return "request"
         if entry.status == COMPLETE:
@@ -424,7 +329,7 @@ class Engine:
         owner = self.space.entries[gen_id]
         if owner.status != EVALUATING:
             raise TablingError("continuation captured for a completed generator")
-        term, nvars = freeze(machine.store.resolve(cont))
+        term, nvars = machine.store.freeze(cont)
         stored = StoredCont(term, nvars, gen_id)
         counters = self.space.counters
         counters.suspensions += 1
@@ -451,12 +356,10 @@ class Engine:
         entry = self.space.entries[id_t.value]
         if entry.status == COMPLETE:
             raise TablingError(f"answer/2: generator {entry.id} is already complete")
-        resolved = store.resolve(goal.args[1])
-        key = canon_key(resolved)
-        if key in entry.index:
+        stored_answer = store.freeze(goal.args[1])
+        if stored_answer[0] in entry.index:
             return "fail"
-        entry.index.add(key)
-        stored_answer = freeze(resolved)
+        entry.index.add(stored_answer[0])
         entry.answers.append(stored_answer)
         self.space.counters.answers += 1
         if entry.continuations:
@@ -476,7 +379,7 @@ class Engine:
         space = self.space
         for gid in space.stack:
             entry = space.entries[gid]
-            space.variant_index.pop(entry.key, None)
+            space.variant_index.pop(entry.call, None)
             entry.continuations.clear()
             entry.pos = None
         space.stack.clear()

@@ -96,19 +96,6 @@ def mk_list(items: Iterable[Term], tail: Term = NIL) -> Term:
     return out
 
 
-def list_items(t: Term) -> Optional[list[Term]]:
-    """Return the elements of a proper list term, or None if t is not one."""
-    items = []
-    while True:
-        if t == NIL:
-            return items
-        if isinstance(t, Struct) and t.functor == CONS and len(t.args) == 2:
-            items.append(t.args[0])
-            t = t.args[1]
-        else:
-            return None
-
-
 @dataclass(frozen=True, slots=True, order=True)
 class PredId:
     name: str
@@ -154,14 +141,6 @@ class Program:
     def clauses_for(self, pred: PredId) -> list[Clause]:
         return [c for c in self.clauses if c.pred() == pred]
 
-    def defined_preds(self) -> list[PredId]:
-        seen = []
-        for c in self.clauses:
-            p = c.pred()
-            if p not in seen:
-                seen.append(p)
-        return seen
-
 
 def walk_subterms(t: Term) -> Iterator[Term]:
     """Yield t and every subterm, depth-first, left to right, iteratively."""
@@ -203,30 +182,62 @@ def term_size(t: Term) -> int:
     return n
 
 
-def rename_term(t: Term, mapping: dict) -> Term:
-    """Rebuild t with every Var replaced through mapping (id -> Var)."""
-    if isinstance(t, Var):
-        return mapping[t.id]
-    if not isinstance(t, Struct):
+def copy_term(t: Term, var, walk=None) -> Term:
+    """Copy of t with every variable v replaced by var(v).
+
+    walk, when given, dereferences each variable first (a BindingStore.walk),
+    so bound variables are copied as their values and only unbound ones reach
+    var.  Iterative: compound arguments are descended through an explicit
+    stack, so any nesting depth is safe.
+    """
+    if walk is not None:
+        t = walk(t)
+    if type(t) is Var:
+        return var(t)
+    if type(t) is not Struct:
         return t
-    out: list = []
-    todo: list = [(t, False)]
-    while todo:
-        x, rebuild = todo.pop()
-        if rebuild:
-            n = len(x.args)
-            args = tuple(out[-n:])
-            del out[-n:]
-            out.append(Struct(x.functor, args))
-        elif isinstance(x, Var):
-            out.append(mapping[x.id])
-        elif isinstance(x, Struct):
-            todo.append((x, True))
-            for a in reversed(x.args):
-                todo.append((a, False))
-        else:
-            out.append(x)
-    return out[0]
+    stack: list = []  # (functor, args, built, next index) of the enclosing compounds
+    functor, args, built, i = t.functor, t.args, [], 0
+    while True:
+        n = len(args)
+        while i < n:
+            a = args[i]
+            i += 1
+            ta = type(a)
+            if ta is Var and walk is not None:
+                a = walk(a)
+                ta = type(a)
+            if ta is Var:
+                built.append(var(a))
+            elif ta is Struct:
+                stack.append((functor, args, built, i))
+                functor, args, built, i = a.functor, a.args, [], 0
+                n = len(args)
+            else:
+                built.append(a)
+        t = Struct(functor, tuple(built))
+        if not stack:
+            return t
+        functor, args, built, i = stack.pop()
+        built.append(t)
+
+
+def renumber(ids: dict, keep_names: bool):
+    """copy_term variable policy: number variables 0.. in first-occurrence order.
+
+    ids maps each original variable id to its new Var, so len(ids) is the
+    number of distinct variables met.  A new Var keeps the original's name
+    when keep_names holds and is named _k otherwise.
+    """
+
+    def var(v: Var) -> Var:
+        w = ids.get(v.id)
+        if w is None:
+            k = len(ids)
+            w = ids[v.id] = Var(k, v.name if keep_names else f"_{k}")
+        return w
+
+    return var
 
 
 def canonical_variant(t: Term) -> Term:
@@ -235,29 +246,14 @@ def canonical_variant(t: Term) -> Term:
     Two terms are variants (equal up to a bijective renaming of variables)
     exactly when their canonical forms are equal.
     """
-    mapping: dict = {}
-    for v in vars_of(t):
-        k = len(mapping)
-        mapping[v.id] = Var(k, f"_{k}")
-    return rename_term(t, mapping) if mapping else t
+    return copy_term(t, renumber({}, False))
 
 
 def normalize_clause(head: Term, body: Iterable[Term]) -> Clause:
     """Renumber clause variables 0..n-1 in first-occurrence order, keeping names."""
-    body = tuple(body)
-    mapping: dict = {}
-    for v in vars_of_all((head, *body)):
-        mapping[v.id] = Var(len(mapping), v.name)
-    if not mapping:
-        return Clause(head, body)
-    return Clause(rename_term(head, mapping), tuple(rename_term(g, mapping) for g in body))
-
-
-def clause_nvars(c: Clause) -> int:
-    n = 0
-    for v in vars_of_all((c.head, *c.body)):
-        n = max(n, v.id + 1)
-    return n
+    var = renumber({}, True)
+    head = copy_term(head, var)
+    return Clause(head, tuple(copy_term(g, var) for g in body))
 
 
 def canonical_clause(c: Clause) -> tuple:

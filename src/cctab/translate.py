@@ -202,17 +202,19 @@ def translate(program: Program, mode: Mode) -> Program:
     _check_higher_order(program, pivots if mode is Mode.GENERAL else tabled)
     _check_name_collisions(program, tabled, bridges)
 
-    defined = program.defined_preds()
+    by_pred: dict = {}  # PredId -> its clauses; keys in first-definition order
+    for c in program.clauses:
+        by_pred.setdefault(c.pred(), []).append(c)
     for pred in sorted(tabled):
-        if pred not in defined:
+        if pred not in by_pred:
             log.warning("tabled predicate %s has no clauses", pred)
 
     namer = _ContNamer({c.pred().name for c in program.clauses})
-    order = list(defined) + [p for p in sorted(tabled) if p not in defined]
+    order = list(by_pred) + [p for p in sorted(tabled) if p not in by_pred]
 
     out: list = []
     for pred in order:
-        clauses = program.clauses_for(pred)
+        clauses = by_pred.get(pred, [])
         if pred in tabled:
             ctx = _Ctx(mode, tabled, bridges, namer)
             ctx.cont_base = f"slg_{pred.name}" if mode is Mode.GENERAL else f"{pred.name}_cont"

@@ -131,14 +131,48 @@ def test_console_entry_point():
     assert proc.stdout.splitlines() == ["path(1, 2)", "path(1, 3)"]
 
 
-def test_deep_arithmetic_expression(tmp_path):
+@pytest.mark.parametrize(
+    "directives, flags, expected",
+    [("", [], "q(5000)\n"), (":- table q/1.\n", ["--oracle-check"], "q(5000)\nOK\n")],
+    ids=["plain", "oracle-check"],
+)
+def test_deep_arithmetic_expression(tmp_path, directives, flags, expected):
     # in a child process: a failure here is a traceback thousands of frames deep
     f = tmp_path / "deep.pl"
-    f.write_text("q(X) :- X is " + " + ".join(["1"] * 5000) + ".\n")
+    f.write_text(directives + "q(X) :- X is " + " + ".join(["1"] * 5000) + ".\n")
     proc = subprocess.run(
-        [sys.executable, "-m", "cctab.cli", str(f), "--query", "q(X)"],
+        [sys.executable, "-m", "cctab.cli", str(f), "--query", "q(X)", *flags],
         capture_output=True,
         text=True,
         timeout=60,
     )
-    assert (proc.returncode, proc.stdout, proc.stderr[-300:]) == (0, "q(5000)\n", "")
+    assert (proc.returncode, proc.stdout, proc.stderr[-300:]) == (0, expected, "")
+
+
+def test_deep_answer_term_prints(tmp_path):
+    # in a child process: a failure here is a traceback thousands of frames deep
+    f = tmp_path / "nat.pl"
+    f.write_text("nat(0, z).\nnat(N, s(X)) :- N > 0, M is N - 1, nat(M, X).\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "cctab.cli", str(f), "--query", "nat(3000, X)"],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    expected = "nat(3000, " + "s(" * 3000 + "z" + ")" * 3000 + ")\n"
+    assert (proc.returncode, proc.stdout, proc.stderr[-300:]) == (0, expected, "")
+
+
+def test_deeply_nested_source_term_is_a_parse_error(tmp_path):
+    # in a child process: a failure here is a traceback thousands of frames deep
+    f = tmp_path / "nested.pl"
+    f.write_text("p(X) :- X = " + "f(" * 3000 + "a" + ")" * 3000 + ".\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "cctab.cli", str(f), "--query", "p(X)"],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("error: ") and "nested too deeply" in proc.stderr
+    assert "Traceback" not in proc.stderr

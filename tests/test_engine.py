@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from cctab import (
@@ -9,6 +11,7 @@ from cctab import (
     Struct,
     TypeMismatchError,
     Var,
+    canonical_variant,
     eval_builtin,
     parse_program,
     parse_query,
@@ -188,10 +191,19 @@ def test_backtracking_restores_store():
     assert all(b is None for b in m.store.bindings)
 
 
-def test_deep_list_terms_survive_resolve():
+@pytest.mark.parametrize(
+    "copy",
+    [
+        BindingStore.resolve,
+        lambda store, t: store.freeze(t)[0],
+        lambda store, t: canonical_variant(t),
+    ],
+    ids=["resolve", "freeze", "canonical_variant"],
+)
+def test_deep_list_terms_survive_resolve(copy):
     store = BindingStore()
     t = parse_term("[" + ", ".join(str(i) for i in range(2000)) + "]")
-    assert store.resolve(t) == t
+    assert copy(store, t) == t
 
 
 def test_trail_discipline():
@@ -296,3 +308,97 @@ def test_deeply_nested_arithmetic_evaluates():
     store, expr = fresh_store_terms("1 + 2 * (3 - X)")
     with pytest.raises(InstantiationError):
         eval_builtin(Struct("is", (store.new_var("V"), expr)), store)
+
+
+# -- the frozen copy as variant key -----------------------------------------------
+
+
+def _random_term(rng, leaves, depth):
+    if depth == 0 or rng.random() < 0.35:
+        return rng.choice(leaves)
+    args = tuple(_random_term(rng, leaves, depth - 1) for _ in range(rng.randint(1, 3)))
+    return Struct(rng.choice(["f", "g", "."]), args)
+
+
+def _rebuild(t, leaf):
+    if type(t) is Struct:
+        return Struct(t.functor, tuple(_rebuild(a, leaf) for a in t.args))
+    return leaf(t)
+
+
+def _hide(rng, store, t):
+    """t with some subterms replaced by fresh store variables bound to them."""
+    if type(t) is Struct:
+        t = Struct(t.functor, tuple(_hide(rng, store, a) for a in t.args))
+    if rng.random() < 0.25:
+        v = store.new_var("H")
+        store.bind(v, t)
+        return v
+    return t
+
+
+def _deref(store, t):
+    t = store.walk(t)
+    if type(t) is Struct:
+        return Struct(t.functor, tuple(_deref(store, a) for a in t.args))
+    return t
+
+
+def _are_variants(a, b):
+    """Whether a bijection between the variables of a and b maps a onto b."""
+    fwd, back = {}, {}
+    todo = [(a, b)]
+    while todo:
+        x, y = todo.pop()
+        if type(x) is Var and type(y) is Var:
+            if fwd.setdefault(x.id, y.id) != y.id or back.setdefault(y.id, x.id) != x.id:
+                return False
+        elif type(x) is Struct and type(y) is Struct:
+            if x.functor != y.functor or len(x.args) != len(y.args):
+                return False
+            todo.extend(zip(x.args, y.args))
+        elif type(x) is Var or type(y) is Var or x != y:
+            return False
+    return True
+
+
+def _first_occurrence_ids(t):
+    out = []
+    todo = [t]
+    while todo:
+        x = todo.pop()
+        if type(x) is Var and x.id not in out:
+            out.append(x.id)
+        elif type(x) is Struct:
+            todo.extend(reversed(x.args))
+    return out
+
+
+def test_frozen_copy_is_the_variant_key():
+    rng = random.Random(1009)
+    outcomes = set()
+    for _ in range(400):
+        store = BindingStore()
+        xs = [store.new_var(n) for n in "ABCDE"]
+        ys = [store.new_var(n) for n in "VWXYZ"]
+        a = _random_term(rng, [Atom("a"), Atom("b"), Int(0), Int(1), *xs[:3]], 4)
+        kind = rng.randrange(3)
+        if kind == 0:  # a renaming of a: a variant
+            rename = dict(zip((x.id for x in xs), rng.sample(ys, len(xs))))
+            b = _rebuild(a, lambda t: rename.get(t.id, t) if type(t) is Var else t)
+        elif kind == 1:  # two variables merged: an instance, a variant only if they never meet
+            b = _rebuild(a, lambda t: ys[0] if t in xs[:2] else t)
+        else:
+            b = _random_term(rng, [Atom("a"), Atom("b"), Int(0), Int(1), *ys[:3]], 4)
+        a, b = _hide(rng, store, a), _hide(rng, store, b)
+        variants = _are_variants(_deref(store, a), _deref(store, b))
+        outcomes.add((kind, variants))
+        (fa, na), (fb, nb) = store.freeze(a), store.freeze(b)
+        assert (fa == fb) is variants
+        assert (canonical_variant(store.resolve(a)) == canonical_variant(store.resolve(b))) is variants
+        if variants:
+            assert hash(fa) == hash(fb) and na == nb
+        for frozen, n in ((fa, na), (fb, nb)):
+            assert _first_occurrence_ids(frozen) == list(range(n))
+            assert _deref(store, frozen) == frozen  # no store variable left behind
+    assert {(0, True), (1, True), (1, False), (2, False)} <= outcomes

@@ -195,7 +195,7 @@ def test_answer_into_completed_table_errors(mixed_loop_src):
 
 def test_complete_with_pending_work_errors():
     space = TableSpace()
-    entry = space.new_generator(parse_term("t(_)"), 1, key=("probe",))
+    entry = space.new_generator(parse_term("t(_)"), 1)
     arena = [(StoredCont(parse_term("c(0, [], t(0), [])"), 0, entry.id), (parse_term("t(0)"), 0))]
     space.arenas.append(arena)
     with pytest.raises(TablingError, match="pending"):
