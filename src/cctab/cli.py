@@ -74,7 +74,10 @@ def _load_source(args) -> str:
         kind, sep, size = args.gen.partition(":")
         if not sep or not size.isdigit():
             raise Error(f"--gen expects KIND:SIZE, got {args.gen!r}")
-        return gen_fixture(kind, int(size))
+        try:
+            return gen_fixture(kind, int(size))
+        except ValueError as e:
+            raise Error(f"--gen: {e}") from None
     with open(args.file, encoding="utf-8") as f:
         return f.read()
 

@@ -15,6 +15,7 @@ from .errors import (
     ResourceLimitError,
     TypeMismatchError,
 )
+from .syntax import print_term
 from .terms import Atom, Int, Program, Struct, Term, Var, copy_term, renumber, vars_of_all
 
 DEFAULT_BUDGET = 10_000_000
@@ -167,7 +168,8 @@ def unify_stored(live: Term, stored: Term, varmap: list, names, store: BindingSt
             continue
         tx = type(x)
         if tx is Var:
-            bindings[x.id] = instantiate(y, varmap, store, names) if ty is Struct else y
+            # an empty varmap means a ground stored term, bound as it is
+            bindings[x.id] = instantiate(y, varmap, store, names) if ty is Struct and varmap else y
             trail.append(x.id)
             continue
         if tx is not ty:
@@ -263,7 +265,7 @@ def eval_arith(t: Term, walk) -> int:
             todo.append((x.args[1], False))
             todo.append((x.args[0], False))
         else:
-            raise TypeMismatchError(f"not an integer expression: {x}")
+            raise TypeMismatchError(f"not an integer expression: {print_term(x)}")
     return values[0]
 
 
@@ -283,7 +285,7 @@ def _arith_op(t: Struct, a: int, b: int) -> int:
         if b == 0:
             raise TypeMismatchError("zero divisor")
         return a % b
-    raise TypeMismatchError(f"not an integer expression: {t}")
+    raise TypeMismatchError(f"not an integer expression: {print_term(t)}")
 
 
 def _bi_is(args, store):
@@ -402,18 +404,12 @@ class ClauseCP:
         while self.i < len(clauses):
             head, body, nvars, names = clauses[self.i]
             self.i += 1
+            varmap = [None] * nvars
+            if not unify_stored(self.goal, head, varmap, names, store):
+                continue
             goals = self.rest
-            if nvars:
-                varmap = [None] * nvars
-                if not unify_stored(self.goal, head, varmap, names, store):
-                    continue
-                for g in reversed(body):
-                    goals = (instantiate(g, varmap, store, names), goals)
-            else:
-                if not unify(self.goal, head, store):
-                    continue
-                for g in reversed(body):
-                    goals = (g, goals)
+            for g in reversed(body):
+                goals = (instantiate(g, varmap, store, names) if nvars else g, goals)
             m.goals = goals
             return True
         return False
@@ -426,15 +422,14 @@ class StoredIterCP:
     (completed) answer lists and for lists that grow during the iteration.
     """
 
-    __slots__ = ("target", "stored", "i", "mark", "rest", "push_goal")
+    __slots__ = ("target", "stored", "i", "mark", "rest")
 
-    def __init__(self, target, stored, mark, rest, push_goal=None):
+    def __init__(self, target, stored, mark, rest):
         self.target = target
         self.stored = stored
         self.i = 0
         self.mark = mark
         self.rest = rest
-        self.push_goal = push_goal
 
     def try_next(self, m: "Machine") -> bool:
         store = m.store
@@ -442,14 +437,9 @@ class StoredIterCP:
         while self.i < len(self.stored):
             term, nvars = self.stored[self.i]
             self.i += 1
-            if (unify_stored(self.target, term, [None] * nvars, None, store) if nvars
-                    else unify(self.target, term, store)):
-                if self.push_goal is not None:
-                    m.goals = (self.push_goal, self.rest)
-                else:
-                    m.goals = self.rest
+            if unify_stored(self.target, term, [None] * nvars, None, store):
+                m.goals = self.rest
                 return True
-            store.undo_to(self.mark)
         return False
 
 
@@ -468,7 +458,6 @@ class Machine:
         self.budget = budget if budget is not None else Budget()
         self.counters = counters
         self._resume_by_backtracking = False
-        self.pending_request = None
 
     def reset(self):
         """Forget all bindings, goals and choice points, for reuse."""
@@ -477,7 +466,6 @@ class Machine:
         self.goals = None
         self.cps.clear()
         self._resume_by_backtracking = False
-        self.pending_request = None
 
     def push_goals(self, goals):
         for g in reversed(list(goals)):
@@ -504,11 +492,14 @@ class Machine:
         return {w.name: w for w in live.values() if w.name != "_"}, live_goals
 
     def backtrack(self) -> bool:
+        """Resume the newest choice point that has an alternative left; when
+        none has, undo every binding and return False."""
         cps = self.cps
         while cps:
             if cps[-1].try_next(self):
                 return True
             cps.pop()
+        self.store.undo_to(0)
         return False
 
     def run(self):
@@ -516,7 +507,6 @@ class Machine:
         if self._resume_by_backtracking:
             self._resume_by_backtracking = False
             if not self.backtrack():
-                self.store.undo_to(0)
                 return (EXHAUSTED, None)
         while True:
             if self.goals is None:
@@ -543,7 +533,6 @@ class Machine:
                     self.goals = rest
                     continue
                 if not self.backtrack():
-                    self.store.undo_to(0)
                     return (EXHAUSTED, None)
                 continue
 
@@ -561,25 +550,17 @@ class Machine:
                     raise ExistenceError(
                         f"tabling primitive {key[0]}/{key[1]} outside a tabling engine"
                     )
+                # a hook returns a new generator's _Request, or None to backtrack
                 if key == ("slg", 1):
-                    action = self.runtime.on_slg(self, goal, rest)
+                    req = self.runtime.on_slg(self, goal, rest)
                 elif key == ("slgcall", 1):
-                    action = self.runtime.on_slgcall(self, goal, rest)
+                    req = self.runtime.on_slgcall(self, goal, rest)
                 else:
-                    action = self.runtime.on_answer(self, goal, rest)
-                if action == "fail":
-                    if not self.backtrack():
-                        self.store.undo_to(0)
-                        return (EXHAUSTED, None)
-                    continue
-                if action == "request":
+                    req = self.runtime.on_answer(self, goal, rest)
+                if req is not None:
                     self.goals = (goal, rest)  # retry the same goal once satisfied
-                    req = self.pending_request
-                    self.pending_request = None
                     return (REQUEST, req)
-                # action == "retry": a choice point was installed by the hook
                 if not self.backtrack():
-                    self.store.undo_to(0)
                     return (EXHAUSTED, None)
                 continue
 
@@ -595,11 +576,10 @@ class Machine:
                 self.counters.slg_resolutions += 1
             self.cps.append(ClauseCP(goal, clauses, self.store.mark(), rest))
             if not self.backtrack():
-                self.store.undo_to(0)
                 return (EXHAUSTED, None)
 
 
-def solve(goals, program: Program, depth_budget: int = DEFAULT_BUDGET, runtime=None):
+def solve(goals, program: Program, depth_budget: int = DEFAULT_BUDGET):
     """Enumerate solutions of a goal (or goal list) under plain SLD resolution.
 
     Yields one dict per solution mapping the query's variable names to their
@@ -607,13 +587,8 @@ def solve(goals, program: Program, depth_budget: int = DEFAULT_BUDGET, runtime=N
     """
     if isinstance(goals, (Atom, Struct, Var, Int)):
         goals = [goals]
-    machine = Machine(compile_index(program), runtime=runtime, budget=Budget(depth_budget))
+    machine = Machine(compile_index(program), budget=Budget(depth_budget))
     named, _ = machine.start(goals)
-    while True:
-        event, _ = machine.run()
-        if event == SOLUTION:
-            yield {name: machine.store.resolve(v) for name, v in named.items()}
-        elif event == EXHAUSTED:
-            return
-        else:
-            raise ExistenceError("tabled call reached plain SLD solver")
+    # with no runtime a tabling primitive raises, so run never returns REQUEST
+    while machine.run()[0] == SOLUTION:
+        yield {name: machine.store.resolve(v) for name, v in named.items()}

@@ -117,9 +117,6 @@ class _FactStore:
                 return self.first_arg.get((pred, a0), ())
         return self.by_pred.get(pred, ())
 
-    def total(self) -> int:
-        return sum(len(s) for s in self.by_pred.values())
-
 
 def _eval_builtin_goal(goal: Term, env: dict, clause: Clause):
     """Yield extended envs for a built-in goal; raise when not ground enough."""

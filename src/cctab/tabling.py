@@ -33,6 +33,7 @@ from .engine import (
     unify_stored,
 )
 from .errors import InstantiationError, TablingError, TypeMismatchError
+from .syntax import print_term
 from .terms import Atom, Int, Program, Struct, Term, Var, canonical_variant, pred_of, term_size
 from .translate import Mode
 
@@ -126,33 +127,31 @@ def complete(space: TableSpace, leader: GeneratorEntry):
     """Mark the leader's whole group complete and erase its continuations."""
     if leader.status != EVALUATING or leader.pos is None:
         raise TablingError("complete: leader is not an evaluating generator")
-    if space.pending_for_segment(leader.pos):
+    pos = leader.pos  # the loop clears it
+    if space.pending_for_segment(pos):
         raise TablingError("complete: called with pending resumption work")
-    for gid in space.stack[leader.pos :]:
+    for gid in space.stack[pos:]:
         entry = space.entries[gid]
         entry.status = COMPLETE
         entry.continuations.clear()
         entry.pos = None
-    del space.stack[leader.pos :]
+    del space.stack[pos:]
 
 
 @dataclass
 class _Request:
-    call: Term
+    call: Term  # frozen, vars 0..call_nvars-1
     call_nvars: int
-    pred_name: str
-    origin: str  # "slg" | "slgcall"
-    creator_id: int = None
+    creator_id: int = None  # generator whose slgcall/1 asked; None for slg/1
 
 
 class _GenFrame:
-    __slots__ = ("machine", "entry", "origin", "arena", "draining")
+    __slots__ = ("machine", "entry", "arena", "draining")
 
-    def __init__(self, machine, entry, origin, arena):
+    def __init__(self, machine, entry, arena):
         self.machine = machine
         self.entry = entry
-        self.origin = origin
-        self.arena = arena
+        self.arena = arena  # resumption worklist; None for an slgcall-created generator
         self.draining = False
 
 
@@ -240,7 +239,7 @@ class Engine:
                     frame.reset()
                     idle.append(frame)
                     continue
-                if frame.origin == "slg":
+                if frame.arena is not None:
                     frame.draining = True
                     continue
                 frames.pop()  # slgcall-created: completion deferred to the group
@@ -250,12 +249,12 @@ class Engine:
             if req.creator_id is not None:
                 creator = space.entries[req.creator_id]
             entry = space.new_generator(req.call, req.call_nvars, creator)
-            gm = self._generator_machine(entry, req.pred_name, budget)
+            gm = self._generator_machine(entry, budget)
             arena = None
-            if req.origin == "slg":
+            if creator is None:
                 arena = deque()
                 space.arenas.append(arena)
-            frames.append(_GenFrame(gm, entry, req.origin, arena))
+            frames.append(_GenFrame(gm, entry, arena))
 
     def slg(self, call: Term, depth_budget: int = None):
         """Run a tabled call to completion and enumerate its answers."""
@@ -269,6 +268,22 @@ class Engine:
         return [t for (t, _n) in entry.answers]
 
     # -- tabling primitive hooks (called from Machine.run) --------------------
+    #
+    # Each returns a _Request when a new generator must be evaluated before the
+    # goal is retried, and None otherwise: the goal failed, or the hook pushed
+    # a choice point for the machine to backtrack into.
+
+    def _variant(self, store, call, creator_id):
+        """(entry, None) for the table entry of call's variant, or (None,
+        request) when there is none yet and call is tabled."""
+        frozen, nvars = store.freeze(call)
+        entry = self.space.lookup(frozen)
+        if entry is not None:
+            return entry, None
+        pred = pred_of(frozen)
+        if (f"slg_{pred.name}", 2) not in self.index:
+            raise TablingError(f"not a tabled predicate: {pred}")
+        return None, _Request(frozen, nvars, creator_id)
 
     def on_slg(self, machine, goal, rest):
         store = machine.store
@@ -277,22 +292,17 @@ class Engine:
             raise InstantiationError("slg/1: unbound call")
         if type(call) is Int:
             raise TypeMismatchError("slg/1: integer is not a callable term")
-        frozen, nvars = store.freeze(call)
-        entry = self.space.lookup(frozen)
-        if entry is None:
-            pred = pred_of(frozen)
-            if (f"slg_{pred.name}", 2) not in self.index:
-                raise TablingError(f"not a tabled predicate: {pred}")
-            machine.pending_request = _Request(frozen, nvars, pred.name, "slg")
-            return "request"
+        entry, req = self._variant(store, call, None)
+        if req is not None:
+            return req
         if entry.status == COMPLETE or self.mode is Mode.LEGACY:
             # In legacy mode, the original scheme: read whatever answers exist
             # right now and fail past them; nothing is suspended, later answers
             # are lost.
             machine.cps.append(StoredIterCP(call, entry.answers, store.mark(), rest))
-            return "retry"
+            return None
         raise TablingError(
-            f"tabled call {pred_of(frozen)} reached its own evaluation outside "
+            f"tabled call {pred_of(entry.call)} reached its own evaluation outside "
             f"slgcall; bridge declarations are incomplete for this program"
         )
 
@@ -301,28 +311,22 @@ class Engine:
         cont = store.walk(goal.args[0])
         want = 4 if self.mode is Mode.GENERAL else 3
         if type(cont) is not Struct or len(cont.args) != want:
-            raise TablingError(f"malformed continuation term (arity {want} expected): {cont}")
+            raise TablingError(
+                f"malformed continuation term (arity {want} expected): {print_term(cont)}"
+            )
         id_t = store.walk(cont.args[0])
         if type(id_t) is not Int or not (0 <= id_t.value < len(self.space.entries)):
             raise TablingError("malformed continuation term: bad generator id")
         pending = store.walk(cont.args[2])
         if type(pending) not in (Atom, Struct):
             raise TablingError("malformed continuation term: pending call is not callable")
-        frozen, nvars = store.freeze(pending)
-        entry = self.space.lookup(frozen)
-        if entry is None:
-            pred = pred_of(frozen)
-            if (f"slg_{pred.name}", 2) not in self.index:
-                raise TablingError(f"not a tabled predicate: {pred}")
-            machine.pending_request = _Request(
-                frozen, nvars, pred.name, "slgcall", creator_id=id_t.value
-            )
-            return "request"
+        entry, req = self._variant(store, pending, id_t.value)
+        if req is not None:
+            return req
         if entry.status == COMPLETE:
-            machine.cps.append(
-                StoredIterCP(pending, entry.answers, store.mark(), rest, push_goal=cont)
-            )
-            return "retry"
+            # each answer unified into the pending call resumes the continuation
+            machine.cps.append(StoredIterCP(pending, entry.answers, store.mark(), (cont, rest)))
+            return None
         return self._suspend(machine, cont, id_t.value, entry)
 
     def _suspend(self, machine, cont, gen_id, entry):
@@ -346,7 +350,7 @@ class Engine:
         low = min(owner.deplink, entry.deplink)
         owner.deplink = low
         entry.deplink = low
-        return "fail"
+        return None
 
     def on_answer(self, machine, goal, rest):
         store = machine.store
@@ -358,7 +362,7 @@ class Engine:
             raise TablingError(f"answer/2: generator {entry.id} is already complete")
         stored_answer = store.freeze(goal.args[1])
         if stored_answer[0] in entry.index:
-            return "fail"
+            return None
         entry.index.add(stored_answer[0])
         entry.answers.append(stored_answer)
         self.space.counters.answers += 1
@@ -366,7 +370,7 @@ class Engine:
             arena = self._current_arena()
             for stored in entry.continuations:
                 arena.append((stored, stored_answer))
-        return "fail"
+        return None
 
     # -- internals -------------------------------------------------------------
 
@@ -390,10 +394,10 @@ class Engine:
             raise TablingError("suspension outside any tabled evaluation")
         return self.space.arenas[-1]
 
-    def _generator_machine(self, entry, pred_name, budget):
+    def _generator_machine(self, entry, budget):
         m = Machine(self.index, runtime=self, budget=budget, counters=self.counters)
         call_live = instantiate(entry.call, [None] * entry.call_nvars, m.store)
-        m.goals = (Struct(f"slg_{pred_name}", (call_live, Int(entry.id))), None)
+        m.goals = (Struct(f"slg_{pred_of(entry.call).name}", (call_live, Int(entry.id))), None)
         return m
 
     def _resume_machine(self, stored, ans, budget, idle):

@@ -119,7 +119,7 @@ def trans_body(head_tr, body, id_var, cont_prev, end_goal, ctx):
             chunks.append((current_head, prefix + [end_goal]))
             break
         before = [ctx.orig_head] + consumed + prefix
-        after = suffix + ctx.end_src
+        after = suffix + [end_goal]
         lbinds = get_lbinds(before, pivot, after)
         cont_name = ctx.namer.next(ctx.cont_base)
         if ctx.mode is Mode.GENERAL:
@@ -146,7 +146,6 @@ class _Ctx:
         self.pivot_bridges = bridges if mode is Mode.GENERAL else frozenset()
         self.namer = namer
         self.orig_head: Term = Atom("[]")
-        self.end_src: list = []
         self.cont_base = ""
 
 
@@ -215,41 +214,32 @@ def translate(program: Program, mode: Mode) -> Program:
     out: list = []
     for pred in order:
         clauses = by_pred.get(pred, [])
+        if pred not in tabled and pred not in bridges:
+            out.extend(clauses)
+            continue
+        ctx = _Ctx(mode, tabled, bridges, namer)
         if pred in tabled:
-            ctx = _Ctx(mode, tabled, bridges, namer)
             ctx.cont_base = f"slg_{pred.name}" if mode is Mode.GENERAL else f"{pred.name}_cont"
             out.append(_interface_clause(pred))
-            mains, conts = [], []
-            for clause in clauses:
-                cvars = vars_of_all((clause.head, *clause.body))
-                id_var = _fresh_var(cvars, "Id")
-                head_tr = Struct(f"slg_{pred.name}", (clause.head, id_var))
-                end_goal = Struct("answer", (id_var, clause.head))
-                ctx.orig_head = clause.head
-                ctx.end_src = [clause.head]
-                main, more = trans_body(head_tr, clause.body, id_var, EMPTY_CONT, end_goal, ctx)
-                mains.append(main)
-                conts.extend(more)
-            out.extend(mains)
-            out.extend(conts)
-        elif pred in bridges:
-            ctx = _Ctx(mode, tabled, bridges, namer)
-            ctx.cont_base = f"{pred.name}_bridge"
-            out.extend(clauses)
-            mains, conts = [], []
-            for clause in clauses:
-                cvars = vars_of_all((clause.head, *clause.body))
-                id_var = _fresh_var(cvars, "Id")
-                cont_var = _fresh_var(cvars, "Cont")
-                head_tr = Struct(f"{pred.name}_bridge", (clause.head, id_var, cont_var))
-                end_goal = Struct("call", (cont_var,))
-                ctx.orig_head = clause.head
-                ctx.end_src = []
-                main, more = trans_body(head_tr, clause.body, id_var, cont_var, end_goal, ctx)
-                mains.append(main)
-                conts.extend(more)
-            out.extend(mains)
-            out.extend(conts)
         else:
-            out.extend(clauses)
+            ctx.cont_base = f"{pred.name}_bridge"
+            out.extend(clauses)  # a bridge keeps its plain clauses
+        mains, conts = [], []
+        for clause in clauses:
+            cvars = vars_of_all((clause.head, *clause.body))
+            id_var = _fresh_var(cvars, "Id")
+            if pred in tabled:
+                head_tr = Struct(f"slg_{pred.name}", (clause.head, id_var))
+                cont_prev = EMPTY_CONT
+                end_goal = Struct("answer", (id_var, clause.head))
+            else:
+                cont_prev = _fresh_var(cvars, "Cont")
+                head_tr = Struct(f"{pred.name}_bridge", (clause.head, id_var, cont_prev))
+                end_goal = Struct("call", (cont_prev,))
+            ctx.orig_head = clause.head
+            main, more = trans_body(head_tr, clause.body, id_var, cont_prev, end_goal, ctx)
+            mains.append(main)
+            conts.extend(more)
+        out.extend(mains)
+        out.extend(conts)
     return Program(tuple(out), frozenset(), frozenset())

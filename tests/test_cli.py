@@ -176,3 +176,30 @@ def test_deeply_nested_source_term_is_a_parse_error(tmp_path):
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr.startswith("error: ") and "nested too deeply" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_arithmetic_error_prints_the_term(capsys, tmp_path):
+    f = tmp_path / "arith.pl"
+    f.write_text("q(X) :- X is a + 1.\n")
+    code, out, err = run_cli(capsys, str(f), "--query", "q(X)")
+    assert (code, out, err) == (2, "", "error: not an integer expression: a\n")
+
+
+@pytest.mark.parametrize("spec", ["circle:3", "chain:0"])
+def test_bad_gen_fixture_exits_2(capsys, spec):
+    code, out, err = run_cli(capsys, "--gen", spec, "--query", "path(X, Y)")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: --gen: ")
+
+
+def test_non_ground_answer_resumes_a_consumer(capsys, tmp_path):
+    # the answer p(f(X), X) has a variable, so its resumption unifies the
+    # continuation's pending call into the stored answer, not the reverse
+    f = tmp_path / "ng.pl"
+    f.write_text(":- table p/2.\np(f(X), X).\np(g(X), Y) :- p(X, Y), X = f(_).\n")
+    code, out, _ = run_cli(capsys, str(f), "--query", "p(A, B)", "--stats")
+    lines = out.splitlines()
+    assert code == 0
+    assert lines[:2] == ["p(f(_G), _G)", "p(g(f(_G)), _G)"]
+    assert lines[2].startswith("suspensions=1 resumptions=2 ")
+    assert lines[2].endswith(" answers=2")

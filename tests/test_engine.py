@@ -7,6 +7,7 @@ from cctab import (
     ExistenceError,
     InstantiationError,
     Int,
+    Mode,
     ResourceLimitError,
     Struct,
     TypeMismatchError,
@@ -17,6 +18,7 @@ from cctab import (
     parse_query,
     parse_term,
     print_term,
+    translate,
     unify,
 )
 from cctab.engine import BindingStore, solve
@@ -156,6 +158,28 @@ def test_failed_comparison_has_no_solutions():
 def test_unknown_predicate_error_names_pred():
     with pytest.raises(ExistenceError, match="nosuch/2"):
         list(solve(parse_query("nosuch(a, X)"), parse_program(FACTS)))
+
+
+def test_ground_clause_with_a_body():
+    # a ground head unifies without a varmap and its body is pushed uncopied
+    p = parse_program("p :- q, r(a).\nq.\nr(a).\ns(b) :- r(a).\n")
+    assert list(solve(parse_query("p"), p)) == [{}]
+    assert [print_term(s["X"]) for s in solve(parse_query("s(X)"), p)] == ["b"]
+
+
+def test_plain_solve_refuses_tabling_primitives():
+    src = ":- table t/1.\nt(0).\n"
+    translated = translate(parse_program(src), Mode.GENERAL)
+    with pytest.raises(ExistenceError, match="slg/1 outside a tabling engine"):
+        list(solve(parse_query("t(X)"), translated))
+
+
+@pytest.mark.parametrize("expr, shown", [("a + 1", "a"), ("foo(1, 2)", "foo(1, 2)")])
+def test_arithmetic_errors_print_the_term(expr, shown):
+    p = parse_program(f"q(X) :- X is {expr}.\n")
+    with pytest.raises(TypeMismatchError) as info:
+        list(solve(parse_query("q(X)"), p))
+    assert str(info.value) == f"not an integer expression: {shown}"
 
 
 def test_depth_budget_stops_runaway_recursion():

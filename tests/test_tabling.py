@@ -11,6 +11,7 @@ from cctab import (
     TablingError,
     Var,
     bottom_up_eval,
+    compare_answer_sets,
     gen_fixture,
     parse_program,
     parse_query,
@@ -20,7 +21,7 @@ from cctab import (
 )
 from cctab.engine import Machine
 from cctab.oracle import oracle_answers_for
-from cctab.tabling import COMPLETE, StoredCont, TableSpace, complete
+from cctab.tabling import COMPLETE, EVALUATING, StoredCont, TableSpace, complete
 
 from conftest import answers, make_engine, read_fixture
 
@@ -206,7 +207,7 @@ def test_malformed_continuation_arity():
     eng = make_engine(":- table t/1.\nt(0).\n")
     m = Machine(eng.index, runtime=eng)
     bad = Struct("slgcall", (parse_term("k(1, [], t(X))"),))  # arity 3 in general mode
-    with pytest.raises(TablingError, match="malformed continuation"):
+    with pytest.raises(TablingError, match=r"malformed continuation .*: k\(1, \[\], t\(X\)\)$"):
         eng.on_slgcall(m, bad, None)
 
 
@@ -388,3 +389,68 @@ def test_interrupted_query_leaves_table_space_consistent(monkeypatch):
     monkeypatch.undo()
     assert eng.space.stack == [] and eng.space.arenas == []
     assert len(answers(eng, "path(X, Y)")) == 441
+
+
+def test_complete_keeps_outer_generators_on_the_stack():
+    space = TableSpace()
+    first = space.new_generator(parse_term("t(_)"), 1)
+    second = space.new_generator(parse_term("u(_)"), 1)
+    complete(space, second)
+    assert space.stack == [first.id]
+    assert (first.status, first.pos) == (EVALUATING, 0)
+    assert (second.status, second.pos) == (COMPLETE, None)
+
+
+# t0 reaches t2 only through the plain helper h, so t2's group completes while
+# t0 is still evaluating below it on the completion stack.
+INDEPENDENT_THROUGH_HELPER = """:- table t0/2.
+:- table t2/2.
+e(1, 2).
+e(2, 1).
+t0(X, Y) :- h(X, Y).
+h(X, Y) :- t2(X, Y).
+t2(X, Y) :- e(X, Y).
+t2(X, Y) :- t2(X, Z), e(Z, Y).
+"""
+
+
+@pytest.mark.parametrize("mode", list(Mode), ids=lambda m: m.value)
+def test_independent_tabled_call_through_a_helper(mode):
+    eng = make_engine(INDEPENDENT_THROUGH_HELPER, mode)
+    assert answers(eng, "t0(X, Y)") == ["t0(1, 2)", "t0(2, 1)", "t0(1, 1)", "t0(2, 2)"]
+    facts = bottom_up_eval(parse_program(INDEPENDENT_THROUGH_HELPER))
+    assert compare_answer_sets(eng.space, facts, PredId("t0", 2), parse_term("t0(X, Y)"))[0]
+    assert eng.space.stack == []
+
+
+# h/2 lies on no cycle through a tabled predicate, so find_bridges does not mark
+# it.  Through the plain h, t0 runs slg/1 on t1(X, Y) as a leader of its own,
+# but t1(X, Y) consumes t1(2, Y), which t0's group is still evaluating, so that
+# group cannot complete and general mode refuses the query.
+HELPER_ON_NO_CYCLE = """:- table t0/2.
+:- table t1/2.
+e(1, 2).
+e(2, 1).
+t0(X, Y) :- e(X, Z), t1(Z, Y).
+t0(X, Y) :- h(X, Y).
+h(X, Y) :- t1(X, Y).
+t1(X, Y) :- e(X, Y).
+t1(X, Y) :- e(X, Z), t1(Z, Y).
+"""
+
+
+def _matches_oracle(src):
+    eng = make_engine(src)
+    answers(eng, "t0(X, Y)")
+    facts = bottom_up_eval(parse_program(src))
+    return compare_answer_sets(eng.space, facts, PredId("t0", 2), parse_term("t0(X, Y)"))[0]
+
+
+@pytest.mark.xfail(strict=True, raises=TablingError,
+                   reason="find_bridges misses a helper on no tabled cycle (ROADMAP item 3)")
+def test_helper_on_no_cycle_needs_a_bridge_declaration():
+    assert _matches_oracle(HELPER_ON_NO_CYCLE)
+
+
+def test_helper_on_no_cycle_with_a_bridge_declaration():
+    assert _matches_oracle(":- bridge h/2.\n" + HELPER_ON_NO_CYCLE)
