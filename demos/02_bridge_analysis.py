@@ -1,7 +1,9 @@
 #!/usr/bin/env python3
 # Which plain predicates need their environments saved when a consumer
-# suspends?  Exactly those sitting on a call-graph cycle through a tabled
-# predicate.  This demo builds the call graph and runs the approximation.
+# suspends?  Those whose frames can sit between a tabled generator and a
+# consumer: every plain predicate that some tabled predicate reaches in the
+# call graph and that reaches some tabled predicate.  This demo builds the
+# call graph and computes that set.
 #
 # Run: python demos/02_bridge_analysis.py
 
@@ -45,7 +47,20 @@ report("mixed loop", MIXED)
 # bridge set is empty and the translation adds no wrappers at all.
 report("reachability", REACH)
 
-# The approximation is deliberately safe, never minimal: marking too much
+# h/2 lies on no cycle, but t0/2 reaches it and it reaches t1/2, so a
+# consumer of t1 can suspend with h's frame above it: h/2 is a bridge.
+report("helper between two tabled predicates", """\
+:- table t0/2.
+:- table t1/2.
+
+t0(X, Y) :- h(X, Y).
+h(X, Y) :- t1(X, Y).
+t1(X, Y) :- e(X, Y).
+t1(X, Y) :- e(X, Z), t1(Z, Y).
+e(1, 2).
+""")
+
+# The set is deliberately generous, never minimal: marking too much
 # merely duplicates code.  Here helper/1 is marked although a human can see
 # the loop never runs.
 OVERMARK = MIXED + "\nt(X) :- helper(X).\nhelper(X) :- t(X), fail.\n"

@@ -1,37 +1,26 @@
-"""Call-graph construction and the safe over-approximation of bridge predicates.
+"""Call-graph construction and the bridge predicates.
 
 A bridge predicate is a non-tabled predicate whose activation records can sit
 between a tabled generator and one of its consumers, so its environment must
-be captured when the consumer suspends.  Finding the minimal such set is
-undecidable; the approximation below marks every non-tabled predicate that
-lies on a directed call-graph cycle through a tabled predicate.  Marking too
-much only duplicates code, never changes answers.
+be captured when the consumer suspends.  Such an activation is called, through
+the call graph, from some tabled predicate and calls some tabled predicate, so
+the set below marks every non-tabled predicate that is reachable from a tabled
+predicate and reaches a tabled predicate.  It therefore contains every
+non-tabled predicate on a call path between two tabled predicates, and it only
+grows when a call edge is added.  Marking too much only duplicates code, never
+changes answers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .engine import BUILTINS, TABLING_PRIMS
 from .terms import PredId, Program, pred_of
 
 # Predicates resolved by the engine itself; they never appear as graph nodes.
 BUILTIN_PREDS = frozenset(
-    {
-        PredId("is", 2),
-        PredId("<", 2),
-        PredId("=<", 2),
-        PredId(">", 2),
-        PredId(">=", 2),
-        PredId("=:=", 2),
-        PredId("=", 2),
-        PredId("\\=", 2),
-        PredId("true", 0),
-        PredId("fail", 0),
-        PredId("call", 1),
-        PredId("slg", 1),
-        PredId("slgcall", 1),
-        PredId("answer", 2),
-    }
+    PredId(name, arity) for name, arity in (*BUILTINS, *TABLING_PRIMS, ("call", 1))
 )
 
 
@@ -56,10 +45,10 @@ def build_call_graph(program: Program) -> CallGraph:
     return CallGraph(tuple(sorted(nodes)), tuple(sorted(edges)))
 
 
-def _reachable(start: PredId, succ: dict) -> set:
-    """Predicates reachable from start via one or more edges."""
+def _reachable(starts, succ: dict) -> set:
+    """Predicates reachable from any of starts via one or more edges."""
     out: set = set()
-    frontier = list(succ.get(start, ()))
+    frontier = [p for start in starts for p in succ.get(start, ())]
     while frontier:
         p = frontier.pop()
         if p in out:
@@ -70,11 +59,11 @@ def _reachable(start: PredId, succ: dict) -> set:
 
 
 def find_bridges(program: Program, graph: CallGraph = None) -> set:
-    """Bridge set per the cycle-through-a-tabled-predicate approximation.
+    """(union over tabled T of Forward(T)) & (union of Backward(T)) - tabled.
 
-    For each tabled T: union Forward(T) & Backward(T), then subtract the
-    tabled predicates themselves (their environments are already saved by
-    the translation).
+    Forward(T) and Backward(T) are the predicates T reaches and those that
+    reach T through one or more call edges; the tabled predicates themselves
+    are left out, since the translation already saves their environments.
     """
     if graph is None:
         graph = build_call_graph(program)
@@ -83,9 +72,6 @@ def find_bridges(program: Program, graph: CallGraph = None) -> set:
     for a, b in graph.edges:
         succ.setdefault(a, []).append(b)
         pred.setdefault(b, []).append(a)
-    bridges: set = set()
-    for t in sorted(program.tabled):
-        forward = _reachable(t, succ)
-        backward = _reachable(t, pred)
-        bridges |= forward & backward
-    return bridges - set(program.tabled)
+    forward = _reachable(program.tabled, succ)
+    backward = _reachable(program.tabled, pred)
+    return (forward & backward) - set(program.tabled)

@@ -8,7 +8,7 @@ index keeps matching affordable on hundred-node graphs.
 
 from __future__ import annotations
 
-from .engine import eval_arith
+from .engine import BUILTINS, eval_arith
 from .errors import InstantiationError, RangeRestrictionError, ResourceLimitError, TypeMismatchError
 from .syntax import print_clause, print_term
 from .terms import (
@@ -23,6 +23,7 @@ from .terms import (
     canonical_variant,
     copy_term,
     pred_of,
+    walk_subterms,
 )
 
 DEFAULT_CAP = 100_000
@@ -41,14 +42,7 @@ def _subst(t: Term, env: dict) -> Term:
 
 
 def _is_ground(t: Term) -> bool:
-    stack = [t]
-    while stack:
-        x = stack.pop()
-        if type(x) is Var:
-            return False
-        if type(x) is Struct:
-            stack.extend(x.args)
-    return True
+    return not any(type(x) is Var for x in walk_subterms(t))
 
 
 def _match(pattern: Term, fact: Term, env: dict):
@@ -172,21 +166,17 @@ def _eval_builtin_goal(goal: Term, env: dict, clause: Clause):
     raise RangeRestrictionError(f"unsupported goal {name} in clause: {print_clause(clause)}")
 
 
-_BUILTIN_NAMES = {"true", "fail", "is", "=", "\\="} | set(_COMPARE)
-
-
 def _derive(clause: Clause, store: _FactStore):
     """All ground head instances derivable from the current facts."""
     envs = [{}]
     for goal in clause.body:
-        name = goal.functor if type(goal) is Struct else goal.name
-        if name in _BUILTIN_NAMES:
+        pred = pred_of(goal)
+        if (pred.name, pred.arity) in BUILTINS:
             nxt = []
             for env in envs:
                 nxt.extend(_eval_builtin_goal(goal, env, clause))
             envs = nxt
         else:
-            pred = pred_of(goal)
             nxt = []
             for env in envs:
                 for fact in store.candidates(pred, goal, env):

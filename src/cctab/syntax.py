@@ -22,6 +22,7 @@ from .terms import (
     Struct,
     Term,
     Var,
+    mk_list,
     normalize_clause,
 )
 
@@ -44,8 +45,6 @@ INFIX_OPS = {
     "//": (400, "yfx"),
     "mod": (400, "yfx"),
 }
-
-MAX_ARG_PRIORITY = 700
 
 _SYMBOLIC = ("=<", ">=", "=:=", "\\=", "//", ":-", "<", ">", "=", "+", "-", "*", "/")
 
@@ -78,9 +77,9 @@ def tokenize(text: str) -> list[Token]:
                 i += 1
             continue
         start_line, start_col = line, col
-        if c.isdigit():
+        if c.isdecimal():
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j].isdecimal():
                 j += 1
             toks.append(Token("int", text[i:j], start_line, start_col))
             col += j - i
@@ -160,76 +159,87 @@ class _Parser:
 
     # -- terms ---------------------------------------------------------------
 
-    def parse_term(self, max_prio=MAX_ARG_PRIORITY) -> Term:
-        left = self.parse_primary()
-        left_prio = 0
+    def parse_term(self) -> Term:
+        """One term, read by one loop over the tokens, so any nesting depth is
+        safe.  No operator's priority exceeds 700, the bound for an argument,
+        so every term read can be one.  Operators reduce by priority: a new
+        operator first applies every stacked one that binds tighter (a yfx
+        operator also an equal one), and an xfx operator facing an
+        equal-priority left operand ends the expression.
+        """
+        toks, pos = self.toks, self.pos
+        # open groups: [closer, functor, items, out, ops], functor being "."
+        # for list items, "|" for a list tail and None for a parenthesis, and
+        # out and ops the stacks of the expression around the group
+        frames: list = []
+        out: list = []  # operands of the current expression
+        ops: list = []  # (name, priority) of its operators, tightest last
         while True:
-            t = self.peek()
-            name = t.text
-            op = None
-            if t.kind == "sym" or (t.kind == "atom" and name in ("is", "mod")):
-                op = INFIX_OPS.get(name)
-            if op is None:
-                return left
-            prio, kind = op
-            if prio > max_prio:
-                return left
-            max_left = prio if kind == "yfx" else prio - 1
-            if left_prio > max_left:
-                return left
-            self.next()
-            right = self.parse_term(prio - 1)
-            left = Struct(name, (left, right))
-            left_prio = prio
-
-    def parse_primary(self) -> Term:
-        t = self.peek()
-        if t.kind == "int":
-            self.next()
-            return Int(int(t.text))
-        if t.kind == "sym" and t.text == "-" and self.toks[self.pos + 1].kind == "int":
-            self.next()
-            return Int(-int(self.next().text))
-        if t.kind == "var":
-            self.next()
-            return self.fresh_var(t.text)
-        if t.kind == "punct" and t.text == "(":
-            self.next()
-            inner = self.parse_term(MAX_ARG_PRIORITY)
-            self.expect("punct", ")")
-            return inner
-        if t.kind == "punct" and t.text == "[":
-            return self.parse_list()
-        if t.kind == "atom":
-            self.next()
-            if self.peek().kind == "punct" and self.peek().text == "(":
-                self.next()
-                args = [self.parse_term()]
-                while self.peek().text == "," and self.peek().kind == "punct":
-                    self.next()
-                    args.append(self.parse_term())
-                self.expect("punct", ")")
-                return Struct(t.text, tuple(args))
-            return Atom(t.text)
-        raise self.error(f"expected a term, found {t.text!r}")
-
-    def parse_list(self) -> Term:
-        self.expect("punct", "[")
-        if self.peek().text == "]" and self.peek().kind == "punct":
-            self.next()
-            return NIL
-        items = [self.parse_term()]
-        while self.peek().kind == "punct" and self.peek().text == ",":
-            self.next()
-            items.append(self.parse_term())
-        tail: Term = NIL
-        if self.peek().kind == "punct" and self.peek().text == "|":
-            self.next()
-            tail = self.parse_term()
-        self.expect("punct", "]")
-        for item in reversed(items):
-            tail = Struct(".", (item, tail))
-        return tail
+            t = toks[pos]
+            pos += 1
+            if t.kind == "int":
+                out.append(Int(int(t.text)))
+            elif t.kind == "var":
+                out.append(self.fresh_var(t.text))
+            elif t.kind == "sym" and t.text == "-" and toks[pos].kind == "int":
+                out.append(Int(-int(toks[pos].text)))
+                pos += 1
+            elif t.kind == "atom" or (t.kind == "punct" and t.text in ("(", "[")):
+                follow = toks[pos].text if toks[pos].kind == "punct" else None
+                if t.kind == "atom" and follow != "(":
+                    out.append(Atom(t.text))
+                elif t.text == "[" and follow == "]":
+                    out.append(NIL)
+                    pos += 1
+                else:
+                    pos += t.kind == "atom"
+                    functor = t.text if t.kind == "atom" else (None if t.text == "(" else ".")
+                    frames.append(["]" if functor == "." else ")", functor, [], out, ops])
+                    out, ops = [], []
+                    continue
+            else:
+                raise ParseError(f"expected a term, found {t.text!r}", t.line, t.col)
+            while True:
+                # after an operand: an operator, or the end of the expression
+                t = toks[pos]
+                op = INFIX_OPS.get(t.text)  # no other kind of token spells an operator
+                if op is not None:
+                    prio, kind = op
+                    while ops and (ops[-1][1] < prio or (ops[-1][1] == prio and kind == "yfx")):
+                        right = out.pop()
+                        out[-1] = Struct(ops.pop()[0], (out[-1], right))
+                    if not ops or ops[-1][1] != prio:
+                        ops.append((t.text, prio))
+                        pos += 1
+                        break
+                # the expression ends here: apply the operators left on it
+                term = out.pop()
+                while ops:
+                    term = Struct(ops.pop()[0], (out.pop(), term))
+                if not frames:
+                    self.pos = pos
+                    return term
+                # the enclosing group takes the term, then a separator or its closer
+                frame = frames[-1]
+                closer, functor, items = frame[0], frame[1], frame[2]
+                items.append(term)
+                sep = t.text if t.kind == "punct" else None
+                if (sep == "," and functor not in (None, "|")) or (sep == "|" and functor == "."):
+                    frame[1] = sep if sep == "|" else functor
+                    pos += 1
+                    break
+                if sep != closer:
+                    raise ParseError(f"expected {closer!r}, found {t.text!r}", t.line, t.col)
+                pos += 1
+                frames.pop()
+                if functor is None:
+                    term = items[0]
+                elif functor in (".", "|"):
+                    term = mk_list(items[:-1], items[-1]) if functor == "|" else mk_list(items)
+                else:
+                    term = Struct(functor, tuple(items))
+                out, ops = frame[3], frame[4]
+                out.append(term)
 
     # -- clauses and directives ----------------------------------------------
 
@@ -288,24 +298,15 @@ class _Parser:
         return program
 
 
-def _descend(p: _Parser, parse):
-    """parse(), with a term nested deeper than the host stack allows reported
-    as a ParseError at the token reached."""
-    try:
-        return parse()
-    except RecursionError:
-        raise p.error("term nested too deeply") from None
-
-
 def parse_program(text: str) -> Program:
     p = _Parser(text)
-    return _descend(p, p.parse_program)
+    return p.parse_program()
 
 
 def parse_term(text: str) -> Term:
     """Parse a single term (no trailing period required)."""
     p = _Parser(text)
-    t = _descend(p, p.parse_term)
+    t = p.parse_term()
     if p.peek().kind not in ("eof", "end"):
         raise p.error(f"trailing input after term: {p.peek().text!r}")
     return t
@@ -315,7 +316,7 @@ def parse_query(text: str) -> list[Term]:
     """Parse a comma-separated goal list; accepts an optional trailing period."""
     p = _Parser(text)
     tok = p.peek()
-    goals = _descend(p, p.parse_body)
+    goals = p.parse_body()
     for g in goals:
         p.check_goal(g, tok)
     if p.peek().kind == "end":

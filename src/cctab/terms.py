@@ -154,32 +154,23 @@ def walk_subterms(t: Term) -> Iterator[Term]:
 
 def vars_of(t: Term) -> list[Var]:
     """Variables of t in first-occurrence order."""
+    return vars_of_all((t,))
+
+
+def vars_of_all(ts: Iterable[Term]) -> list[Var]:
+    """Variables of the terms ts in first-occurrence order."""
     out = []
     seen = set()
-    for sub in walk_subterms(t):
+    for sub in (s for t in ts for s in walk_subterms(t)):
         if isinstance(sub, Var) and sub.id not in seen:
             seen.add(sub.id)
             out.append(sub)
     return out
 
 
-def vars_of_all(ts: Iterable[Term]) -> list[Var]:
-    out = []
-    seen = set()
-    for t in ts:
-        for v in vars_of(t):
-            if v.id not in seen:
-                seen.add(v.id)
-                out.append(v)
-    return out
-
-
 def term_size(t: Term) -> int:
     """Number of term nodes (interpreter cells)."""
-    n = 0
-    for _ in walk_subterms(t):
-        n += 1
-    return n
+    return sum(1 for _ in walk_subterms(t))
 
 
 def copy_term(t: Term, var, walk=None) -> Term:

@@ -1,4 +1,5 @@
 import random
+from collections import deque
 
 from cctab import PredId, Program, build_call_graph, find_bridges, parse_program
 
@@ -121,3 +122,62 @@ def test_declared_bridges_survive_union():
     p = parse_program(":- table t/1.\n:- bridge extra/1.\nt(0).\nextra(1).\n")
     effective = p.bridges | find_bridges(p)
     assert PredId("extra", 1) in effective
+
+
+def _random_graph_program(rng):
+    """(source, predicate names, call edges): 1-3 of up to 8 predicates tabled."""
+    preds = [f"p{i}" for i in range(rng.randint(2, 8))]
+    tabled = rng.sample(preds, rng.randint(1, min(3, len(preds))))
+    edges = [(rng.choice(preds), rng.choice(preds)) for _ in range(rng.randint(0, 2 * len(preds)))]
+    lines = [f":- table {t}/1." for t in tabled]
+    lines += [f"{a}(X) :- {b}(X)." for a, b in edges]
+    lines += [f"{p}(0)." for p in preds]
+    return "\n".join(lines) + "\n", preds, edges
+
+
+def _bfs(edges, start):
+    """Names reachable from start through one or more of the (caller, callee) edges."""
+    seen, queue = set(), deque(b for a, b in edges if a == start)
+    while queue:
+        x = queue.popleft()
+        if x not in seen:
+            seen.add(x)
+            queue.extend(b for a, b in edges if a == x)
+    return seen
+
+
+def test_every_predicate_between_two_tabled_ones_is_a_bridge():
+    rng = random.Random(19)
+    for _ in range(200):
+        text, preds, edges = _random_graph_program(rng)
+        p = parse_program(text)
+        tabled = {t.name for t in p.tabled}
+        between = {
+            x
+            for x in set(preds) - tabled
+            if any(x in _bfs(edges, t) for t in tabled) and _bfs(edges, x) & tabled
+        }
+        assert find_bridges(p) == {PredId(x, 1) for x in between}, text
+
+
+def test_adding_a_call_edge_never_removes_a_bridge():
+    rng = random.Random(23)
+    for _ in range(200):
+        text, preds, _ = _random_graph_program(rng)
+        more = text + f"{rng.choice(preds)}(X) :- {rng.choice(preds)}(X).\n"
+        assert find_bridges(parse_program(text)) <= find_bridges(parse_program(more)), more
+
+
+def test_contains_every_helper_on_a_cycle_through_a_tabled_predicate():
+    rng = random.Random(29)
+    wider = 0
+    for _ in range(200):
+        text, _, edges = _random_graph_program(rng)
+        p = parse_program(text)
+        tabled = {t.name for t in p.tabled}
+        on_cycle = {x for t in tabled for x in _bfs(edges, t) if t in _bfs(edges, x)} - tabled
+        bridges = find_bridges(p)
+        assert {PredId(x, 1) for x in on_cycle} <= bridges, text
+        wider += len(bridges) > len(on_cycle)
+    # the cases where the two definitions differ are exercised
+    assert wider > 0

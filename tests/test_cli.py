@@ -163,19 +163,41 @@ def test_deep_answer_term_prints(tmp_path):
     assert (proc.returncode, proc.stdout, proc.stderr[-300:]) == (0, expected, "")
 
 
-def test_deeply_nested_source_term_is_a_parse_error(tmp_path):
+@pytest.mark.parametrize("mode", ["general", "legacy"])
+def test_deeply_nested_source_terms_parse_and_answer(tmp_path, mode):
     # in a child process: a failure here is a traceback thousands of frames deep
+    n = 5000
     f = tmp_path / "nested.pl"
-    f.write_text("p(X) :- X = " + "f(" * 3000 + "a" + ")" * 3000 + ".\n")
+    f.write_text(
+        ":- table p/1.\n"
+        "p(X) :- X = " + "f(" * n + "a" + ")" * n + ".\n"
+        "p(X) :- X = " + "[" * n + "]" * n + ".\n"
+        "p(X) :- X = " + "(" * n + "b" + ")" * n + ".\n"
+    )
     proc = subprocess.run(
-        [sys.executable, "-m", "cctab.cli", str(f), "--query", "p(X)"],
+        [sys.executable, "-m", "cctab.cli", str(f), "--query", "p(X)", "--mode", mode,
+         "--oracle-check"],
         capture_output=True,
         text=True,
         timeout=60,
     )
-    assert (proc.returncode, proc.stdout) == (2, "")
-    assert proc.stderr.startswith("error: ") and "nested too deeply" in proc.stderr
-    assert "Traceback" not in proc.stderr
+    expected = "p(" + "f(" * n + "a" + ")" * n + ")\n" + "p(" + "[" * n + "]" * n + ")\np(b)\nOK\n"
+    assert (proc.returncode, proc.stdout, proc.stderr[-300:]) == (0, expected, "")
+
+
+def test_non_decimal_digit_is_a_parse_error(capsys, tmp_path):
+    f = tmp_path / "digit.pl"
+    f.write_text("p(\u00b2).\n")
+    code, out, err = run_cli(capsys, str(f), "--query", "p(X)")
+    assert (code, out, err) == (2, "", "error: 1:3: unexpected character '\u00b2'\n")
+
+
+def test_user_predicate_named_like_a_builtin_is_not_the_builtin(capsys, tmp_path):
+    # true/1 is a user predicate; only true/0 is the built-in
+    f = tmp_path / "true1.pl"
+    f.write_text(":- table p/1.\np(X) :- q(X), true(X).\nq(1).\nq(2).\ntrue(1).\n")
+    code, out, _ = run_cli(capsys, str(f), "--query", "p(X)", "--oracle-check")
+    assert (code, out) == (0, "p(1)\nOK\n")
 
 
 def test_arithmetic_error_prints_the_term(capsys, tmp_path):

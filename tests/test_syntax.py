@@ -18,7 +18,8 @@ from cctab import (
     print_program,
     print_term,
 )
-from cctab.terms import canonical_clause
+from cctab.syntax import INFIX_OPS
+from cctab.terms import NIL, canonical_clause
 
 from conftest import read_fixture
 
@@ -72,6 +73,8 @@ def test_operator_parsing():
     assert print_term(parse_term("(A + B) * 2")) == "(A + B) * 2"
     assert parse_term("X = -3") == Struct("=", (Var(0, "X"), Int(-3)))
     assert print_term(parse_term("A - B - C")) == "A - B - C"
+    with pytest.raises(ParseError, match="trailing input after term: '='"):
+        parse_term("A = B = C")  # xfx: no equal-priority operand on either side
 
 
 def test_list_sugar():
@@ -146,11 +149,22 @@ def test_empty_program_prints_empty():
 
 
 def _random_term(rng, names, depth=0):
+    """A term of atoms, integers (negative ones too), variables, compounds,
+    infix operators (whose operands print parenthesised where priorities
+    need it) and proper and partial lists."""
     roll = rng.random()
     if roll < 0.3 or depth > 2:
         return rng.choice(
             [Atom(rng.choice("abc")), Int(rng.randint(-9, 9)), Var(0, rng.choice(names))]
         )
+    if roll < 0.5:
+        op = rng.choice(sorted(INFIX_OPS))
+        left, right = _random_term(rng, names, depth + 1), _random_term(rng, names, depth + 1)
+        return Struct(op, (left, right))
+    if roll < 0.65:
+        items = [_random_term(rng, names, depth + 1) for _ in range(rng.randint(1, 3))]
+        tail = _random_term(rng, names, depth + 1) if rng.random() < 0.3 else NIL
+        return mk_list(items, tail)
     n = rng.randint(1, 3)
     return Struct(rng.choice("fgh"), tuple(_random_term(rng, names, depth + 1) for _ in range(n)))
 
@@ -161,6 +175,8 @@ def test_round_trip_random_programs():
         clauses = []
         for _ in range(rng.randint(1, 6)):
             head = Struct(rng.choice("pqr"), (_random_term(rng, "XYZ"),))
+            # the reader must rebuild the printed term, not just a stable one
+            assert print_term(parse_term(print_term(head))) == print_term(head)
             body = ", ".join(
                 print_term(_random_term(rng, "XYZ")).join(["q(", ")"])
                 for _ in range(rng.randint(0, 3))

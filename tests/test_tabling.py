@@ -12,6 +12,7 @@ from cctab import (
     Var,
     bottom_up_eval,
     compare_answer_sets,
+    find_bridges,
     gen_fixture,
     parse_program,
     parse_query,
@@ -423,10 +424,11 @@ def test_independent_tabled_call_through_a_helper(mode):
     assert eng.space.stack == []
 
 
-# h/2 lies on no cycle through a tabled predicate, so find_bridges does not mark
-# it.  Through the plain h, t0 runs slg/1 on t1(X, Y) as a leader of its own,
-# but t1(X, Y) consumes t1(2, Y), which t0's group is still evaluating, so that
-# group cannot complete and general mode refuses the query.
+# h/2 lies on no cycle through a tabled predicate, but t0 reaches it and it
+# reaches t1, so find_bridges marks it.  Run as a plain predicate, h would let
+# t0 run slg/1 on t1(X, Y) as a leader of its own while t1(X, Y) consumes
+# t1(2, Y), which t0's group is still evaluating, so that group could not
+# complete and general mode would refuse the query.
 HELPER_ON_NO_CYCLE = """:- table t0/2.
 :- table t1/2.
 e(1, 2).
@@ -446,9 +448,8 @@ def _matches_oracle(src):
     return compare_answer_sets(eng.space, facts, PredId("t0", 2), parse_term("t0(X, Y)"))[0]
 
 
-@pytest.mark.xfail(strict=True, raises=TablingError,
-                   reason="find_bridges misses a helper on no tabled cycle (ROADMAP item 3)")
-def test_helper_on_no_cycle_needs_a_bridge_declaration():
+def test_helper_on_no_cycle_is_a_bridge_and_answers():
+    assert find_bridges(parse_program(HELPER_ON_NO_CYCLE)) == {PredId("h", 2)}
     assert _matches_oracle(HELPER_ON_NO_CYCLE)
 
 
