@@ -166,24 +166,33 @@ def _eval_builtin_goal(goal: Term, env: dict, clause: Clause):
     raise RangeRestrictionError(f"unsupported goal {name} in clause: {print_clause(clause)}")
 
 
+def _goal_envs(goal: Term, env: dict, store: _FactStore, clause: Clause):
+    """Yield the extensions of env under which goal holds in the current facts.
+
+    call/1 is evaluated as the goal it calls, once env has substituted it.
+    """
+    while type(goal) is Struct and goal.functor == "call" and len(goal.args) == 1:
+        goal = _subst(goal.args[0], env)
+        if type(goal) not in (Atom, Struct):
+            raise RangeRestrictionError(
+                f"clause not range-restricted (call/1 of an unbound or non-callable goal): "
+                f"{print_clause(clause)}"
+            )
+    pred = pred_of(goal)
+    if (pred.name, pred.arity) in BUILTINS:
+        yield from _eval_builtin_goal(goal, env, clause)
+        return
+    for fact in store.candidates(pred, goal, env):
+        out = _match(_subst(goal, env), fact, env)
+        if out is not None:
+            yield out if out is not env else dict(env)
+
+
 def _derive(clause: Clause, store: _FactStore):
     """All ground head instances derivable from the current facts."""
     envs = [{}]
     for goal in clause.body:
-        pred = pred_of(goal)
-        if (pred.name, pred.arity) in BUILTINS:
-            nxt = []
-            for env in envs:
-                nxt.extend(_eval_builtin_goal(goal, env, clause))
-            envs = nxt
-        else:
-            nxt = []
-            for env in envs:
-                for fact in store.candidates(pred, goal, env):
-                    out = _match(_subst(goal, env), fact, env)
-                    if out is not None:
-                        nxt.append(out if out is not env else dict(env))
-            envs = nxt
+        envs = [out for env in envs for out in _goal_envs(goal, env, store, clause)]
         if not envs:
             return
     for env in envs:

@@ -2,10 +2,12 @@
 
 Executes programs produced by the translator.  slg/1 runs a tabled call to
 completion and enumerates its answers; slgcall/1 suspends a consumer by
-copying its continuation into table-owned storage; answer/2 records answers
-and schedules resumptions; completion is detected with a generator stack and
-dependency links, and uses local scheduling: no answer escapes a generator
-before its whole dependency group is complete.
+copying its continuation into table-owned storage, once per variant and
+generator; answer/2 records answers and schedules resumptions, each of which
+runs the body of the continuation predicate's one clause; completion is
+detected with a generator stack and dependency links, and uses local
+scheduling: no answer escapes a generator before its whole dependency group
+is complete.
 
 Suspended continuations are deep-copied at capture time, so no binding in
 them can be undone by backtracking; every resumption starts from the
@@ -29,7 +31,7 @@ from .engine import (
     StoredIterCP,
     compile_index,
     instantiate,
-    unify,  # unused here; bench/tracing.py counts the calls made through this name
+    unify,
     unify_stored,
 )
 from .errors import InstantiationError, TablingError, TypeMismatchError
@@ -71,6 +73,7 @@ class StoredCont:
     term: Term  # NameCont(Id, Bindings, Pending, [Prev]) with vars 0..nvars-1
     nvars: int
     gen_id: int  # generator this continuation delivers answers to
+    plan: list = None  # head_plan against its clause's head, from the first resumption
 
 
 @dataclass
@@ -81,10 +84,56 @@ class GeneratorEntry:
     answers: list = field(default_factory=list)  # (term, nvars), insertion order
     index: set = field(default_factory=set)  # the answer terms, as variant keys
     continuations: list = field(default_factory=list)  # StoredCont
+    cont_keys: set = field(default_factory=set)  # the continuation terms, as variant keys
     status: str = EVALUATING
     pos: int = None  # completion stack index while EVALUATING
     deplink: int = None  # lowest stack position this generator depends on
     suspension_total: int = 0  # cumulative; survives completion
+
+
+def head_plan(term, head) -> list | None:
+    """Pairs (subterm of term, subterm of head) with a variable on either side,
+    in the order unify_stored meets them; None when two non-variable subterms
+    differ.  It reads no varmap, so it serves every resumption of a term."""
+    plan = []
+    stack = [(term, head)]
+    while stack:
+        s, h = stack.pop()
+        ts = type(s)
+        if ts is Var or type(h) is Var:
+            plan.append((s, h))
+        elif ts is not type(h):
+            return None
+        elif ts is Struct:
+            if s.functor != h.functor or len(s.args) != len(h.args):
+                return None
+            stack.extend(zip(s.args, h.args))
+        elif s != h:
+            return None
+    return plan
+
+
+def match_plan(plan, varmap, hmap, names, store) -> bool:
+    """Unify term through varmap with head through hmap by their head_plan, as
+    unify_stored(instantiate(term, varmap, store), head, hmap, names, store)
+    would, with the same new variables, names and trail entries; a subterm of
+    term is built only when a head variable takes it.  On failure the caller
+    resets the store."""
+    for s, h in plan:
+        if type(s) is Var:
+            x = varmap[s.id]
+            if x is None:
+                x = varmap[s.id] = store.new_var()
+            if not unify_stored(x, h, hmap, names, store):
+                return False
+            continue
+        x = instantiate(s, varmap, store) if type(s) is Struct else s
+        w = hmap[h.id]
+        if w is None:
+            hmap[h.id] = x
+        elif not unify(x, w, store):
+            return False
+    return True
 
 
 class TableSpace:
@@ -134,6 +183,7 @@ def complete(space: TableSpace, leader: GeneratorEntry):
         entry = space.entries[gid]
         entry.status = COMPLETE
         entry.continuations.clear()
+        entry.cont_keys.clear()
         entry.pos = None
     del space.stack[pos:]
 
@@ -333,7 +383,13 @@ class Engine:
         owner = self.space.entries[gen_id]
         if owner.status != EVALUATING:
             raise TablingError("continuation captured for a completed generator")
+        low = min(owner.deplink, entry.deplink)
+        owner.deplink = low
+        entry.deplink = low
         term, nvars = machine.store.freeze(cont)
+        if term in entry.cont_keys:
+            return None  # a variant is stored already and gets every answer
+        entry.cont_keys.add(term)
         stored = StoredCont(term, nvars, gen_id)
         counters = self.space.counters
         counters.suspensions += 1
@@ -347,9 +403,6 @@ class Engine:
         arena = self._current_arena()
         for i in range(len(entry.answers)):
             arena.append((stored, entry.answers[i]))
-        low = min(owner.deplink, entry.deplink)
-        owner.deplink = low
-        entry.deplink = low
         return None
 
     def on_answer(self, machine, goal, rest):
@@ -385,6 +438,7 @@ class Engine:
             entry = space.entries[gid]
             space.variant_index.pop(entry.call, None)
             entry.continuations.clear()
+            entry.cont_keys.clear()
             entry.pos = None
         space.stack.clear()
         space.arenas.clear()
@@ -401,14 +455,19 @@ class Engine:
         return m
 
     def _resume_machine(self, stored, ans, budget, idle):
-        """A machine set to run the stored continuation with ans for its pending
-        call, or None when they do not unify.  Neither stored term is copied
-        beyond what the resumed goal needs."""
+        """A machine set to run the body of the stored continuation's one
+        clause with ans for its pending call, or None when they do not unify.
+        Neither stored term is copied beyond what the body needs."""
+        term = stored.term
+        clauses = self.index.get((term.functor, len(term.args)), ((),))[0]
+        if len(clauses) != 1:
+            raise TablingError(f"continuation predicate {pred_of(term)} has {len(clauses)} "
+                               "clauses; a resumption needs exactly one")
         m = idle.pop() if idle else Machine(self.index, runtime=self, budget=budget,
                                             counters=self.counters)
         store = m.store
         varmap = [None] * stored.nvars
-        pending = stored.term.args[2]
+        pending = term.args[2]
         ans_term, ans_nvars = ans
         if ans_nvars:
             # the answer is the stored side here, so an unbound variable of the
@@ -417,11 +476,24 @@ class Engine:
                               [None] * ans_nvars, None, store)
         else:
             ok = unify_stored(ans_term, pending, varmap, None, store)
+        if ok:
+            # resuming resolves one clause: one step, as any resolved goal spends
+            budget.spend()
+            if term.functor.startswith("slg_"):
+                self.counters.slg_resolutions += 1
+            head, body, nvars, names = clauses[0]
+            hmap = [None] * nvars
+            if stored.plan is None:
+                stored.plan = head_plan(term, head)  # None again when they cannot match
+            ok = stored.plan is not None and match_plan(stored.plan, varmap, hmap, names, store)
         if not ok:
             m.reset()
             idle.append(m)
             return None
-        m.goals = (instantiate(stored.term, varmap, store), None)
+        goals = None
+        for g in reversed(body):
+            goals = (instantiate(g, hmap, store, names) if nvars else g, goals)
+        m.goals = goals
         return m
 
     def _finish_group(self, frame):

@@ -225,3 +225,28 @@ def test_non_ground_answer_resumes_a_consumer(capsys, tmp_path):
     assert lines[:2] == ["p(f(_G), _G)", "p(g(f(_G)), _G)"]
     assert lines[2].startswith("suspensions=1 resumptions=2 ")
     assert lines[2].endswith(" answers=2")
+
+
+@pytest.mark.parametrize("mode, prev", [("general", ", []"), ("legacy", "")],
+                         ids=["general", "legacy"])
+def test_two_clause_continuation_exits_2(capsys, tmp_path, mode, prev):
+    # only a hand-written slgcall/1 can name a continuation with two clauses
+    f = tmp_path / "two.pl"
+    f.write_text(
+        ":- table p/1.\n:- table q/1.\nq(1).\n"
+        f"p(X) :- slgcall(k(0, [], q(X){prev})).\n"
+        + f"k(Id, [], q(X){prev}) :- answer(Id, p(X)).\n" * 2
+    )
+    arity = 4 if mode == "general" else 3
+    code, out, err = run_cli(capsys, str(f), "--query", "p(X)", "--mode", mode)
+    assert (code, out) == (2, "")
+    assert err == (f"error: continuation predicate k/{arity} has 2 clauses; "
+                   "a resumption needs exactly one\n")
+
+
+@pytest.mark.parametrize("mode", ["general", "legacy"])
+def test_oracle_evaluates_call(capsys, tmp_path, mode):
+    f = tmp_path / "call.pl"
+    f.write_text(":- table p/1.\np(X) :- call(q(X)).\nq(1).\n")
+    code, out, _ = run_cli(capsys, str(f), "--query", "p(X)", "--mode", mode, "--oracle-check")
+    assert (code, out) == (0, "p(1)\nOK\n")

@@ -1,12 +1,17 @@
 """Seeded differential test: random programs with bridges against the oracle.
 
 Each program has 1-3 tabled predicates tI/2 and 1-3 plain helpers hJ/2 over
-e/2 facts on at most 6 nodes, and each clause body makes one or two calls.  Tabled clauses call e/2, tabled predicates and
-helpers; helpers call only e/2 and tabled predicates, never another helper,
-so every SLD path between two tabled calls is finite and every program
-terminates.  Bodies mix in comparison guards, `W is Z mod n + 1` and `Y = Z`,
-always over variables an earlier goal has bound, so every clause is
-range-restricted and the bottom-up oracle applies.
+e/2 facts on at most 6 nodes, and each clause body makes one to three calls,
+chained through fresh variables, so a resumed continuation may have one or
+two more continuations after it.  Four calls a body are not drawn: with four
+in every body, single programs took 5-7 s, because duplicate derivations
+through helpers multiply with every call, and this test should stay near 10 s.
+Tabled clauses call e/2, tabled predicates and helpers; helpers call only
+e/2 and tabled predicates, never another helper, so every SLD path between
+two tabled calls is finite and every program terminates.  Bodies mix in
+comparison guards, `W is Z mod n + 1` and `Y = Z`, always over variables an
+earlier goal has bound, so every clause is range-restricted and the
+bottom-up oracle applies.
 
 Properties checked for the queries tI(X, Y), tI(1, Y) and tI(X, 2):
   * general-mode answers equal the oracle's (compare_answer_sets);
@@ -39,10 +44,11 @@ GUARDS = ("<", ">", "=<", "\\=")
 
 
 def random_clause(rng, head, callees, n):
-    """One range-restricted clause head(X, Y) :- ... making at most two calls.
+    """One range-restricted clause head(X, Y) :- ... making one to three calls,
+    chained through fresh variables (X to Z, Z or W to V, then on to Y).
 
     Helpers are not tabled, so their duplicate derivations multiply through
-    every call after them; two calls a body keep the derivation counts small.
+    every call after them; three calls a body keep the derivation counts small.
     """
     body = [f"{rng.choice(callees)}(X, Z)"]
     bound = ["X", "Z"]
@@ -52,6 +58,9 @@ def random_clause(rng, head, callees, n):
     elif rng.random() < 0.4:
         body.append(f"W is Z mod {n} + 1")
         bound.append("W")
+    if rng.random() < 0.4:
+        body.append(f"{rng.choice(callees)}({rng.choice(bound[1:])}, V)")
+        bound.append("V")
     last = rng.choice(bound[1:])
     if rng.random() < 0.25:
         body.append(f"Y = {last}")

@@ -70,6 +70,22 @@ def test_unbound_arithmetic_rejected():
         bottom_up_eval(parse_program("bad(X) :- X is Y + 1.\n"))
 
 
+def test_call_is_evaluated_as_its_goal():
+    facts = bottom_up_eval(parse_program(
+        "p(X) :- call(q(X)).\nr(X) :- q(X), call(s(X, Y)), call(call(Y)).\n"
+        "q(1).\nq(2).\ns(1, t).\ns(2, u).\nu.\n"
+    ))
+    assert names(facts, PredId("p", 1)) == ["p(1)", "p(2)"]
+    assert names(facts, PredId("r", 1)) == ["r(2)"]
+
+
+@pytest.mark.parametrize("body", ["call(G), q(X)", "q(X), call(X)"], ids=["unbound", "integer"])
+def test_call_of_an_unbound_or_integer_goal_rejected(body):
+    message = r"\(call/1 of an unbound or non-callable goal\): p\(X\) :- "
+    with pytest.raises(RangeRestrictionError, match=message):
+        bottom_up_eval(parse_program(f"p(X) :- {body}.\nq(1).\n"))
+
+
 def test_iteration_cap():
     # a counter that grows forever is not bounded-term-size
     src = "n(0).\nn(X) :- n(Y), X is Y + 1.\n"

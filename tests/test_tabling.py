@@ -7,6 +7,7 @@ from cctab import (
     Int,
     Mode,
     PredId,
+    ResourceLimitError,
     Struct,
     TablingError,
     Var,
@@ -20,8 +21,9 @@ from cctab import (
     print_term,
     translate,
 )
-from cctab.engine import Machine
+from cctab.engine import Machine, solve as sld_solve
 from cctab.oracle import oracle_answers_for
+from cctab.terms import pred_of
 from cctab.tabling import COMPLETE, EVALUATING, StoredCont, TableSpace, complete
 
 from conftest import answers, make_engine, read_fixture
@@ -455,3 +457,190 @@ def test_helper_on_no_cycle_is_a_bridge_and_answers():
 
 def test_helper_on_no_cycle_with_a_bridge_declaration():
     assert _matches_oracle(":- bridge h/2.\n" + HELPER_ON_NO_CYCLE)
+
+
+# h/2 makes three tabled calls a body, so the same continuation is captured
+# again and again for one generator; each variant is stored once.
+DUPLICATE_CONTINUATIONS = """:- table t0/2.
+:- table t1/2.
+t0(X, Y) :- h(X, Y).
+t0(X, Y) :- e(X, Y).
+h(X, Y) :- t1(X, Z), t1(Z, W), t1(W, Y).
+h(X, Y) :- e(X, Z), t0(Z, Y).
+t1(X, Y) :- e(X, Y).
+t1(X, Y) :- h(X, Z), t0(Z, Y).
+e(1, 2). e(2, 3). e(3, 4). e(4, 1). e(1, 3).
+"""
+
+
+@pytest.mark.parametrize("mode, suspensions, resumptions",
+                         [(Mode.GENERAL, 152, 620), (Mode.LEGACY, 1, 4)], ids=["general", "legacy"])
+def test_duplicate_continuations_are_stored_once(mode, suspensions, resumptions):
+    eng = make_engine(DUPLICATE_CONTINUATIONS, mode)
+    assert len(answers(eng, "t1(X, Y)")) == 16
+    assert (eng.counters.suspensions, eng.counters.resumptions) == (suspensions, resumptions)
+    assert eng.counters.suspensions == sum(e.suspension_total for e in eng.space.entries)
+    assert all(not e.continuations and not e.cont_keys for e in eng.space.entries)
+    facts = bottom_up_eval(parse_program(DUPLICATE_CONTINUATIONS))
+    assert compare_answer_sets(eng.space, facts, PredId("t1", 2), parse_term("t1(X, Y)"))[0]
+
+
+# The smallest step budgets that answer path(X, Y): one step per resolved goal,
+# a resumed continuation clause included, so a resumption may neither drop nor
+# add one.
+@pytest.mark.parametrize("mode", list(Mode), ids=lambda m: m.value)
+@pytest.mark.parametrize("kind, size, budget, n_answers",
+                         [("chain", 48, 4806, 1176), ("cycle", 20, 1938, 441)],
+                         ids=["chain48", "cycle20"])
+def test_minimal_step_budget(mode, kind, size, budget, n_answers):
+    query = parse_query("path(X, Y)")
+    eng = make_engine(gen_fixture(kind, size), mode)
+    assert len(list(eng.solve(query, depth_budget=budget))) == n_answers
+    eng = make_engine(gen_fixture(kind, size), mode)
+    with pytest.raises(ResourceLimitError):
+        list(eng.solve(query, depth_budget=budget - 1))
+
+
+# Shapes of resumption, each in both modes:
+#   nonground: the answers p(f(X), X) resumed into r/2's consumer are not
+#     ground, so the oracle refuses p/2 and plain SLD resolution of the source
+#     (which terminates here) is the reference;
+#   aliased: the consumer saves W and Y while they are one unbound variable,
+#     so binding W after the resumption binds Y; the oracle refuses W = Y
+#     on two unbound sides, so plain SLD resolution is the reference again;
+#   constrep: pending calls p(X, X, a) and p(X, 3, a);
+#   bridge: h/2 is a bridge, so in general mode a resumed clause ends in
+#     call(Cont) and its continuation carries the previous one;
+#   chain3: three tabled calls a body, continuations three deep.
+RESUMPTION_SHAPES = {
+    "nonground": (""":- table r/2.
+:- table p/2.
+p(f(X), X).
+p(g(1), 2).
+r(A, B) :- p(A, B), s(B).
+s(2).
+s(3).
+""", "r(A, B)"),
+    "aliased": (""":- table r/2.
+:- table p/2.
+p(1, 2).
+p(2, 3).
+e(2, 5).
+e(3, 6).
+r(X, Y) :- W = Y, p(X, Z), e(Z, W).
+""", "r(A, B)"),
+    "constrep": (""":- table r/1.
+:- table p/3.
+p(1, 1, a).
+p(1, 2, a).
+p(2, 2, b).
+p(3, 3, a).
+p(X, Y, a) :- p(Y, X, a).
+r(X) :- p(X, X, a), p(X, 3, a).
+""", "r(A)"),
+    "bridge": (""":- table t/2.
+e(1, 2).
+e(2, 3).
+e(3, 1).
+t(X, Y) :- e(X, Y).
+t(X, Y) :- t(X, Z), h(Z, Y).
+h(X, Z) :- t(X, W), e(W, Z).
+h(X, Y) :- e(X, Y), X < Y.
+""", "t(A, B)"),
+    "chain3": (""":- table t/2.
+e(1, 2).
+e(2, 3).
+e(3, 4).
+t(X, Y) :- t(X, Z), t(Z, W), t(W, Y).
+t(X, Y) :- e(X, Y).
+""", "t(A, B)"),
+}
+
+
+@pytest.mark.parametrize("mode", list(Mode), ids=lambda m: m.value)
+@pytest.mark.parametrize("shape", list(RESUMPTION_SHAPES))
+def test_resumption_shapes_match_the_reference(shape, mode):
+    src, query = RESUMPTION_SHAPES[shape]
+    (goal,) = parse_query(query)
+    eng = make_engine(src, mode)
+    got = answers(eng, query)
+    assert eng.counters.resumptions > 0
+    program = parse_program(src)
+    if shape in ("nonground", "aliased"):
+        names = [a.name for a in goal.args]
+        want = {print_term(Struct(goal.functor, tuple(s[n] for n in names)))
+                for s in sld_solve(goal, program)}
+    else:
+        facts = bottom_up_eval(program)
+        assert compare_answer_sets(eng.space, facts, pred_of(goal), goal)[0]
+        want = {print_term(t) for t in oracle_answers_for(facts, goal)}
+    assert sorted(got) == sorted(want)
+
+
+# Hand-written continuations (generator 0 is p(_, _)) whose one clause head is
+# not the captured term's pattern, so resuming one must unify the two as
+# resolving the term against the clause would: a captured variable that holds
+# an answer against a compound (kb), captured constants and compounds against
+# other ones (kc, kf), a repeated head variable (kr), and an unbound captured
+# variable, which takes the head variable's name (kn).
+HAND_WRITTEN_CONTINUATIONS = """:- table p/2.
+:- table q/1.
+q(1).
+q(2).
+q(a).
+q(f(3)).
+e(1).
+e(2).
+e(a).
+e(f(1, x)).
+e(f(2, y)).
+e(g(1, z)).
+p(Y, b) :- slgcall(kb(0, [X], q(X){prev})).
+kb(Id, [f(Y)], q(X){prev}) :- answer(Id, p(Y, b)).
+p(Y, c) :- e(X), slgcall(kc(0, [X], q(Y){prev})).
+kc(Id, [1], q(Y){prev}) :- answer(Id, p(Y, c)).
+p(Y, Z) :- e(X), slgcall(kf(0, [X], q(Y){prev})).
+kf(Id, [f(1, Z)], q(Y){prev}) :- answer(Id, p(Y, Z)).
+p(Y, r) :- e(X), slgcall(kr(0, [X], q(Y){prev})).
+kr(Id, [Y], q(Y){prev}) :- answer(Id, p(Y, r)).
+p(Y, n) :- slgcall(kn(0, [W], q(Y){prev})).
+kn(Id, [V], q(Y){prev}) :- answer(Id, p(g(Y, V), n)).
+"""
+
+
+def hand_written(src: str, mode: Mode) -> str:
+    """src with each continuation term given the arity mode expects."""
+    return src.replace("{prev}", ", []" if mode is Mode.GENERAL else "")
+
+
+@pytest.mark.parametrize("mode", list(Mode), ids=lambda m: m.value)
+def test_hand_written_continuation_heads(mode):
+    eng = make_engine(hand_written(HAND_WRITTEN_CONTINUATIONS, mode), mode)
+    (goal,) = parse_query("p(A, B)")
+    assert answers(eng, "p(A, B)") == [
+        "p(3, b)", "p(1, c)", "p(2, c)", "p(a, c)", "p(f(3), c)",
+        "p(1, x)", "p(2, x)", "p(a, x)", "p(f(3), x)", "p(1, r)", "p(2, r)", "p(a, r)",
+        "p(g(1, _G), n)", "p(g(2, _G), n)", "p(g(a, _G), n)", "p(g(f(3), _G), n)",
+    ]
+    assert [print_term(t) for t in eng.answer_terms(goal)][-4:] == [
+        "p(g(1, V), n)", "p(g(2, V), n)", "p(g(a, V), n)", "p(g(f(3), V), n)",
+    ]
+    assert (eng.counters.resumptions, eng.counters.slg_resolutions) == (80, 2)
+
+
+ONE_CLAUSE_OR_NONE = """:- table p/1.
+:- table q/1.
+q(1).
+p(X) :- slgcall(k(0, [], q(X){prev})).
+"""
+
+
+@pytest.mark.parametrize("mode", list(Mode), ids=lambda m: m.value)
+@pytest.mark.parametrize("clauses", [0, 2])
+def test_resumed_continuation_needs_exactly_one_clause(mode, clauses):
+    clause = "k(Id, [], q(X){prev}) :- answer(Id, p(X)).\n"
+    eng = make_engine(hand_written(ONE_CLAUSE_OR_NONE + clause * clauses, mode), mode)
+    arity = 4 if mode is Mode.GENERAL else 3
+    with pytest.raises(TablingError, match=rf"^continuation predicate k/{arity} has {clauses} "):
+        answers(eng, "p(X)")
+    assert eng.space.stack == [] and eng.space.arenas == []
