@@ -87,9 +87,9 @@ def run(args) -> int:
         raise Error("give either a program file or --gen, not both")
     if not args.gen and not args.file:
         raise Error("no program: give a file or --gen KIND:SIZE")
-    if args.translate_only and args.query:
+    if args.translate_only and args.query is not None:
         raise Error("--translate-only excludes query execution")
-    if args.oracle_check and not args.query:
+    if args.oracle_check and args.query is None:
         raise Error("--oracle-check needs --query")
 
     mode = Mode(args.mode)
@@ -108,18 +108,18 @@ def run(args) -> int:
     if args.translate_only:
         sys.stdout.write(print_program(translated))
         return 0
-    if not args.query:
+    if args.query is None:
         return 0
 
     goals = parse_query(args.query)
+    if args.oracle_check and len(goals) != 1:
+        raise Error("--oracle-check needs a single-goal query")
     engine = Engine(translated, mode=mode, depth_budget=args.depth)
     for solution in engine.solve(goals):
         print(", ".join(print_term(g) for g in solution.goals))
     if args.stats:
         print(engine.counters.stats_line())
     if args.oracle_check:
-        if len(goals) != 1:
-            raise Error("--oracle-check needs a single-goal query")
         facts = bottom_up_eval(program)
         equal, missing, extra = compare_answer_sets(
             engine.space, facts, pred_of(goals[0]), call=goals[0]

@@ -16,7 +16,7 @@ from .errors import (
     TypeMismatchError,
 )
 from .syntax import print_term
-from .terms import Atom, Int, Program, Struct, Term, Var, copy_term, renumber, vars_of_all
+from .terms import Atom, Int, Program, Struct, Term, Var, copy_term, cyclic_term_error, vars_of_all
 
 DEFAULT_BUDGET = 10_000_000
 
@@ -74,18 +74,85 @@ class BindingStore:
             bindings[trail.pop()] = None
 
     def resolve(self, term: Term) -> Term:
-        """Copy of term with all bindings applied; unbound variables stay."""
-        return copy_term(term, lambda v: v, self.walk)
+        """Copy of term with all bindings applied; unbound variables stay.
+        An atom, integer or unbound variable is returned itself."""
+        t = self.walk(term)
+        if type(t) is not Struct:
+            return t
+        return copy_term(t, lambda v: v, self.walk)
 
     def freeze(self, term: Term) -> tuple:
         """(copy, nvars): term with all bindings applied and its unbound
         variables renumbered 0..nvars-1 in first-occurrence order, keeping names.
 
         Two terms are variants exactly when their frozen copies are equal, so
-        the copy is also the term's variant key.
+        the copy is also the term's variant key, and its hash is computed in
+        the same pass (see Struct.__hash__).  A ground subterm that reaches no
+        bound variable is kept, not copied.  copy_term with the variable
+        policy inlined, as in instantiate; a bound variable met again inside
+        its own compound value is a cyclic term, a TypeMismatchError.
         """
-        ids: dict = {}
-        return copy_term(term, renumber(ids, True), self.walk), len(ids)
+        bindings = self.bindings
+        ids: dict = {}  # original variable id -> its renumbered Var
+        t = self.walk(term)
+        if type(t) is Var:
+            return Var(0, t.name), 1
+        if type(t) is not Struct:
+            return t, 0
+        toks = [t.functor, len(t.args)]  # Struct.__hash__'s tokens, in its order
+        active: set = set()  # ids of the bound variables whose compound value is being copied
+        stack: list = []  # (term, built, next index, unchanged, via) of the enclosing compounds
+        s, built, i, same, via = t, [], 0, True, None
+        while True:
+            args = s.args
+            n = len(args)
+            while i < n:
+                a = args[i]
+                i += 1
+                ta = type(a)
+                through = None  # the bound variable a compound argument is reached through
+                if ta is Var:
+                    same = False
+                    v = a
+                    while type(a) is Var:
+                        b = bindings[a.id]
+                        if b is None:
+                            break
+                        a = b
+                    ta = type(a)
+                    if ta is Var:
+                        w = ids.get(a.id)
+                        if w is None:
+                            w = ids[a.id] = Var(len(ids), a.name)
+                        built.append(w)
+                        toks.append(w)
+                        continue
+                    if ta is Struct:
+                        if v.id in active:
+                            raise cyclic_term_error(v)
+                        active.add(v.id)
+                        through = v.id
+                if ta is Struct:
+                    stack.append((s, built, i, same, via))
+                    s, built, i, same, via = a, [], 0, True, through
+                    args = a.args
+                    n = len(args)
+                    toks.append(a.functor)
+                    toks.append(n)
+                    continue
+                built.append(a)
+                toks.append(a.value if ta is Int else a.name)
+            if not same:
+                s = Struct(s.functor, tuple(built))
+            if via is not None:
+                active.discard(via)
+            if not stack:
+                s._hash = hash(tuple(toks))
+                return s, len(ids)
+            done, kept = s, same
+            s, built, i, same, via = stack.pop()
+            built.append(done)
+            same = same and kept
 
 
 def unify(a: Term, b: Term, store: BindingStore) -> bool:

@@ -9,11 +9,13 @@ detected with a generator stack and dependency links, and uses local
 scheduling: no answer escapes a generator before its whole dependency group
 is complete.
 
-Suspended continuations are deep-copied at capture time, so no binding in
-them can be undone by backtracking; every resumption starts from the
-identical stored copy.  Counter units are interpreter term cells and steps,
-which are deliberate, documented approximations: they are not comparable to
-abstract-machine instruction or cell counts.
+Suspended continuations are frozen at capture time: copied with their
+bindings applied, except for ground subterms, which no binding reaches and
+which are kept as they are.  So no binding in them can be undone by
+backtracking; every resumption starts from the identical stored copy.
+Counter units are interpreter term cells and steps, which are deliberate,
+documented approximations: they are not comparable to abstract-machine
+instruction or cell counts.
 """
 
 from __future__ import annotations

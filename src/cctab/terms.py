@@ -9,6 +9,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional, Union
 
+from .errors import TypeMismatchError
+
 
 @dataclass(frozen=True, slots=True)
 class Var:
@@ -63,16 +65,25 @@ class Struct:
         return NotImplemented if eq is NotImplemented else not eq
 
     def __hash__(self):
+        # the hash of the preorder tokens, left to right: functor and arity of
+        # a compound, the name of an atom, the value of an integer, a variable
+        # itself (the bare strings and ints hash without a Python-level call);
+        # BindingStore.freeze presets _hash on its copies from the same tokens
         h = self._hash
         if h is None:
             toks = []
             stack = [self]
             while stack:
                 x = stack.pop()
-                if type(x) is Struct:
+                tx = type(x)
+                if tx is Struct:
                     toks.append(x.functor)
                     toks.append(len(x.args))
-                    stack.extend(x.args)
+                    stack.extend(reversed(x.args))
+                elif tx is Int:
+                    toks.append(x.value)
+                elif tx is Atom:
+                    toks.append(x.name)
                 else:
                     toks.append(x)
             h = hash(tuple(toks))
@@ -178,8 +189,9 @@ def copy_term(t: Term, var, walk=None) -> Term:
 
     walk, when given, dereferences each variable first (a BindingStore.walk),
     so bound variables are copied as their values and only unbound ones reach
-    var.  Iterative: compound arguments are descended through an explicit
-    stack, so any nesting depth is safe.
+    var; a bound variable met again inside its own compound value is a cyclic
+    term, a TypeMismatchError.  Iterative: compound arguments are descended
+    through an explicit stack, so any nesting depth is safe.
     """
     if walk is not None:
         t = walk(t)
@@ -187,30 +199,45 @@ def copy_term(t: Term, var, walk=None) -> Term:
         return var(t)
     if type(t) is not Struct:
         return t
-    stack: list = []  # (functor, args, built, next index) of the enclosing compounds
-    functor, args, built, i = t.functor, t.args, [], 0
+    active: set = set()  # ids of the bound variables whose compound value is being copied
+    stack: list = []  # (functor, args, built, next index, via) of the enclosing compounds
+    functor, args, built, i, via = t.functor, t.args, [], 0, None
     while True:
         n = len(args)
         while i < n:
             a = args[i]
             i += 1
             ta = type(a)
+            through = None  # the bound variable a compound argument is reached through
             if ta is Var and walk is not None:
+                v = a
                 a = walk(a)
                 ta = type(a)
+                if ta is Struct:
+                    if v.id in active:
+                        raise cyclic_term_error(v)
+                    active.add(v.id)
+                    through = v.id
             if ta is Var:
                 built.append(var(a))
             elif ta is Struct:
-                stack.append((functor, args, built, i))
-                functor, args, built, i = a.functor, a.args, [], 0
+                stack.append((functor, args, built, i, via))
+                functor, args, built, i, via = a.functor, a.args, [], 0, through
                 n = len(args)
             else:
                 built.append(a)
         t = Struct(functor, tuple(built))
+        if via is not None:
+            active.discard(via)
         if not stack:
             return t
-        functor, args, built, i = stack.pop()
+        functor, args, built, i, via = stack.pop()
         built.append(t)
+
+
+def cyclic_term_error(v: Var) -> TypeMismatchError:
+    """The error for bound variable v met again while its own value is copied."""
+    return TypeMismatchError(f"cyclic term: {v.name} is bound to a term that contains it")
 
 
 def renumber(ids: dict, keep_names: bool):

@@ -1,4 +1,7 @@
 import pathlib
+import resource
+import subprocess
+import sys
 
 import pytest
 
@@ -15,6 +18,18 @@ def read_fixture(name: str) -> str:
 
 def read_golden(name: str) -> str:
     return (GOLDEN / name).read_text()
+
+
+def run_limited(*argv, timeout=30) -> subprocess.CompletedProcess:
+    """Run `python argv...` in a child process with a timeout and a 512 MiB
+    address-space limit, so that a runaway computation fails instead of
+    hanging or exhausting the host's memory."""
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
+
+    return subprocess.run([sys.executable, *argv], capture_output=True, text=True,
+                          timeout=timeout, preexec_fn=limit)
 
 
 def analyzed(program: Program) -> Program:

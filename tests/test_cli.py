@@ -1,12 +1,9 @@
-import subprocess
-import sys
-
 import pytest
 
 from cctab.cli import main
 from cctab.fixtures import gen_fixture
 
-from conftest import FIXTURES, read_golden
+from conftest import FIXTURES, read_golden, run_limited
 
 MIXED = str(FIXTURES / "mixed_loop.pl")
 
@@ -122,11 +119,7 @@ def test_answer_order_deterministic(capsys):
 
 
 def test_console_entry_point():
-    proc = subprocess.run(
-        [sys.executable, "-m", "cctab.cli", "--gen", "chain:2", "--query", "path(1, X)"],
-        capture_output=True,
-        text=True,
-    )
+    proc = run_limited("-m", "cctab.cli", "--gen", "chain:2", "--query", "path(1, X)")
     assert proc.returncode == 0
     assert proc.stdout.splitlines() == ["path(1, 2)", "path(1, 3)"]
 
@@ -140,12 +133,7 @@ def test_deep_arithmetic_expression(tmp_path, directives, flags, expected):
     # in a child process: a failure here is a traceback thousands of frames deep
     f = tmp_path / "deep.pl"
     f.write_text(directives + "q(X) :- X is " + " + ".join(["1"] * 5000) + ".\n")
-    proc = subprocess.run(
-        [sys.executable, "-m", "cctab.cli", str(f), "--query", "q(X)", *flags],
-        capture_output=True,
-        text=True,
-        timeout=60,
-    )
+    proc = run_limited("-m", "cctab.cli", str(f), "--query", "q(X)", *flags, timeout=60)
     assert (proc.returncode, proc.stdout, proc.stderr[-300:]) == (0, expected, "")
 
 
@@ -153,12 +141,7 @@ def test_deep_answer_term_prints(tmp_path):
     # in a child process: a failure here is a traceback thousands of frames deep
     f = tmp_path / "nat.pl"
     f.write_text("nat(0, z).\nnat(N, s(X)) :- N > 0, M is N - 1, nat(M, X).\n")
-    proc = subprocess.run(
-        [sys.executable, "-m", "cctab.cli", str(f), "--query", "nat(3000, X)"],
-        capture_output=True,
-        text=True,
-        timeout=60,
-    )
+    proc = run_limited("-m", "cctab.cli", str(f), "--query", "nat(3000, X)", timeout=60)
     expected = "nat(3000, " + "s(" * 3000 + "z" + ")" * 3000 + ")\n"
     assert (proc.returncode, proc.stdout, proc.stderr[-300:]) == (0, expected, "")
 
@@ -174,15 +157,42 @@ def test_deeply_nested_source_terms_parse_and_answer(tmp_path, mode):
         "p(X) :- X = " + "[" * n + "]" * n + ".\n"
         "p(X) :- X = " + "(" * n + "b" + ")" * n + ".\n"
     )
-    proc = subprocess.run(
-        [sys.executable, "-m", "cctab.cli", str(f), "--query", "p(X)", "--mode", mode,
-         "--oracle-check"],
-        capture_output=True,
-        text=True,
-        timeout=60,
-    )
+    proc = run_limited("-m", "cctab.cli", str(f), "--query", "p(X)", "--mode", mode,
+                       "--oracle-check", timeout=60)
     expected = "p(" + "f(" * n + "a" + ")" * n + ")\n" + "p(" + "[" * n + "]" * n + ")\np(b)\nOK\n"
     assert (proc.returncode, proc.stdout, proc.stderr[-300:]) == (0, expected, "")
+
+
+CYCLIC = {
+    "query": ("p.\n", "X = f(X)"),
+    "clause": ("p(X) :- X = f(X).\n", "p(_)"),
+    "tabled": (":- table t/1.\nt(X) :- X = f(X).\n", "t(X)"),
+}
+
+
+@pytest.mark.parametrize("mode", ["general", "legacy"])
+@pytest.mark.parametrize("case", sorted(CYCLIC))
+def test_cyclic_term_is_an_error(tmp_path, case, mode):
+    # in a limited child process: copying a cyclic term never ends
+    source, query = CYCLIC[case]
+    f = tmp_path / "cyclic.pl"
+    f.write_text(source)
+    proc = run_limited("-m", "cctab.cli", str(f), "--query", query, "--mode", mode)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        2, "", "error: cyclic term: X is bound to a term that contains it\n")
+
+
+def test_multi_goal_oracle_check_is_refused_before_running(capsys):
+    code, out, err = run_cli(capsys, "--gen", "chain:3", "--query", "path(1, X), path(X, Y)",
+                             "--oracle-check")
+    assert (code, out, err) == (2, "", "error: --oracle-check needs a single-goal query\n")
+
+
+@pytest.mark.parametrize("query", ["", "  "])
+def test_empty_query_is_a_parse_error(capsys, query):
+    code, out, err = run_cli(capsys, "--gen", "chain:3", "--query", query)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: 1:") and "expected a term" in err
 
 
 def test_non_decimal_digit_is_a_parse_error(capsys, tmp_path):

@@ -22,6 +22,7 @@ from cctab import (
     unify,
 )
 from cctab.engine import BindingStore, solve
+from cctab.terms import walk_subterms
 
 
 def fresh_store_terms(text):
@@ -422,7 +423,41 @@ def test_frozen_copy_is_the_variant_key():
         assert (canonical_variant(store.resolve(a)) == canonical_variant(store.resolve(b))) is variants
         if variants:
             assert hash(fa) == hash(fb) and na == nb
-        for frozen, n in ((fa, na), (fb, nb)):
+        for t, frozen, n in ((a, fa, na), (b, fb, nb)):
             assert _first_occurrence_ids(frozen) == list(range(n))
             assert _deref(store, frozen) == frozen  # no store variable left behind
-    assert {(0, True), (1, True), (1, False), (2, False)} <= outcomes
+            fresh = canonical_variant(store.resolve(t))
+            assert frozen == fresh and hash(frozen) == hash(fresh)
+            assert type(frozen) is not Struct or frozen._hash is not None  # hashed while copied
+            variables = [x for x in walk_subterms(t) if type(x) is Var]
+            if not variables:
+                assert frozen is t  # ground: kept, not copied
+                outcomes.add("kept")
+            elif any(store.walk(x) is not x for x in variables):
+                assert frozen is not t
+                outcomes.add("copied")
+    assert {(0, True), (1, True), (1, False), (2, False), "kept", "copied"} <= outcomes
+
+
+def test_shared_bound_subterms_are_not_cyclic():
+    store, t = fresh_store_terms("g(X, h(X), Y, Z)")
+    x, y, z = t.args[0], t.args[2], t.args[3]
+    store.bind(z, Int(1))
+    store.bind(x, Struct("f", (Atom("a"), z)))
+    store.bind(y, x)
+    want = parse_term("g(f(a, 1), h(f(a, 1)), f(a, 1), 1)")
+    assert store.resolve(t) == want
+    assert store.freeze(t) == (want, 0)
+
+
+@pytest.mark.parametrize("copy", [BindingStore.resolve, lambda store, t: store.freeze(t)[0]],
+                         ids=["resolve", "freeze"])
+def test_deep_list_through_bound_tails_survives(copy):
+    store = BindingStore()
+    t = tail = store.new_var("T")
+    for i in range(2000):
+        nxt = store.new_var("T")
+        store.bind(tail, Struct(".", (Int(i), nxt)))
+        tail = nxt
+    store.bind(tail, Atom("[]"))
+    assert copy(store, t) == parse_term("[" + ", ".join(str(i) for i in range(2000)) + "]")

@@ -26,7 +26,7 @@ from cctab.oracle import oracle_answers_for
 from cctab.terms import pred_of
 from cctab.tabling import COMPLETE, EVALUATING, StoredCont, TableSpace, complete
 
-from conftest import answers, make_engine, read_fixture
+from conftest import HERE, answers, make_engine, read_fixture, run_limited
 
 
 def test_mixed_loop_general_finds_both_answers(mixed_loop_src):
@@ -392,6 +392,30 @@ def test_interrupted_query_leaves_table_space_consistent(monkeypatch):
     monkeypatch.undo()
     assert eng.space.stack == [] and eng.space.arenas == []
     assert len(answers(eng, "path(X, Y)")) == 441
+
+
+REQUERY_AFTER_CYCLIC_TERM = """
+import sys
+sys.path.insert(0, sys.argv[1])
+from conftest import answers, make_engine
+from cctab import TypeMismatchError
+
+eng = make_engine(":- table t/1.\\n:- table u/1.\\nt(X) :- u(X).\\nt(X) :- X = f(X).\\nu(a).\\n")
+for _ in range(2):
+    try:
+        answers(eng, "t(X)")
+    except TypeMismatchError as e:
+        print(e)
+    print(eng.space.stack, eng.space.arenas)
+print(answers(eng, "u(X)"))
+"""
+
+
+def test_cyclic_answer_purges_the_table_space():
+    # in a limited child process: copying a cyclic term never ends
+    proc = run_limited("-c", REQUERY_AFTER_CYCLIC_TERM, str(HERE))
+    error = "cyclic term: X is bound to a term that contains it\n[] []\n"
+    assert (proc.returncode, proc.stdout, proc.stderr[-300:]) == (0, error * 2 + "['u(a)']\n", "")
 
 
 def test_complete_keeps_outer_generators_on_the_stack():
