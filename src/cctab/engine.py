@@ -81,7 +81,7 @@ class BindingStore:
             return t
         return copy_term(t, lambda v: v, self.walk)
 
-    def freeze(self, term: Term) -> tuple:
+    def freeze(self, term: Term, sizes: list = None) -> tuple:
         """(copy, nvars): term with all bindings applied and its unbound
         variables renumbered 0..nvars-1 in first-occurrence order, keeping names.
 
@@ -90,7 +90,9 @@ class BindingStore:
         the same pass (see Struct.__hash__).  A ground subterm that reaches no
         bound variable is kept, not copied.  copy_term with the variable
         policy inlined, as in instantiate; a bound variable met again inside
-        its own compound value is a cyclic term, a TypeMismatchError.
+        its own compound value is a cyclic term, a TypeMismatchError.  When
+        sizes is a list and the copy is a compound, the cells (term_size) of
+        each of its arguments are appended to it, counted in the same pass.
         """
         bindings = self.bindings
         ids: dict = {}  # original variable id -> its renumbered Var
@@ -100,6 +102,10 @@ class BindingStore:
         if type(t) is not Struct:
             return t, 0
         toks = [t.functor, len(t.args)]  # Struct.__hash__'s tokens, in its order
+        structs = 1  # compounds met so far: the cells met are len(toks) - structs
+        if sizes is not None:
+            first = len(sizes)
+            sizes.extend([1] * len(t.args))
         active: set = set()  # ids of the bound variables whose compound value is being copied
         stack: list = []  # (term, built, next index, unchanged, via) of the enclosing compounds
         s, built, i, same, via = t, [], 0, True, None
@@ -133,6 +139,9 @@ class BindingStore:
                         active.add(v.id)
                         through = v.id
                 if ta is Struct:
+                    if sizes is not None and not stack:
+                        cells = len(toks) - structs  # before this argument of the copy
+                    structs += 1
                     stack.append((s, built, i, same, via))
                     s, built, i, same, via = a, [], 0, True, through
                     args = a.args
@@ -151,6 +160,8 @@ class BindingStore:
                 return s, len(ids)
             done, kept = s, same
             s, built, i, same, via = stack.pop()
+            if sizes is not None and not stack:
+                sizes[first + i - 1] = len(toks) - structs - cells
             built.append(done)
             same = same and kept
 
@@ -305,7 +316,9 @@ def instantiate(term: Term, varmap: list, store: BindingStore = None, names=None
 
 def eval_arith(t: Term, walk) -> int:
     """Value of an integer expression whose variables walk dereferences (a
-    BindingStore.walk); iterative, so any nesting depth is safe."""
+    BindingStore.walk); iterative, so any nesting depth is safe.  A bound
+    variable met again inside its own compound value is a cyclic term, a
+    TypeMismatchError, as in BindingStore.freeze."""
     t = walk(t)
     if type(t) is Int:
         return t.value
@@ -315,22 +328,30 @@ def eval_arith(t: Term, walk) -> int:
         if type(a) is Int and type(b) is Int:
             return _arith_op(t, a.value, b.value)
     values: list = []
-    todo: list = [(t, False)]
+    active: set = set()  # ids of the bound variables whose compound value is being evaluated
+    todo: list = [(t, False, None)]  # (term, its operands are evaluated, variable it came through)
     while todo:
-        x, ready = todo.pop()
+        x, ready, via = todo.pop()
         if ready:
             b = values.pop()
             values.append(_arith_op(x, values.pop(), b))
+            active.discard(via)
             continue
+        v = x
         x = walk(x)
         if type(x) is Int:
             values.append(x.value)
         elif type(x) is Var:
             raise InstantiationError("unbound variable in arithmetic expression")
         elif type(x) is Struct and len(x.args) == 2:
-            todo.append((x, True))
-            todo.append((x.args[1], False))
-            todo.append((x.args[0], False))
+            if type(v) is Var:
+                if v.id in active:
+                    raise cyclic_term_error(v)
+                active.add(v.id)
+                via = v.id
+            todo.append((x, True, via))
+            todo.append((x.args[1], False, None))
+            todo.append((x.args[0], False, None))
         else:
             raise TypeMismatchError(f"not an integer expression: {print_term(x)}")
     return values[0]
@@ -524,14 +545,6 @@ class Machine:
         self.runtime = runtime
         self.budget = budget if budget is not None else Budget()
         self.counters = counters
-        self._resume_by_backtracking = False
-
-    def reset(self):
-        """Forget all bindings, goals and choice points, for reuse."""
-        self.store.bindings.clear()
-        self.store.trail.clear()
-        self.goals = None
-        self.cps.clear()
         self._resume_by_backtracking = False
 
     def push_goals(self, goals):

@@ -3,11 +3,20 @@
 Executes programs produced by the translator.  slg/1 runs a tabled call to
 completion and enumerates its answers; slgcall/1 suspends a consumer by
 copying its continuation into table-owned storage, once per variant and
-generator; answer/2 records answers and schedules resumptions, each of which
-runs the body of the continuation predicate's one clause; completion is
+generator; answer/2 records answers and schedules resumptions; completion is
 detected with a generator stack and dependency links, and uses local
 scheduling: no answer escapes a generator before its whole dependency group
 is complete.
+
+Resumption is a failure-driven loop over the table (as in Ramesh and Chen's
+runtime): a generator called by slg/1 owns its group's FIFO worklist of
+(continuation, answer) pairs, and a ResumeCP at the bottom of the generator's
+own machine resumes the next pair each time the machine backtracks into it.
+A resumption matches the stored continuation against its predicate's one
+clause and runs the clause's leading built-ins in place.  A final answer/2
+goes straight to on_answer; a final call(Cont) goes on, in place, into the
+one clause of the continuation Cont holds; any other rest of a body is
+handed to the machine.
 
 Suspended continuations are frozen at capture time: copied with their
 bindings applied, except for ground subterms, which no binding reaches and
@@ -24,10 +33,12 @@ from collections import deque
 from dataclasses import dataclass, field, replace
 
 from .engine import (
+    BUILTINS,
     DEFAULT_BUDGET,
     EXHAUSTED,
     REQUEST,
     SOLUTION,
+    TABLING_PRIMS,
     Budget,
     Machine,
     StoredIterCP,
@@ -38,7 +49,7 @@ from .engine import (
 )
 from .errors import InstantiationError, TablingError, TypeMismatchError
 from .syntax import print_term
-from .terms import Atom, Int, Program, Struct, Term, Var, canonical_variant, pred_of, term_size
+from .terms import Atom, Int, Program, Struct, Term, Var, canonical_variant, pred_of, walk_subterms
 from .translate import Mode
 
 EVALUATING = "evaluating"
@@ -75,7 +86,7 @@ class StoredCont:
     term: Term  # NameCont(Id, Bindings, Pending, [Prev]) with vars 0..nvars-1
     nvars: int
     gen_id: int  # generator this continuation delivers answers to
-    plan: list = None  # head_plan against its clause's head, from the first resumption
+    steps: list = None  # per call(Cont) depth, Engine._step's (clause, plan, target); built as met
 
 
 @dataclass
@@ -198,13 +209,71 @@ class _Request:
 
 
 class _GenFrame:
-    __slots__ = ("machine", "entry", "arena", "draining")
+    __slots__ = ("machine", "entry", "arena")
 
     def __init__(self, machine, entry, arena):
         self.machine = machine
         self.entry = entry
         self.arena = arena  # resumption worklist; None for an slgcall-created generator
-        self.draining = False
+
+
+class ResumeCP:
+    """The bottom choice point of a generator machine that owns an arena.
+
+    Each retry starts from the store as it was when the choice point was
+    pushed (trail and variables both, so the store stays bounded), takes the
+    arena's next (continuation, answer) pair and resumes it; a resumption
+    that ends in place takes the next pair at once.  An empty arena fails
+    it, so the machine is exhausted when its whole group's work is done.
+    """
+
+    __slots__ = ("arena", "mark", "nvars")
+
+    def __init__(self, arena, store):
+        self.arena = arena
+        self.mark = store.mark()
+        self.nvars = len(store.bindings)
+
+    def try_next(self, m: Machine) -> bool:
+        store = m.store
+        arena = self.arena
+        resume = m.runtime._resume
+        counters = m.runtime.space.counters
+        while arena:
+            store.undo_to(self.mark)
+            del store.bindings[self.nvars :]
+            stored, ans = arena.popleft()
+            counters.resumptions += 1
+            if resume(m, stored, ans):
+                return True
+        return False
+
+
+class _ContClause:
+    """The one clause of a continuation predicate, split for running in place:
+    its leading built-in goals (guards), then the rest of its body.  answer is
+    that rest when it is one answer/2 goal; cont is the id of V when it is one
+    call(V) goal whose V occurs once in the head and in no guard."""
+
+    __slots__ = ("head", "nvars", "names", "guards", "rest", "answer", "cont")
+
+    def __init__(self, clause):
+        self.head, body, self.nvars, self.names = clause
+        keys = [(g.functor, len(g.args)) if type(g) is Struct else
+                (g.name, 0) if type(g) is Atom else None for g in body]
+        k = 0
+        while k < len(body) and keys[k] in BUILTINS:
+            k += 1
+        self.guards = [(BUILTINS[key], g) for key, g in zip(keys[:k], body)]
+        self.rest = body[k:]
+        self.answer = self.cont = None
+        if keys[k:] == [("answer", 2)]:
+            self.answer = body[k]
+        elif keys[k:] == [("call", 1)] and type(body[k].args[0]) is Var:
+            v = body[k].args[0]
+            seen = [t for g in (self.head, *body[:k]) for t in walk_subterms(g)]
+            if sum(type(t) is Var and t.id == v.id for t in seen) == 1:
+                self.cont = v.id
 
 
 @dataclass
@@ -227,6 +296,7 @@ class Engine:
         self.mode = mode
         self.space = TableSpace()
         self.depth_budget = depth_budget
+        self._conts: dict = {}  # (name, arity) -> its _ContClause, or None; built as resumed
 
     @property
     def counters(self) -> Counters:
@@ -252,30 +322,25 @@ class Engine:
             raise
 
     def _drive(self, machine, named, live_goals, budget):
-        # A frame is a _GenFrame, or else the Machine of the query itself
-        # (frame is machine) or of a resumption.
+        # A frame is a _GenFrame, or else the Machine of the query itself.  A
+        # generator that owns an arena drains it on its own machine, through
+        # the ResumeCP below its clauses.
         frames: list = [machine]
         space = self.space
-        idle: list = []  # reset resumption machines, reused for the next pair
         while frames:
             frame = frames[-1]
-            gen = type(frame) is _GenFrame
-            if gen and frame.draining:
-                if frame.arena:
-                    stored, ans = frame.arena.popleft()
-                    space.counters.resumptions += 1
-                    rm = self._resume_machine(stored, ans, budget, idle)
-                    if rm is not None:
-                        frames.append(rm)
-                    continue
-                self._finish_group(frame)
-                space.arenas.pop()
+            gen = frame is not machine
+            event, req = (frame.machine if gen else machine).run()
+            if event == EXHAUSTED:
+                if not gen:
+                    return
                 frames.pop()
+                if frame.arena is not None:  # slgcall-created: completed with its group
+                    self._finish_group(frame)
+                    space.arenas.pop()
                 continue
-
-            event, req = (frame.machine if gen else frame).run()
             if event == SOLUTION:
-                if frame is not machine:
+                if gen:
                     raise TablingError("internal: translated clause body succeeded")
                 store = machine.store
                 yield Solution(
@@ -283,30 +348,16 @@ class Engine:
                     goals=[store.resolve(g) for g in live_goals],
                 )
                 continue
-            if event == EXHAUSTED:
-                if frame is machine:
-                    return
-                if not gen:
-                    frames.pop()
-                    frame.reset()
-                    idle.append(frame)
-                    continue
-                if frame.arena is not None:
-                    frame.draining = True
-                    continue
-                frames.pop()  # slgcall-created: completion deferred to the group
-                continue
             # REQUEST: evaluate a new generator, then let the machine retry
             creator = None
             if req.creator_id is not None:
                 creator = space.entries[req.creator_id]
             entry = space.new_generator(req.call, req.call_nvars, creator)
-            gm = self._generator_machine(entry, budget)
             arena = None
             if creator is None:
                 arena = deque()
                 space.arenas.append(arena)
-            frames.append(_GenFrame(gm, entry, arena))
+            frames.append(_GenFrame(self._generator_machine(entry, budget, arena), entry, arena))
 
     def slg(self, call: Term, depth_budget: int = None):
         """Run a tabled call to completion and enumerate its answers."""
@@ -388,17 +439,16 @@ class Engine:
         low = min(owner.deplink, entry.deplink)
         owner.deplink = low
         entry.deplink = low
-        term, nvars = machine.store.freeze(cont)
+        sizes: list = []  # cells of Id, Bindings, Pending and [Prev]
+        term, nvars = machine.store.freeze(cont, sizes)
         if term in entry.cont_keys:
             return None  # a variant is stored already and gets every answer
         entry.cont_keys.add(term)
         stored = StoredCont(term, nvars, gen_id)
         counters = self.space.counters
         counters.suspensions += 1
-        counters.e_cells += term_size(term.args[1])
-        counters.h_cells += term_size(term.args[2])
-        if len(term.args) == 4:
-            counters.h_cells += term_size(term.args[3])
+        counters.e_cells += sizes[1]
+        counters.h_cells += sum(sizes[2:])
         counters.trail_at_suspend += len(machine.store.trail)
         entry.continuations.append(stored)
         entry.suspension_total += 1
@@ -450,23 +500,60 @@ class Engine:
             raise TablingError("suspension outside any tabled evaluation")
         return self.space.arenas[-1]
 
-    def _generator_machine(self, entry, budget):
+    def _generator_machine(self, entry, budget, arena):
         m = Machine(self.index, runtime=self, budget=budget, counters=self.counters)
         call_live = instantiate(entry.call, [None] * entry.call_nvars, m.store)
         m.goals = (Struct(f"slg_{pred_of(entry.call).name}", (call_live, Int(entry.id))), None)
+        if arena is not None:
+            m.cps.append(ResumeCP(arena, m.store))
         return m
 
-    def _resume_machine(self, stored, ans, budget, idle):
-        """A machine set to run the body of the stored continuation's one
-        clause with ans for its pending call, or None when they do not unify.
-        Neither stored term is copied beyond what the body needs."""
+    def _cont_clause(self, key):
+        """The _ContClause of a predicate with exactly one clause, else None."""
+        if key not in self._conts:
+            clauses = self.index.get(key, ((),))[0]
+            self._conts[key] = _ContClause(clauses[0]) if len(clauses) == 1 else None
+        return self._conts[key]
+
+    def _step(self, term, clause):
+        """(clause, plan, target): term's head_plan against the clause's head,
+        and the subterm of term that the clause's call(Cont) runs in place,
+        whose pair is left out of the plan.  target is None unless it names a
+        one-clause predicate that the machine would resolve."""
+        plan = head_plan(term, clause.head)
+        if plan is None or clause.cont is None:
+            return clause, plan, None
+        for k, (s, h) in enumerate(plan):
+            if type(h) is Var and h.id == clause.cont:
+                key = (s.functor, len(s.args)) if type(s) is Struct else None
+                if (key and key not in BUILTINS and key not in TABLING_PRIMS
+                        and key != ("call", 1) and self._cont_clause(key)):
+                    return clause, plan[:k] + plan[k + 1 :], s
+                break
+        return clause, plan, None
+
+    def _resume(self, m, stored, ans) -> bool:
+        """Resume a stored continuation with an answer on machine m.
+
+        The answer is unified with the pending call, and the stored term is
+        matched against its predicate's one clause through one varmap, so
+        neither stored term is copied beyond what the goals need.  The
+        clause's guards run in place; an answer/2 tail goes to on_answer, and
+        a call(Cont) tail matches Cont's subterm against the clause it names
+        and goes on there.  Each goal spends the step and counts the
+        slg_resolutions the machine would.  True when m.goals holds the rest of
+        a body for m to run; False when the resumption failed or ended here.
+        """
         term = stored.term
-        clauses = self.index.get((term.functor, len(term.args)), ((),))[0]
-        if len(clauses) != 1:
-            raise TablingError(f"continuation predicate {pred_of(term)} has {len(clauses)} "
-                               "clauses; a resumption needs exactly one")
-        m = idle.pop() if idle else Machine(self.index, runtime=self, budget=budget,
-                                            counters=self.counters)
+        steps = stored.steps
+        if steps is None:
+            key = (term.functor, len(term.args))
+            clause = self._cont_clause(key)
+            if clause is None:
+                n = len(self.index.get(key, ((),))[0])
+                raise TablingError(f"continuation predicate {pred_of(term)} has {n} clauses; "
+                                   "a resumption needs exactly one")
+            steps = stored.steps = [self._step(term, clause)]
         store = m.store
         varmap = [None] * stored.nvars
         pending = term.args[2]
@@ -478,25 +565,41 @@ class Engine:
                               [None] * ans_nvars, None, store)
         else:
             ok = unify_stored(ans_term, pending, varmap, None, store)
-        if ok:
-            # resuming resolves one clause: one step, as any resolved goal spends
-            budget.spend()
-            if term.functor.startswith("slg_"):
-                self.counters.slg_resolutions += 1
-            head, body, nvars, names = clauses[0]
-            hmap = [None] * nvars
-            if stored.plan is None:
-                stored.plan = head_plan(term, head)  # None again when they cannot match
-            ok = stored.plan is not None and match_plan(stored.plan, varmap, hmap, names, store)
         if not ok:
-            m.reset()
-            idle.append(m)
-            return None
-        goals = None
-        for g in reversed(body):
-            goals = (instantiate(g, hmap, store, names) if nvars else g, goals)
-        m.goals = goals
-        return m
+            return False
+        spend = m.budget.spend
+        spend()  # resuming resolves one clause: one step, as any resolved goal spends
+        depth = 0
+        while True:
+            if term.functor.startswith("slg_"):
+                self.space.counters.slg_resolutions += 1
+            clause, plan, target = steps[depth]
+            names = clause.names
+            hmap = [None] * clause.nvars
+            if plan is None or not match_plan(plan, varmap, hmap, names, store):
+                return False
+            for fn, g in clause.guards:
+                spend()
+                if not fn(instantiate(g, hmap, store, names).args if type(g) is Struct else (),
+                          store):
+                    return False
+            if target is not None:
+                spend()  # call/1
+                spend()  # and the clause it resolves
+                term = target
+                depth += 1
+                if depth == len(steps):
+                    steps.append(self._step(term, self._conts[(term.functor, len(term.args))]))
+                continue
+            if clause.answer is not None:
+                spend()
+                self.on_answer(m, instantiate(clause.answer, hmap, store, names), None)
+                return False
+            goals = None
+            for g in reversed(clause.rest):
+                goals = (instantiate(g, hmap, store, names) if clause.nvars else g, goals)
+            m.goals = goals
+            return True
 
     def _finish_group(self, frame):
         space = self.space

@@ -167,13 +167,15 @@ CYCLIC = {
     "query": ("p.\n", "X = f(X)"),
     "clause": ("p(X) :- X = f(X).\n", "p(_)"),
     "tabled": (":- table t/1.\nt(X) :- X = f(X).\n", "t(X)"),
+    "arithmetic": ("p.\n", "X = X + 1, Y is X"),
+    "comparison": (":- table t/1.\nt(Y) :- X = 1 + (X * 2), Y > X.\n", "t(3)"),
 }
 
 
 @pytest.mark.parametrize("mode", ["general", "legacy"])
 @pytest.mark.parametrize("case", sorted(CYCLIC))
 def test_cyclic_term_is_an_error(tmp_path, case, mode):
-    # in a limited child process: copying a cyclic term never ends
+    # in a limited child process: copying or evaluating a cyclic term never ends
     source, query = CYCLIC[case]
     f = tmp_path / "cyclic.pl"
     f.write_text(source)

@@ -1,15 +1,18 @@
 import hashlib
+import re
 
 import pytest
 
 from cctab import (
     Engine,
+    InstantiationError,
     Int,
     Mode,
     PredId,
     ResourceLimitError,
     Struct,
     TablingError,
+    TypeMismatchError,
     Var,
     bottom_up_eval,
     compare_answer_sets,
@@ -509,20 +512,45 @@ def test_duplicate_continuations_are_stored_once(mode, suspensions, resumptions)
     assert compare_answer_sets(eng.space, facts, PredId("t1", 2), parse_term("t1(X, Y)"))[0]
 
 
-# The smallest step budgets that answer path(X, Y): one step per resolved goal,
+# t reaches itself through two bridges, h and g, each ending in guards and
+# call(Cont), so a resumption of g's continuation with an answer of t runs
+# g's guards, h's guards and t's continuation clause in turn; the guards
+# reject some answers (Y > 2 and Y < 5).  The source terminates under plain
+# SLD resolution too.
+GUARDED_BRIDGES = """:- table t/2.
+e(1, 2).
+e(2, 3).
+e(3, 4).
+e(4, 5).
+e(2, 5).
+e(1, 4).
+t(X, Y) :- e(X, Y).
+t(X, Y) :- e(X, Z), h(Z, Y).
+h(X, Y) :- g(X, Y), Y < 5.
+g(X, Y) :- t(X, W), Y is W + 0, Y > 2.
+"""
+
+
+# The smallest step budgets that answer each query: one step per resolved goal,
 # a resumed continuation clause included, so a resumption may neither drop nor
-# add one.
+# add one, and neither may a goal run in place.
 @pytest.mark.parametrize("mode", list(Mode), ids=lambda m: m.value)
-@pytest.mark.parametrize("kind, size, budget, n_answers",
-                         [("chain", 48, 4806, 1176), ("cycle", 20, 1938, 441)],
-                         ids=["chain48", "cycle20"])
-def test_minimal_step_budget(mode, kind, size, budget, n_answers):
-    query = parse_query("path(X, Y)")
-    eng = make_engine(gen_fixture(kind, size), mode)
-    assert len(list(eng.solve(query, depth_budget=budget))) == n_answers
-    eng = make_engine(gen_fixture(kind, size), mode)
+@pytest.mark.parametrize("make_src, query, budgets", [
+    (lambda: gen_fixture("chain", 48), "path(X, Y)",
+     {Mode.GENERAL: (4806, 1176), Mode.LEGACY: (4806, 1176)}),
+    (lambda: gen_fixture("cycle", 20), "path(X, Y)",
+     {Mode.GENERAL: (1938, 441), Mode.LEGACY: (1938, 441)}),
+    (lambda: read_fixture("mixed_loop.pl"), "t(A)", {Mode.GENERAL: (15, 2), Mode.LEGACY: (8, 1)}),
+    (lambda: GUARDED_BRIDGES, "t(X, Y)", {Mode.GENERAL: (122, 8), Mode.LEGACY: (100, 8)}),
+], ids=["chain48", "cycle20", "mixed_loop", "guarded_bridges"])
+def test_minimal_step_budget(mode, make_src, query, budgets):
+    budget, n_answers = budgets[mode]
+    goals = parse_query(query)
+    eng = make_engine(make_src(), mode)
+    assert len(list(eng.solve(goals, depth_budget=budget))) == n_answers
+    eng = make_engine(make_src(), mode)
     with pytest.raises(ResourceLimitError):
-        list(eng.solve(query, depth_budget=budget - 1))
+        list(eng.solve(goals, depth_budget=budget - 1))
 
 
 # Shapes of resumption, each in both modes:
@@ -668,3 +696,121 @@ def test_resumed_continuation_needs_exactly_one_clause(mode, clauses):
     with pytest.raises(TablingError, match=rf"^continuation predicate k/{arity} has {clauses} "):
         answers(eng, "p(X)")
     assert eng.space.stack == [] and eng.space.arenas == []
+
+
+def _resumption_depths(monkeypatch) -> list:
+    """For each resumption from now on, how many clauses it ran in place or
+    matched: its stored continuation's clause and one per call(Cont) descent."""
+    depths = []
+    resume = Engine._resume
+
+    def recorded(self, m, stored, ans):
+        try:
+            return resume(self, m, stored, ans)
+        finally:
+            depths.append(len(stored.steps))
+
+    monkeypatch.setattr(Engine, "_resume", recorded)
+    return depths
+
+
+@pytest.mark.parametrize("mode", list(Mode), ids=lambda m: m.value)
+def test_two_bridge_levels_resume_in_place(mode, monkeypatch):
+    depths = _resumption_depths(monkeypatch)
+    eng = make_engine(GUARDED_BRIDGES, mode)
+    got = answers(eng, "t(X, Y)")
+    assert got == ["t(1, 2)", "t(2, 3)", "t(3, 4)", "t(4, 5)", "t(2, 5)", "t(1, 4)",
+                   "t(1, 3)", "t(2, 4)"]
+    program = parse_program(GUARDED_BRIDGES)
+    (goal,) = parse_query("t(X, Y)")
+    assert compare_answer_sets(eng.space, bottom_up_eval(program), pred_of(goal), goal)[0]
+    sld = {print_term(Struct("t", (s["X"], s["Y"]))) for s in sld_solve(goal, program)}
+    assert sorted(got) == sorted(sld)
+    # general mode resumes g's continuation into h's and on into t's; legacy
+    # mode runs the helpers as plain predicates and resumes nothing
+    assert max(depths, default=0) == (3 if mode is Mode.GENERAL else 0)
+
+
+# V is never bound, so k's guard raises: when its continuation is resumed in
+# general mode, where k/2 is a bridge, and in plain resolution in legacy mode.
+RAISING_GUARD = """:- table t/2.
+:- table u/2.
+e(1, 2).
+e(2, 3).
+t(X, Y) :- e(X, Y).
+t(X, Y) :- e(X, Z), t(Z, Y).
+u(X, Y) :- k(X, Y).
+k(X, Y) :- t(X, Y), W is V + Y, W > 0.
+"""
+
+
+@pytest.mark.parametrize("mode", list(Mode), ids=lambda m: m.value)
+def test_guard_that_raises_purges_the_tables(mode):
+    eng = make_engine(RAISING_GUARD, mode)
+    for _ in range(2):
+        with pytest.raises(InstantiationError, match="^unbound variable in arithmetic"):
+            answers(eng, "u(X, Y)")
+        assert eng.space.stack == [] and eng.space.arenas == []
+    assert answers(eng, "t(X, Y)") == ["t(1, 2)", "t(2, 3)", "t(1, 3)"]
+
+
+# Hand-written continuations k/3 or k/4 (generator 0 is p(_)) carrying the
+# goal their clause calls last: a tabling primitive, a one-clause predicate
+# (also through call/1), a two-clause one, built-ins that fail or succeed,
+# an unbound variable and an integer.  Each answers, or fails with the error,
+# as the machine would.  The program also has one clause each for answer/2,
+# call/1 and >/2, which the machine never resolves, and neither may a
+# resumption that runs in place.
+HAND_WRITTEN_CALLS = """:- table p/1.
+:- table q/1.
+answer(Id, A) :- fail.
+call(G) :- fail.
+X > Y :- fail.
+q(1).
+q(2).
+k(Id, [Cont], q(X){prev}) :- X > 0, call(Cont).
+one(X) :- answer(0, p(h(X))).
+two(X) :- answer(0, p(f(X))).
+two(X) :- answer(0, p(g(X))).
+p(X) :- slgcall(k(0, [{cont}], q(X){prev})).
+"""
+
+
+@pytest.mark.parametrize("mode", list(Mode), ids=lambda m: m.value)
+@pytest.mark.parametrize("cont, expected, resumptions", [
+    ("answer(0, p(X))", ["p(1)", "p(2)"], 2),
+    ("one(X)", ["p(h(1))", "p(h(2))"], 2),
+    ("call(one(X))", ["p(h(1))", "p(h(2))"], 2),
+    ("two(X)", ["p(f(1))", "p(g(1))", "p(f(2))", "p(g(2))"], 2),
+    ("X > 5", [], 2),
+    ("X > 1", (TablingError, "internal: translated clause body succeeded"), 2),
+    ("C", (InstantiationError, "call/1: unbound goal"), 1),
+    ("7", (TypeMismatchError, "call/1: integer is not callable"), 1),
+], ids=["primitive", "one_clause", "call", "two_clauses", "failing_builtin",
+        "succeeding_builtin", "unbound", "integer"])
+def test_hand_written_call_continuations(mode, cont, expected, resumptions):
+    src = hand_written(HAND_WRITTEN_CALLS, mode).replace("{cont}", cont)
+    eng = make_engine(src, mode)
+    if isinstance(expected, list):
+        assert answers(eng, "p(X)") == expected
+    else:
+        error, text = expected
+        with pytest.raises(error, match=f"^{re.escape(text)}$"):
+            answers(eng, "p(X)")
+        assert eng.space.stack == [] and eng.space.arenas == []
+    assert (eng.counters.resumptions, eng.counters.slg_resolutions) == (resumptions, 2)
+
+
+@pytest.mark.parametrize("mode", list(Mode), ids=lambda m: m.value)
+@pytest.mark.parametrize("old, new, cont, expected", [
+    ("[Cont]", "[Cont, Cont]", "one(X), one(X)", ["p(h(1))", "p(h(2))"]),
+    ("[Cont]", "[Cont, Cont]", "one(X), one(f(X))", []),
+    ("X > 0,", "Cont = one(X),", "one(X)", ["p(h(1))", "p(h(2))"]),
+    ("X > 0,", "Cont = one(X),", "one(f(X))", []),
+], ids=["repeated_equal", "repeated_different", "guard_equal", "guard_different"])
+def test_continuation_variable_used_before_the_call(mode, old, new, cont, expected):
+    # Cont occurs again in k's head or in a guard, so the goal it holds must
+    # meet that occurrence before it is called
+    src = hand_written(HAND_WRITTEN_CALLS, mode).replace(old, new).replace("{cont}", cont)
+    eng = make_engine(src, mode)
+    assert answers(eng, "p(X)") == expected
