@@ -2,9 +2,9 @@
 
 An explicit goal-stack machine: Prolog recursion never consumes host stack,
 so chain-shaped fixtures thousands of clauses deep are safe.  Backtracking is
-trail-based.  The machine reports three events to its caller: a solution, the
-exhaustion of its search space, or a request for a tabled-call evaluation
-that the tabling driver must satisfy before resuming it.
+trail-based.  The machine reports two events to its caller: a solution, or
+the exhaustion of its search space.  A tabling runtime evaluates each new
+generator on the calling machine, as a choice point below its clauses.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from .errors import (
     ExistenceError,
     InstantiationError,
     ResourceLimitError,
+    TablingError,
     TypeMismatchError,
 )
 from .syntax import print_term
@@ -22,7 +23,6 @@ DEFAULT_BUDGET = 10_000_000
 
 SOLUTION = "solution"
 EXHAUSTED = "exhausted"
-REQUEST = "request"
 
 
 class Budget:
@@ -167,10 +167,13 @@ class BindingStore:
 
 
 def unify(a: Term, b: Term, store: BindingStore) -> bool:
-    """Unify a and b; on failure the store is restored untouched."""
+    """Unify a and b; on failure the store is restored untouched.  A pair of
+    compounds met again is skipped: with no occurs check, two cyclic terms lead
+    back to a pair under way, which holds if the rest of the walk does."""
     mark = store.mark()
     walk = store.walk
     stack = [(a, b)]
+    met = set()  # (id(x), id(y)) of the compound pairs descended into
     while stack:
         x, y = stack.pop()
         x = walk(x)
@@ -202,7 +205,10 @@ def unify(a: Term, b: Term, store: BindingStore) -> bool:
             if x.functor != y.functor or len(x.args) != len(y.args):
                 store.undo_to(mark)
                 return False
-            stack.extend(zip(x.args, y.args))
+            pair = (id(x), id(y))
+            if pair not in met:
+                met.add(pair)
+                stack.extend(zip(x.args, y.args))
     return True
 
 
@@ -545,6 +551,7 @@ class Machine:
         self.runtime = runtime
         self.budget = budget if budget is not None else Budget()
         self.counters = counters
+        self.gen_mark = None  # trail mark where the innermost open generator began, or None
         self._resume_by_backtracking = False
 
     def push_goals(self, goals):
@@ -583,15 +590,18 @@ class Machine:
         return False
 
     def run(self):
-        """Run until a solution, exhaustion, or a tabling request."""
+        """Run until a solution or exhaustion; returns SOLUTION or EXHAUSTED."""
         if self._resume_by_backtracking:
             self._resume_by_backtracking = False
             if not self.backtrack():
-                return (EXHAUSTED, None)
+                return EXHAUSTED
         while True:
             if self.goals is None:
+                if self.gen_mark is not None:
+                    # a generator's goals end with its clause body, which must fail
+                    raise TablingError("internal: translated clause body succeeded")
                 self._resume_by_backtracking = True
-                return (SOLUTION, None)
+                return SOLUTION
             goal, rest = self.goals
             self.budget.spend()
             goal = self.store.walk(goal)
@@ -613,7 +623,7 @@ class Machine:
                     self.goals = rest
                     continue
                 if not self.backtrack():
-                    return (EXHAUSTED, None)
+                    return EXHAUSTED
                 continue
 
             if key == ("call", 1):
@@ -630,18 +640,15 @@ class Machine:
                     raise ExistenceError(
                         f"tabling primitive {key[0]}/{key[1]} outside a tabling engine"
                     )
-                # a hook returns a new generator's _Request, or None to backtrack
+                # a hook returns True once it has set the goals to run, False to backtrack
                 if key == ("slg", 1):
-                    req = self.runtime.on_slg(self, goal, rest)
+                    go_on = self.runtime.on_slg(self, goal, rest)
                 elif key == ("slgcall", 1):
-                    req = self.runtime.on_slgcall(self, goal, rest)
+                    go_on = self.runtime.on_slgcall(self, goal, rest)
                 else:
-                    req = self.runtime.on_answer(self, goal, rest)
-                if req is not None:
-                    self.goals = (goal, rest)  # retry the same goal once satisfied
-                    return (REQUEST, req)
-                if not self.backtrack():
-                    return (EXHAUSTED, None)
+                    go_on = self.runtime.on_answer(self, goal, rest)
+                if not go_on and not self.backtrack():
+                    return EXHAUSTED
                 continue
 
             pred = self.index.get(key)
@@ -656,7 +663,7 @@ class Machine:
                 self.counters.slg_resolutions += 1
             self.cps.append(ClauseCP(goal, clauses, self.store.mark(), rest))
             if not self.backtrack():
-                return (EXHAUSTED, None)
+                return EXHAUSTED
 
 
 def solve(goals, program: Program, depth_budget: int = DEFAULT_BUDGET):
@@ -669,6 +676,5 @@ def solve(goals, program: Program, depth_budget: int = DEFAULT_BUDGET):
         goals = [goals]
     machine = Machine(compile_index(program), budget=Budget(depth_budget))
     named, _ = machine.start(goals)
-    # with no runtime a tabling primitive raises, so run never returns REQUEST
-    while machine.run()[0] == SOLUTION:
+    while machine.run() == SOLUTION:
         yield {name: machine.store.resolve(v) for name, v in named.items()}

@@ -8,10 +8,13 @@ detected with a generator stack and dependency links, and uses local
 scheduling: no answer escapes a generator before its whole dependency group
 is complete.
 
-Resumption is a failure-driven loop over the table (as in Ramesh and Chen's
-runtime): a generator called by slg/1 owns its group's FIFO worklist of
-(continuation, answer) pairs, and a ResumeCP at the bottom of the generator's
-own machine resumes the next pair each time the machine backtracks into it.
+One machine runs each query.  A new generator is evaluated on the machine of
+its caller, as in Ramesh and Chen's runtime: a GeneratorCP below its clauses
+holds the caller's goals, which run again, against the table, once the
+generator is done.  Resumption is a failure-driven loop over the table: a
+generator called by slg/1 owns its group's FIFO worklist of (continuation,
+answer) pairs, and its GeneratorCP resumes the next pair each time the
+machine backtracks into it.
 A resumption matches the stored continuation against its predicate's one
 clause and runs the clause's leading built-ins in place.  A final answer/2
 goes straight to on_answer; a final call(Cont) goes on, in place, into the
@@ -35,8 +38,6 @@ from dataclasses import dataclass, field, replace
 from .engine import (
     BUILTINS,
     DEFAULT_BUDGET,
-    EXHAUSTED,
-    REQUEST,
     SOLUTION,
     TABLING_PRIMS,
     Budget,
@@ -201,52 +202,52 @@ def complete(space: TableSpace, leader: GeneratorEntry):
     del space.stack[pos:]
 
 
-@dataclass
-class _Request:
-    call: Term  # frozen, vars 0..call_nvars-1
-    call_nvars: int
-    creator_id: int = None  # generator whose slgcall/1 asked; None for slg/1
+class GeneratorCP:
+    """The choice point below a generator's clauses on its caller's machine.
 
-
-class _GenFrame:
-    __slots__ = ("machine", "entry", "arena")
-
-    def __init__(self, machine, entry, arena):
-        self.machine = machine
-        self.entry = entry
-        self.arena = arena  # resumption worklist; None for an slgcall-created generator
-
-
-class ResumeCP:
-    """The bottom choice point of a generator machine that owns an arena.
-
+    It holds the generator's entry, its arena (None for a generator created
+    by slgcall/1, which is completed with its group) and the caller's goals.
     Each retry starts from the store as it was when the choice point was
     pushed (trail and variables both, so the store stays bounded), takes the
     arena's next (continuation, answer) pair and resumes it; a resumption
-    that ends in place takes the next pair at once.  An empty arena fails
-    it, so the machine is exhausted when its whole group's work is done.
+    that ends in place takes the next pair at once.  Once the arena is empty
+    the group is finished, and the caller's goals run again, so the call is
+    answered from the table; the retry after that fails.
     """
 
-    __slots__ = ("arena", "mark", "nvars")
+    __slots__ = ("entry", "arena", "goals", "mark", "nvars", "outer")
 
-    def __init__(self, arena, store):
+    def __init__(self, entry, arena, goals, m: Machine):
+        self.entry = entry  # None once the caller's goals are restored
         self.arena = arena
-        self.mark = store.mark()
-        self.nvars = len(store.bindings)
+        self.goals = goals
+        self.mark = m.store.mark()
+        self.nvars = len(m.store.bindings)
+        self.outer = m.gen_mark  # the enclosing generator's mark, or None
 
     def try_next(self, m: Machine) -> bool:
+        if self.entry is None:
+            return False
         store = m.store
         arena = self.arena
-        resume = m.runtime._resume
-        counters = m.runtime.space.counters
-        while arena:
+        runtime = m.runtime
+        counters = runtime.space.counters
+        while True:
             store.undo_to(self.mark)
             del store.bindings[self.nvars :]
+            if not arena:
+                break
             stored, ans = arena.popleft()
             counters.resumptions += 1
-            if resume(m, stored, ans):
+            if runtime._resume(m, stored, ans):
                 return True
-        return False
+        if arena is not None:
+            runtime._finish_group(self.entry)
+            runtime.space.arenas.pop()
+        m.gen_mark = self.outer
+        m.goals = self.goals
+        self.entry = None
+        return True
 
 
 class _ContClause:
@@ -305,14 +306,20 @@ class Engine:
     # -- public query API ---------------------------------------------------
 
     def solve(self, goals, depth_budget: int = None):
-        """Enumerate solutions of a goal or goal list; local scheduling."""
+        """Enumerate solutions of a goal or goal list; local scheduling.  One
+        machine runs the query and every generator it opens."""
         if not isinstance(goals, (list, tuple)):
             goals = [goals]
         budget = Budget(depth_budget if depth_budget is not None else self.depth_budget)
         machine = Machine(self.index, runtime=self, budget=budget, counters=self.counters)
         named, live_goals = machine.start(goals)
+        store = machine.store
         try:
-            yield from self._drive(machine, named, live_goals, budget)
+            while machine.run() == SOLUTION:
+                yield Solution(
+                    bindings={name: store.resolve(v) for name, v in named.items()},
+                    goals=[store.resolve(g) for g in live_goals],
+                )
         except GeneratorExit:
             # Closed at a yield, where no evaluation is in progress; a purge
             # here could run at garbage collection, inside another query.
@@ -320,44 +327,6 @@ class Engine:
         except BaseException:
             self._purge_incomplete()
             raise
-
-    def _drive(self, machine, named, live_goals, budget):
-        # A frame is a _GenFrame, or else the Machine of the query itself.  A
-        # generator that owns an arena drains it on its own machine, through
-        # the ResumeCP below its clauses.
-        frames: list = [machine]
-        space = self.space
-        while frames:
-            frame = frames[-1]
-            gen = frame is not machine
-            event, req = (frame.machine if gen else machine).run()
-            if event == EXHAUSTED:
-                if not gen:
-                    return
-                frames.pop()
-                if frame.arena is not None:  # slgcall-created: completed with its group
-                    self._finish_group(frame)
-                    space.arenas.pop()
-                continue
-            if event == SOLUTION:
-                if gen:
-                    raise TablingError("internal: translated clause body succeeded")
-                store = machine.store
-                yield Solution(
-                    bindings={name: store.resolve(v) for name, v in named.items()},
-                    goals=[store.resolve(g) for g in live_goals],
-                )
-                continue
-            # REQUEST: evaluate a new generator, then let the machine retry
-            creator = None
-            if req.creator_id is not None:
-                creator = space.entries[req.creator_id]
-            entry = space.new_generator(req.call, req.call_nvars, creator)
-            arena = None
-            if creator is None:
-                arena = deque()
-                space.arenas.append(arena)
-            frames.append(_GenFrame(self._generator_machine(entry, budget, arena), entry, arena))
 
     def slg(self, call: Term, depth_budget: int = None):
         """Run a tabled call to completion and enumerate its answers."""
@@ -372,21 +341,32 @@ class Engine:
 
     # -- tabling primitive hooks (called from Machine.run) --------------------
     #
-    # Each returns a _Request when a new generator must be evaluated before the
-    # goal is retried, and None otherwise: the goal failed, or the hook pushed
-    # a choice point for the machine to backtrack into.
+    # Each returns True when it has set the machine's goals: a new generator
+    # runs, and the goal is retried once it is done.  It returns False for the
+    # machine to backtrack: the goal failed, or the hook pushed a choice point.
 
-    def _variant(self, store, call, creator_id):
-        """(entry, None) for the table entry of call's variant, or (None,
-        request) when there is none yet and call is tabled."""
+    def _variant(self, machine, call, goal, rest, creator):
+        """The table entry of call's variant.  When there is none yet and call
+        is tabled, its generator is opened on machine, and None is returned."""
+        store = machine.store
         frozen, nvars = store.freeze(call)
-        entry = self.space.lookup(frozen)
+        space = self.space
+        entry = space.lookup(frozen)
         if entry is not None:
-            return entry, None
+            return entry
         pred = pred_of(frozen)
         if (f"slg_{pred.name}", 2) not in self.index:
             raise TablingError(f"not a tabled predicate: {pred}")
-        return None, _Request(frozen, nvars, creator_id)
+        entry = space.new_generator(frozen, nvars, creator)
+        arena = None
+        if creator is None:
+            arena = deque()
+            space.arenas.append(arena)
+        machine.cps.append(GeneratorCP(entry, arena, (goal, rest), machine))
+        machine.gen_mark = store.mark()
+        call_live = instantiate(frozen, [None] * nvars, store)
+        machine.goals = (Struct(f"slg_{pred.name}", (call_live, Int(entry.id))), None)
+        return None
 
     def on_slg(self, machine, goal, rest):
         store = machine.store
@@ -395,15 +375,15 @@ class Engine:
             raise InstantiationError("slg/1: unbound call")
         if type(call) is Int:
             raise TypeMismatchError("slg/1: integer is not a callable term")
-        entry, req = self._variant(store, call, None)
-        if req is not None:
-            return req
+        entry = self._variant(machine, call, goal, rest, None)
+        if entry is None:
+            return True
         if entry.status == COMPLETE or self.mode is Mode.LEGACY:
             # In legacy mode, the original scheme: read whatever answers exist
             # right now and fail past them; nothing is suspended, later answers
             # are lost.
             machine.cps.append(StoredIterCP(call, entry.answers, store.mark(), rest))
-            return None
+            return False
         raise TablingError(
             f"tabled call {pred_of(entry.call)} reached its own evaluation outside "
             f"slgcall; bridge declarations are incomplete for this program"
@@ -423,14 +403,15 @@ class Engine:
         pending = store.walk(cont.args[2])
         if type(pending) not in (Atom, Struct):
             raise TablingError("malformed continuation term: pending call is not callable")
-        entry, req = self._variant(store, pending, id_t.value)
-        if req is not None:
-            return req
+        entry = self._variant(machine, pending, goal, rest, self.space.entries[id_t.value])
+        if entry is None:
+            return True
         if entry.status == COMPLETE:
             # each answer unified into the pending call resumes the continuation
             machine.cps.append(StoredIterCP(pending, entry.answers, store.mark(), (cont, rest)))
-            return None
-        return self._suspend(machine, cont, id_t.value, entry)
+            return False
+        self._suspend(machine, cont, id_t.value, entry)
+        return False
 
     def _suspend(self, machine, cont, gen_id, entry):
         owner = self.space.entries[gen_id]
@@ -442,20 +423,20 @@ class Engine:
         sizes: list = []  # cells of Id, Bindings, Pending and [Prev]
         term, nvars = machine.store.freeze(cont, sizes)
         if term in entry.cont_keys:
-            return None  # a variant is stored already and gets every answer
+            return  # a variant is stored already and gets every answer
         entry.cont_keys.add(term)
+        arena = self._current_arena()  # raises outside any evaluation, before any count
         stored = StoredCont(term, nvars, gen_id)
         counters = self.space.counters
         counters.suspensions += 1
         counters.e_cells += sizes[1]
         counters.h_cells += sum(sizes[2:])
-        counters.trail_at_suspend += len(machine.store.trail)
+        # the trail made since the innermost open generator began
+        counters.trail_at_suspend += len(machine.store.trail) - machine.gen_mark
         entry.continuations.append(stored)
         entry.suspension_total += 1
-        arena = self._current_arena()
         for i in range(len(entry.answers)):
             arena.append((stored, entry.answers[i]))
-        return None
 
     def on_answer(self, machine, goal, rest):
         store = machine.store
@@ -467,7 +448,7 @@ class Engine:
             raise TablingError(f"answer/2: generator {entry.id} is already complete")
         stored_answer = store.freeze(goal.args[1])
         if stored_answer[0] in entry.index:
-            return None
+            return False
         entry.index.add(stored_answer[0])
         entry.answers.append(stored_answer)
         self.space.counters.answers += 1
@@ -475,7 +456,7 @@ class Engine:
             arena = self._current_arena()
             for stored in entry.continuations:
                 arena.append((stored, stored_answer))
-        return None
+        return False
 
     # -- internals -------------------------------------------------------------
 
@@ -499,14 +480,6 @@ class Engine:
         if not self.space.arenas:
             raise TablingError("suspension outside any tabled evaluation")
         return self.space.arenas[-1]
-
-    def _generator_machine(self, entry, budget, arena):
-        m = Machine(self.index, runtime=self, budget=budget, counters=self.counters)
-        call_live = instantiate(entry.call, [None] * entry.call_nvars, m.store)
-        m.goals = (Struct(f"slg_{pred_of(entry.call).name}", (call_live, Int(entry.id))), None)
-        if arena is not None:
-            m.cps.append(ResumeCP(arena, m.store))
-        return m
 
     def _cont_clause(self, key):
         """The _ContClause of a predicate with exactly one clause, else None."""
@@ -601,11 +574,10 @@ class Engine:
             m.goals = goals
             return True
 
-    def _finish_group(self, frame):
+    def _finish_group(self, entry):
         space = self.space
-        entry = frame.entry
         if entry.status != EVALUATING:
-            raise TablingError("internal: generator completed while its frame was live")
+            raise TablingError("internal: generator completed while its choice point was live")
         segment = space.stack[entry.pos :]
         low = min(space.entries[g].deplink for g in segment)
         if low == entry.pos:

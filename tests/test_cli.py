@@ -169,6 +169,7 @@ CYCLIC = {
     "tabled": (":- table t/1.\nt(X) :- X = f(X).\n", "t(X)"),
     "arithmetic": ("p.\n", "X = X + 1, Y is X"),
     "comparison": (":- table t/1.\nt(Y) :- X = 1 + (X * 2), Y > X.\n", "t(3)"),
+    "unify": ("p.\n", "X = f(X), Y = f(Y), X = Y"),
 }
 
 
@@ -182,6 +183,21 @@ def test_cyclic_term_is_an_error(tmp_path, case, mode):
     proc = run_limited("-m", "cctab.cli", str(f), "--query", query, "--mode", mode)
     assert (proc.returncode, proc.stdout, proc.stderr) == (
         2, "", "error: cyclic term: X is bound to a term that contains it\n")
+
+
+@pytest.mark.parametrize("mode", ["general", "legacy"])
+@pytest.mark.parametrize("query", [
+    "X = f(X), Y = f(Y), X \\= Y",
+    "X = f(X, a), Y = f(Y, b), X = Y",
+    "X = f(a, X), Y = f(b, Y), X = Y",
+], ids=["not_unify", "mismatch_last", "mismatch_first"])
+def test_unifying_cyclic_terms_ends(tmp_path, query, mode):
+    # in a limited child process: each query fails, so no cyclic term is
+    # returned; unify meets the cycle before the mismatch in mismatch_first
+    f = tmp_path / "cyclic.pl"
+    f.write_text("p.\n")
+    proc = run_limited("-m", "cctab.cli", str(f), "--query", query, "--mode", mode)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", "")
 
 
 def test_multi_goal_oracle_check_is_refused_before_running(capsys):

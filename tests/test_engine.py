@@ -206,7 +206,7 @@ def test_backtracking_restores_store():
     m.push_goals([Struct("edge", (Atom("a"), x))])
     seen = 0
     while True:
-        event, _ = m.run()
+        event = m.run()
         if event == "solution":
             seen += 1
         else:

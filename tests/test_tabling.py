@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import re
 
@@ -814,3 +815,71 @@ def test_continuation_variable_used_before_the_call(mode, old, new, cont, expect
     src = hand_written(HAND_WRITTEN_CALLS, mode).replace(old, new).replace("{cont}", cont)
     eng = make_engine(src, mode)
     assert answers(eng, "p(X)") == expected
+
+
+INTERLEAVED = {
+    Mode.GENERAL: (17, 18, 51, 68, 35, 14, 26, 32),
+    Mode.LEGACY: (17, 18, 51, 51, 35, 14, 26, 14),
+}
+
+
+@pytest.mark.parametrize("mode", list(Mode), ids=lambda m: m.value)
+def test_interleaved_queries_with_one_closed_early(mode):
+    # each query's machine holds the generators it opened, so a query paused
+    # at a solution must leave none open for the other to meet
+    eng = make_engine(gen_fixture("chain", 6), mode)
+    a = eng.solve(parse_query("path(1, X), path(X, Y)"))
+    b = eng.solve(parse_query("path(X, 4)"))
+    got = [print_term(next(a).goals[1]), print_term(next(b).goals[0]),
+           print_term(next(a).goals[1])]
+    b.close()
+    got += [print_term(s.goals[1]) for s in a]
+    assert got == [
+        "path(2, 3)", "path(3, 4)", "path(2, 4)", "path(2, 5)", "path(2, 6)", "path(2, 7)",
+        "path(3, 4)", "path(3, 5)", "path(3, 6)", "path(3, 7)", "path(4, 5)", "path(4, 6)",
+        "path(4, 7)", "path(5, 6)", "path(5, 7)", "path(6, 7)",
+    ]
+    assert answers(eng, "path(X, 4)") == ["path(3, 4)", "path(2, 4)", "path(1, 4)"]
+    assert dataclasses.astuple(eng.counters) == INTERLEAVED[mode]
+    assert eng.space.stack == [] and eng.space.arenas == []
+
+
+@pytest.mark.parametrize("mode", list(Mode), ids=lambda m: m.value)
+@pytest.mark.parametrize("make_src, query, generators", [
+    (lambda: gen_fixture("chain", 48), "path(X, Y)", 49),
+    (lambda: read_fixture("mixed_loop.pl"), "t(A)", 1),
+], ids=["chain48", "mixed_loop"])
+def test_one_machine_per_query(mode, make_src, query, generators, monkeypatch):
+    import cctab.tabling
+
+    built = []
+
+    class Counted(Machine):
+        def __init__(self, *args, **kwargs):
+            built.append(self)
+            super().__init__(*args, **kwargs)
+
+    eng = make_engine(make_src(), mode)
+    monkeypatch.setattr(cctab.tabling, "Machine", Counted)
+    assert answers(eng, query)
+    assert (len(built), eng.counters.generators) == (1, generators)
+
+
+# Hand-written translated clauses: slg_q/2's body succeeds, where a
+# translation's generator clause always ends in a failing answer/2.
+SUCCEEDING_GENERATOR = """slg_p(p(X), Id) :- slgcall(k(Id, [], q(X){prev})).
+k(Id, [], q(X){prev}) :- answer(Id, p(X)).
+slg_q(q(X), Id).
+"""
+
+
+@pytest.mark.parametrize("mode", list(Mode), ids=lambda m: m.value)
+@pytest.mark.parametrize("query, generators", [("slg(q(X))", 1), ("slg(p(X))", 2)],
+                         ids=["slg", "slgcall"])
+def test_succeeding_generator_clause_is_an_internal_error(mode, query, generators):
+    eng = Engine(parse_program(hand_written(SUCCEEDING_GENERATOR, mode)), mode=mode)
+    with pytest.raises(TablingError, match="^internal: translated clause body succeeded$"):
+        list(eng.solve(parse_query(query)))
+    assert eng.space.stack == [] and eng.space.arenas == []
+    assert eng.space.variant_index == {}
+    assert (eng.counters.generators, eng.counters.slg_resolutions) == (generators, generators)
