@@ -9,7 +9,7 @@
 #
 # Run: python demos/03_translation.py
 
-from cctab import Mode, Program, find_bridges, parse_program, print_program, translate
+from cctab import Mode, parse_program, print_program, translate
 
 MIXED = """\
 :- table t/1.
@@ -28,9 +28,10 @@ print(print_program(translate(program, Mode.LEGACY)))
 # slg/1 with no continuation to save.  Everything after that call in the
 # suspended branch is unrecoverable.
 
-analyzed = Program(program.clauses, program.tabled, frozenset(find_bridges(program)))
+# The general translation runs the bridge analysis itself: p/1 lies between
+# t/1 and t/1 on a call path, so it becomes a bridge without a declaration.
 print("=== general mode (p/1 marked as a bridge) ===")
-print(print_program(translate(analyzed, Mode.GENERAL)))
+print(print_program(translate(program, Mode.GENERAL)))
 # p/1 is kept verbatim for callers outside tabled execution, and p_bridge/3
 # carries the pending continuation:
 #   - slg_t passes slg_t0(Id, [A], p(B), []) into p_bridge;

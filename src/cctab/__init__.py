@@ -2,9 +2,11 @@
 
 The pieces compose as a pipeline:
 
-    parse_program -> find_bridges -> translate -> Engine.solve
+    parse_program -> translate -> Engine.solve
 
-with bottom_up_eval as an independent ground-truth oracle for answer sets.
+where translate, in general mode, runs find_bridges itself and treats every
+predicate it marks as a bridge (effective_bridges is that set); bottom_up_eval
+is an independent ground-truth oracle for answer sets.
 """
 
 from .bridges import CallGraph, build_call_graph, find_bridges
@@ -44,7 +46,7 @@ from .terms import (
     canonical_variant,
     mk_list,
 )
-from .translate import Mode, get_lbinds, split_following, trans_body, translate
+from .translate import Mode, effective_bridges, get_lbinds, split_following, trans_body, translate
 
 __all__ = [
     "Atom",
@@ -75,6 +77,7 @@ __all__ = [
     "build_call_graph",
     "canonical_variant",
     "compare_answer_sets",
+    "effective_bridges",
     "eval_builtin",
     "find_bridges",
     "gen_fixture",

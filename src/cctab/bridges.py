@@ -16,12 +16,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .engine import BUILTINS, TABLING_PRIMS
-from .terms import PredId, Program, pred_of
+from .terms import PredId, Program, pred_key
 
-# Predicates resolved by the engine itself; they never appear as graph nodes.
-BUILTIN_PREDS = frozenset(
-    PredId(name, arity) for name, arity in (*BUILTINS, *TABLING_PRIMS, ("call", 1))
-)
+# (name, arity) of the predicates resolved by the engine itself; they never
+# appear as graph nodes.
+BUILTIN_KEYS = frozenset((*BUILTINS, *TABLING_PRIMS, ("call", 1)))
 
 
 @dataclass(frozen=True)
@@ -31,18 +30,21 @@ class CallGraph:
 
 
 def build_call_graph(program: Program) -> CallGraph:
+    # Predicates are (name, arity) tuples while scanning, which sort as PredId
+    # does; each node becomes one PredId at the end, shared by its edges.
     nodes = set()
     edges = set()
     for clause in program.clauses:
-        caller = clause.pred()
+        caller = pred_key(clause.head)
         nodes.add(caller)
         for goal in clause.body:
-            callee = pred_of(goal)
-            if callee is None or callee in BUILTIN_PREDS:
+            callee = pred_key(goal)
+            if callee is None or callee in BUILTIN_KEYS:
                 continue
             nodes.add(callee)
             edges.add((caller, callee))
-    return CallGraph(tuple(sorted(nodes)), tuple(sorted(edges)))
+    ids = {key: PredId(*key) for key in sorted(nodes)}
+    return CallGraph(tuple(ids.values()), tuple((ids[a], ids[b]) for a, b in sorted(edges)))
 
 
 def _reachable(starts, succ: dict) -> set:
@@ -65,8 +67,7 @@ def find_bridges(program: Program, graph: CallGraph = None) -> set:
     reach T through one or more call edges; the tabled predicates themselves
     are left out, since the translation already saves their environments.
     """
-    if graph is None:
-        graph = build_call_graph(program)
+    graph = graph or build_call_graph(program)
     succ: dict = {}
     pred: dict = {}
     for a, b in graph.edges:

@@ -1,8 +1,8 @@
 """Command-line front end.
 
-Pipeline: parse -> effective bridges (declared plus computed) -> translate ->
-run the query under tabling -> print answers one per line in table order,
-then optional stats / oracle-comparison lines.
+Pipeline: parse -> translate (which adds the computed bridges to the declared
+ones in general mode) -> run the query under tabling -> print answers one per
+line in table order, then optional stats / oracle-comparison lines.
 
 Exit status: 0 on success, 1 when --oracle-check finds a mismatch, 2 on any
 file, parse or runtime error.
@@ -14,15 +14,14 @@ import argparse
 import logging
 import sys
 
-from .bridges import find_bridges
 from .engine import DEFAULT_BUDGET
 from .errors import Error
 from .fixtures import gen_fixture
 from .oracle import bottom_up_eval, compare_answer_sets
 from .syntax import parse_program, parse_query, print_program, print_term
 from .tabling import Engine
-from .terms import Program, pred_of
-from .translate import Mode, translate
+from .terms import pred_of
+from .translate import Mode, effective_bridges, translate
 
 
 def build_arg_parser() -> argparse.ArgumentParser:
@@ -95,16 +94,11 @@ def run(args) -> int:
     mode = Mode(args.mode)
     program = parse_program(_load_source(args))
 
-    effective = set(program.bridges)
-    if mode is Mode.GENERAL:
-        effective |= find_bridges(program)
-    analyzed = Program(program.clauses, program.tabled, frozenset(effective))
-
     if args.show_bridges:
-        for pred in sorted(effective):
+        for pred in sorted(effective_bridges(program, mode)):
             print(pred)
 
-    translated = translate(analyzed, mode)
+    translated = translate(program, mode)
     if args.translate_only:
         sys.stdout.write(print_program(translated))
         return 0
@@ -140,10 +134,7 @@ def main(argv=None) -> int:
     args = build_arg_parser().parse_args(argv)
     try:
         return run(args)
-    except Error as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except OSError as e:
+    except (Error, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -9,6 +9,8 @@ generator on the calling machine, as a choice point below its clauses.
 
 from __future__ import annotations
 
+import operator
+
 from .errors import (
     ExistenceError,
     InstantiationError,
@@ -406,15 +408,15 @@ def _bi_not_unify(args, store):
     return True
 
 
+# the arithmetic comparisons, by name; the oracle evaluates them with these too
+COMPARISONS = {"<": operator.lt, "=<": operator.le, ">": operator.gt, ">=": operator.ge,
+               "=:=": operator.eq}
+
 BUILTINS = {
     ("true", 0): lambda args, store: True,
     ("fail", 0): lambda args, store: False,
     ("is", 2): _bi_is,
-    ("<", 2): _bi_compare(lambda a, b: a < b),
-    ("=<", 2): _bi_compare(lambda a, b: a <= b),
-    (">", 2): _bi_compare(lambda a, b: a > b),
-    (">=", 2): _bi_compare(lambda a, b: a >= b),
-    ("=:=", 2): _bi_compare(lambda a, b: a == b),
+    **{(name, 2): _bi_compare(op) for name, op in COMPARISONS.items()},
     ("=", 2): _bi_unify,
     ("\\=", 2): _bi_not_unify,
 }

@@ -8,7 +8,7 @@ index keeps matching affordable on hundred-node graphs.
 
 from __future__ import annotations
 
-from .engine import BUILTINS, eval_arith
+from .engine import BUILTINS, COMPARISONS, eval_arith
 from .errors import InstantiationError, RangeRestrictionError, ResourceLimitError, TypeMismatchError
 from .syntax import print_clause, print_term
 from .terms import (
@@ -27,14 +27,6 @@ from .terms import (
 )
 
 DEFAULT_CAP = 100_000
-
-_COMPARE = {
-    "<": lambda a, b: a < b,
-    "=<": lambda a, b: a <= b,
-    ">": lambda a, b: a > b,
-    ">=": lambda a, b: a >= b,
-    "=:=": lambda a, b: a == b,
-}
 
 
 def _subst(t: Term, env: dict) -> Term:
@@ -131,10 +123,10 @@ def _eval_builtin_goal(goal: Term, env: dict, clause: Clause):
         elif lhs == value:
             yield env
         return
-    if name in _COMPARE:
+    if name in COMPARISONS:
         a = _arith(args[0], env, clause)
         b = _arith(args[1], env, clause)
-        if _COMPARE[name](a, b):
+        if COMPARISONS[name](a, b):
             yield env
         return
     if name == "=":

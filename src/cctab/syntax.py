@@ -77,27 +77,19 @@ def tokenize(text: str) -> list[Token]:
                 i += 1
             continue
         start_line, start_col = line, col
-        if c.isdecimal():
-            j = i
-            while j < n and text[j].isdecimal():
-                j += 1
-            toks.append(Token("int", text[i:j], start_line, start_col))
-            col += j - i
-            i = j
-            continue
-        if c.islower():
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            toks.append(Token("atom", text[i:j], start_line, start_col))
-            col += j - i
-            i = j
-            continue
-        if c.isupper() or c == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            toks.append(Token("var", text[i:j], start_line, start_col))
+        kind = ("int" if c.isdecimal() else "atom" if c.islower()
+                else "var" if c.isupper() or c == "_" else None)
+        if kind is not None:
+            # the first character is taken as it is: some cased ones, such as
+            # U+24B6, are not alphanumeric
+            j = i + 1
+            if kind == "int":
+                while j < n and text[j].isdecimal():
+                    j += 1
+            else:
+                while j < n and (text[j].isalnum() or text[j] == "_"):
+                    j += 1
+            toks.append(Token(kind, text[i:j], start_line, start_col))
             col += j - i
             i = j
             continue

@@ -50,11 +50,16 @@ from .engine import (
 )
 from .errors import InstantiationError, TablingError, TypeMismatchError
 from .syntax import print_term
-from .terms import Atom, Int, Program, Struct, Term, Var, canonical_variant, pred_of, walk_subterms
+from .terms import (Atom, Int, Program, Struct, Term, Var, canonical_variant, pred_key, pred_of,
+                    walk_subterms)
 from .translate import Mode
 
 EVALUATING = "evaluating"
 COMPLETE = "complete"
+CONT_ARITY = {Mode.GENERAL: 4, Mode.LEGACY: 3}  # of the continuation terms each mode makes
+# What lets a general-mode tabled call escape slgcall/1: bridges cannot cover it.
+UNINSTRUMENTED = ("a call the translation does not instrument (call/1 of a goal bound at "
+                  "run time, or a hand-written slg/1)")
 
 
 @dataclass
@@ -260,8 +265,7 @@ class _ContClause:
 
     def __init__(self, clause):
         self.head, body, self.nvars, self.names = clause
-        keys = [(g.functor, len(g.args)) if type(g) is Struct else
-                (g.name, 0) if type(g) is Atom else None for g in body]
+        keys = [pred_key(g) for g in body]
         k = 0
         while k < len(body) and keys[k] in BUILTINS:
             k += 1
@@ -385,17 +389,21 @@ class Engine:
             machine.cps.append(StoredIterCP(call, entry.answers, store.mark(), rest))
             return False
         raise TablingError(
-            f"tabled call {pred_of(entry.call)} reached its own evaluation outside "
-            f"slgcall; bridge declarations are incomplete for this program"
+            f"tabled call {print_term(entry.call)} reached its own evaluation through "
+            f"{UNINSTRUMENTED}"
         )
 
     def on_slgcall(self, machine, goal, rest):
         store = machine.store
         cont = store.walk(goal.args[0])
-        want = 4 if self.mode is Mode.GENERAL else 3
+        want = CONT_ARITY[self.mode]
         if type(cont) is not Struct or len(cont.args) != want:
+            n = len(cont.args) if type(cont) is Struct else None
+            made_by = [m for m, arity in CONT_ARITY.items() if arity == n]
+            hint = (f"; arity {n} comes from the {made_by[0].value} translation, so translate and "
+                    "run in the same mode") if made_by else ""
             raise TablingError(
-                f"malformed continuation term (arity {want} expected): {print_term(cont)}"
+                f"malformed continuation term (arity {want} expected{hint}): {print_term(cont)}"
             )
         id_t = store.walk(cont.args[0])
         if type(id_t) is not Int or not (0 <= id_t.value < len(self.space.entries)):
@@ -578,15 +586,18 @@ class Engine:
         space = self.space
         if entry.status != EVALUATING:
             raise TablingError("internal: generator completed while its choice point was live")
-        segment = space.stack[entry.pos :]
-        low = min(space.entries[g].deplink for g in segment)
+        segment = [space.entries[g] for g in space.stack[entry.pos :]]
+        low = min(e.deplink for e in segment)
         if low == entry.pos:
             complete(space, entry)
             return
         if self.mode is Mode.GENERAL:
+            blocker = next(e for e in segment if e.deplink == low)
+            outer = space.entries[space.stack[low]]
             raise TablingError(
-                "generator group cannot complete: dependency on an outer evaluation; "
-                "bridge declarations are incomplete for this program"
+                f"tabled call {print_term(entry.call)} was reached through {UNINSTRUMENTED}, "
+                f"so it cannot complete: {print_term(blocker.call)} depends on the open "
+                f"evaluation of {print_term(outer.call)}"
             )
         # Legacy mode tolerates this: the generator stays evaluating and its
         # answers-so-far are read by whoever asked (answers may be lost).

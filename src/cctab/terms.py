@@ -116,12 +116,16 @@ class PredId:
         return f"{self.name}/{self.arity}"
 
 
+def pred_key(t: Term) -> Optional[tuple]:
+    """(name, arity) of a callable term, None for anything else."""
+    if type(t) is Struct:
+        return t.functor, len(t.args)
+    return (t.name, 0) if type(t) is Atom else None
+
+
 def pred_of(t: Term) -> Optional[PredId]:
-    if isinstance(t, Atom):
-        return PredId(t.name, 0)
-    if isinstance(t, Struct):
-        return PredId(t.functor, len(t.args))
-    return None
+    key = pred_key(t)
+    return None if key is None else PredId(*key)
 
 
 @dataclass(frozen=True, slots=True)

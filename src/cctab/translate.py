@@ -6,7 +6,8 @@ Two modes:
   continuation predicate per tabled/bridge call site; bridge clauses are kept
   verbatim and duplicated as P_bridge/3 clauses that thread an incoming
   continuation and end in call(Cont).  Continuation terms carry four
-  arguments: (Id, Bindings, PendingCall, PrevCont).
+  arguments: (Id, Bindings, PendingCall, PrevCont).  The bridges are the
+  declared ones plus those find_bridges marks (effective_bridges).
 * LEGACY: the original continuation-call translation.  Bridge declarations
   are ignored, only tabled calls inside tabled clauses are instrumented, and
   continuation terms carry three arguments (no PrevCont).  Correct only when
@@ -18,8 +19,8 @@ from __future__ import annotations
 
 import enum
 import logging
-from typing import Optional
 
+from . import bridges as bridge_analysis
 from .errors import TranslateError
 from .terms import (
     Atom,
@@ -114,7 +115,7 @@ def trans_body(head_tr, body, id_var, cont_prev, end_goal, ctx):
     remaining = list(body)
     consumed = []  # goals before the current chunk, for the binding lists
     while True:
-        prefix, pivot, suffix = split_following(remaining, ctx.tabled, ctx.pivot_bridges)
+        prefix, pivot, suffix = split_following(remaining, ctx.tabled, ctx.bridges)
         if pivot is None:
             chunks.append((current_head, prefix + [end_goal]))
             break
@@ -122,10 +123,8 @@ def trans_body(head_tr, body, id_var, cont_prev, end_goal, ctx):
         after = suffix + [end_goal]
         lbinds = get_lbinds(before, pivot, after)
         cont_name = ctx.namer.next(ctx.cont_base)
-        if ctx.mode is Mode.GENERAL:
-            cont = Struct(cont_name, (id_var, mk_list(lbinds), pivot, cont_prev))
-        else:
-            cont = Struct(cont_name, (id_var, mk_list(lbinds), pivot))
+        args = (id_var, mk_list(lbinds), pivot, cont_prev)  # legacy: no PrevCont
+        cont = Struct(cont_name, args if ctx.mode is Mode.GENERAL else args[:3])
         p = pred_of(pivot)
         if p in ctx.tabled:
             call_goal = Struct("slgcall", (cont,))
@@ -143,20 +142,15 @@ class _Ctx:
     def __init__(self, mode, tabled, bridges, namer):
         self.mode = mode
         self.tabled = tabled
-        self.pivot_bridges = bridges if mode is Mode.GENERAL else frozenset()
+        self.bridges = bridges  # empty in legacy mode
         self.namer = namer
         self.orig_head: Term = Atom("[]")
         self.cont_base = ""
 
 
 def _interface_clause(pred: PredId) -> Clause:
-    if pred.arity == 0:
-        head: Term = Atom(pred.name)
-    else:
-        args = tuple(
-            Var(i, chr(ord("A") + i) if i < 26 else f"V{i + 1}") for i in range(pred.arity)
-        )
-        head = Struct(pred.name, args)
+    args = tuple(Var(i, chr(ord("A") + i) if i < 26 else f"V{i + 1}") for i in range(pred.arity))
+    head = Struct(pred.name, args) if args else Atom(pred.name)
     return normalize_clause(head, [Struct("slg", (head,))])
 
 
@@ -184,21 +178,29 @@ def _check_name_collisions(program: Program, tabled, bridges):
             )
 
 
+def effective_bridges(program: Program, mode: Mode) -> frozenset:
+    """The bridge set a mode works with: in general mode the declared bridges
+    plus those find_bridges computes, in legacy mode the declared ones alone."""
+    if mode is Mode.LEGACY:
+        return program.bridges
+    return program.bridges | bridge_analysis.find_bridges(program)
+
+
 def translate(program: Program, mode: Mode) -> Program:
     """Translate a program for tabled execution.
 
     Non-tabled, non-bridge predicates pass through unchanged; with no
-    declarations at all the program is returned as-is.  The output carries no
-    directives: it is ordinary source over slg/1, slgcall/1, answer/2 and
-    call/1.
+    declarations at all the program is returned as-is.  The bridges are
+    effective_bridges(program, mode), and none in legacy mode.  The output
+    carries no directives: it is ordinary source over slg/1, slgcall/1,
+    answer/2 and call/1.
     """
     tabled = program.tabled
-    bridges = program.bridges if mode is Mode.GENERAL else frozenset()
+    bridges = effective_bridges(program, mode) if mode is Mode.GENERAL else frozenset()
     if not tabled and not bridges:
         return program
 
-    pivots = tabled | bridges
-    _check_higher_order(program, pivots if mode is Mode.GENERAL else tabled)
+    _check_higher_order(program, tabled | bridges)
     _check_name_collisions(program, tabled, bridges)
 
     by_pred: dict = {}  # PredId -> its clauses; keys in first-definition order

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from cctab import Engine, Mode, Program, find_bridges, parse_program, parse_query, print_term, translate
+from cctab import Engine, Mode, parse_program, parse_query, print_term, translate
 
 HERE = pathlib.Path(__file__).parent
 FIXTURES = HERE / "fixtures"
@@ -32,16 +32,8 @@ def run_limited(*argv, timeout=30) -> subprocess.CompletedProcess:
                           timeout=timeout, preexec_fn=limit)
 
 
-def analyzed(program: Program) -> Program:
-    """Program with computed bridges unioned into the declared set."""
-    return Program(program.clauses, program.tabled, program.bridges | find_bridges(program))
-
-
 def make_engine(source: str, mode: Mode = Mode.GENERAL, **kw) -> Engine:
-    program = parse_program(source)
-    if mode is Mode.GENERAL:
-        program = analyzed(program)
-    return Engine(translate(program, mode), mode=mode, **kw)
+    return Engine(translate(parse_program(source), mode), mode=mode, **kw)
 
 
 def answers(engine: Engine, query: str) -> list:

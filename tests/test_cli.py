@@ -278,3 +278,44 @@ def test_oracle_evaluates_call(capsys, tmp_path, mode):
     f.write_text(":- table p/1.\np(X) :- call(q(X)).\nq(1).\n")
     code, out, _ = run_cli(capsys, str(f), "--query", "p(X)", "--mode", mode, "--oracle-check")
     assert (code, out) == (0, "p(1)\nOK\n")
+
+
+# call/1 of a goal bound at run time reaches slg/1 past the translation; no
+# bridge can instrument it, so general mode refuses and names the tabled call.
+RUNTIME_CALL = {
+    "own-evaluation": (
+        ":- table t/1.\nt(0).\nt(X) :- G = t(Y), call(G), Y < 3, X is Y + 1.\n",
+        "error: tabled call t(A) reached its own evaluation through a call the translation "
+        "does not instrument (call/1 of a goal bound at run time, or a hand-written slg/1)\n",
+        "t(0)\nt(1)\nt(2)\nt(3)\n",
+    ),
+    "outer-evaluation": (
+        ":- table t/1.\n:- table u/1.\nt(0).\nt(X) :- G = u(X), call(G).\nu(X) :- t(X).\n",
+        "error: tabled call u(A) was reached through a call the translation does not instrument "
+        "(call/1 of a goal bound at run time, or a hand-written slg/1), so it cannot complete: "
+        "u(A) depends on the open evaluation of t(A)\n",
+        "t(0)\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(RUNTIME_CALL))
+def test_runtime_bound_call_refusal_names_its_cause(capsys, tmp_path, case):
+    src, error, legacy_out = RUNTIME_CALL[case]
+    f = tmp_path / "runtime_call.pl"
+    f.write_text(src)
+    assert run_cli(capsys, str(f), "--query", "t(X)") == (2, "", error)
+    assert run_cli(capsys, str(f), "--query", "t(X)", "--mode", "legacy") == (0, legacy_out, "")
+
+
+def test_cased_non_alphanumeric_character_is_read(tmp_path):
+    # U+24B6 is upper case but not alphanumeric; a reader that takes no
+    # character for it appends empty tokens forever, hence the child process
+    f = tmp_path / "circled.pl"
+    f.write_text("p(Ⓐ).\n", encoding="utf-8")
+    proc = run_limited("-m", "cctab.cli", str(f), "--query", "p(X)", timeout=20)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "p(Ⓐ)\n", "")
+    # inside a word it is not a word character, so it ends the atom
+    f.write_text("q(aⒶ).\n", encoding="utf-8")
+    proc = run_limited("-m", "cctab.cli", str(f), "--translate-only", timeout=20)
+    assert (proc.returncode, proc.stderr) == (2, "error: 1:4: expected ')', found 'Ⓐ'\n")

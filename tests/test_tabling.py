@@ -218,6 +218,21 @@ def test_malformed_continuation_arity():
         eng.on_slgcall(m, bad, None)
 
 
+@pytest.mark.parametrize("translated, run, want, made, met", [
+    (Mode.LEGACY, Mode.GENERAL, 4, 3, "path_cont0(0, [1], path(Y, Z))"),
+    (Mode.GENERAL, Mode.LEGACY, 3, 4, "slg_path0(0, [1], path(Y, Z), [])"),
+], ids=["legacy-translation-general-engine", "general-translation-legacy-engine"])
+def test_mode_mismatch_names_the_translation_mode(translated, run, want, made, met):
+    # the continuation's arity tells which translation made it
+    eng = Engine(translate(parse_program(gen_fixture("chain", 2)), translated), mode=run)
+    with pytest.raises(TablingError) as info:
+        list(eng.solve(parse_query("path(1, Y)")))
+    assert str(info.value) == (
+        f"malformed continuation term (arity {want} expected; arity {made} comes from the "
+        f"{translated.value} translation, so translate and run in the same mode): {met}"
+    )
+
+
 def test_legacy_mode_sound_on_bridge_free_programs():
     # the original scheme works when tabled calls occur only inside tabled
     # clause bodies; a cyclic reachability query is its home turf

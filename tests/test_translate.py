@@ -9,6 +9,7 @@ from cctab import (
     Program,
     Struct,
     TranslateError,
+    effective_bridges,
     find_bridges,
     get_lbinds,
     parse_program,
@@ -21,10 +22,12 @@ from cctab import (
 )
 from cctab.terms import canonical_clause, pred_of, vars_of, vars_of_all
 
-from conftest import analyzed, read_fixture, read_golden
+from conftest import FIXTURES, read_fixture, read_golden
+from test_differential import SEED, random_program
+
 
 def general(src: str) -> Program:
-    return translate(analyzed(parse_program(src)), Mode.GENERAL)
+    return translate(parse_program(src), Mode.GENERAL)
 
 
 def legacy(src: str) -> Program:
@@ -52,6 +55,24 @@ def test_golden_reach_legacy():
 
 def test_golden_reach_general():
     assert print_program(general(read_fixture("reach.pl"))) == read_golden("reach.general.pl")
+
+
+# -- the bridge set -----------------------------------------------------------------
+
+
+def test_translate_absorbs_a_bridge_union_already_made():
+    # A caller may pass a program whose declared bridges already hold
+    # find_bridges' result, as bench/run.py does; find_bridges ignores the
+    # declarations, so translate gives the same program.
+    rng = random.Random(SEED)
+    sources = [f.read_text() for f in sorted(FIXTURES.glob("*.pl"))]
+    sources += [random_program(rng) for _ in range(40)]
+    for src in sources:
+        p = parse_program(src)
+        unioned = Program(p.clauses, p.tabled, p.bridges | find_bridges(p))
+        assert translate(p, Mode.GENERAL) == translate(unioned, Mode.GENERAL), src
+        assert effective_bridges(p, Mode.GENERAL) == unioned.bridges
+        assert effective_bridges(p, Mode.LEGACY) == p.bridges
 
 
 # -- split_following --------------------------------------------------------------
@@ -161,9 +182,9 @@ def test_no_naked_tabled_body_goals():
     # non-tabled entry point intact
     for src in (read_fixture("mixed_loop.pl"), read_fixture("reach.pl")):
         original = parse_program(src)
-        effective_bridges = find_bridges(original)
+        bridges = effective_bridges(original, Mode.GENERAL)
         for clause in general(src).clauses:
-            if clause.pred() in effective_bridges:
+            if clause.pred() in bridges:
                 continue
             for goal in clause.body:
                 assert pred_of(goal) not in original.tabled
