@@ -46,7 +46,7 @@ from .terms import (
     canonical_variant,
     mk_list,
 )
-from .translate import Mode, effective_bridges, get_lbinds, split_following, trans_body, translate
+from .translate import Mode, effective_bridges, get_lbinds, split_following, translate
 
 __all__ = [
     "Atom",
@@ -91,7 +91,6 @@ __all__ = [
     "print_term",
     "solve",
     "split_following",
-    "trans_body",
     "translate",
     "unify",
 ]

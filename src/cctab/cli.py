@@ -77,8 +77,14 @@ def _load_source(args) -> str:
             return gen_fixture(kind, int(size))
         except ValueError as e:
             raise Error(f"--gen: {e}") from None
-    with open(args.file, encoding="utf-8") as f:
-        return f.read()
+    with open(args.file, "rb") as f:
+        data = f.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise Error(f"{args.file}: byte {e.start} is not UTF-8 ({e.reason})") from None
+    # line breaks as a file opened in text mode reads them
+    return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
 def run(args) -> int:

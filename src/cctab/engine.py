@@ -19,7 +19,8 @@ from .errors import (
     TypeMismatchError,
 )
 from .syntax import print_term
-from .terms import Atom, Int, Program, Struct, Term, Var, copy_term, cyclic_term_error, vars_of_all
+from .terms import (Atom, Int, Program, Struct, Term, Var, copy_term, cyclic_term_error, pred_key,
+                    var_names)
 
 DEFAULT_BUDGET = 10_000_000
 
@@ -449,18 +450,15 @@ def compile_index(program: Program) -> dict:
     """
     index: dict = {}
     for c in program.clauses:
-        p = c.pred()
-        cvars = vars_of_all((c.head, *c.body))
-        n = max((v.id for v in cvars), default=-1) + 1
-        names = ["_G"] * n
-        for v in cvars:
-            names[v.id] = v.name
-        entry = (c.head, c.body, n, names)
-        clauses, by_first, var_first = index.setdefault((p.name, p.arity), ([], {}, []))
+        head = c.head
+        names = var_names((head, *c.body))
+        entry = (head, c.body, len(names), names)
+        pred = pred_key(head)
+        clauses, by_first, var_first = index.setdefault(pred, ([], {}, []))
         clauses.append(entry)
-        if p.arity == 0:
+        if pred[1] == 0:
             continue
-        key = first_arg_key(c.head.args[0])
+        key = first_arg_key(head.args[0])
         if key is None:
             var_first.append(entry)
             for bucket in by_first.values():

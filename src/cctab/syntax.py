@@ -9,7 +9,7 @@ and '[]', ','-joined bodies, ':-' clauses, ':- table N/A.' and
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+import re
 
 from .errors import ParseError
 from .terms import (
@@ -23,7 +23,7 @@ from .terms import (
     Term,
     Var,
     mk_list,
-    normalize_clause,
+    pred_key,
 )
 
 log = logging.getLogger(__name__)
@@ -49,69 +49,58 @@ INFIX_OPS = {
 _SYMBOLIC = ("=<", ">=", "=:=", "\\=", "//", ":-", "<", ">", "=", "+", "-", "*", "/")
 
 
-@dataclass
-class Token:
-    kind: str  # atom var int punct sym end eof
-    text: str
-    line: int
-    col: int
+_DIGITS = re.compile(r"\d*")  # \d is str.isdecimal
+_WORD_TAIL = re.compile(r"\w*")  # \w is str.isalnum or "_"
+_SYMBOL = re.compile("|".join(map(re.escape, _SYMBOLIC)))  # tried in _SYMBOLIC's order
 
 
-def tokenize(text: str) -> list[Token]:
+def tokenize(text: str) -> list[tuple]:
+    """The tokens of text as (kind, text, line, col) tuples, kind being one of
+    atom var int punct sym end eof, and line and col those of the token's
+    first character; the last token is eof.  A character that starts no token
+    is a ParseError.  A token's kind is decided by its first character, and a
+    word, a number or a symbol is taken by a compiled pattern."""
     toks = []
-    i, line, col = 0, 1, 1
+    append = toks.append
     n = len(text)
+    i, line, start = 0, 1, 0  # start: index of the current line's first character
     while i < n:
         c = text[i]
-        if c == "\n":
+        if c in "()[]|,":
+            append(("punct", c, line, i - start + 1))
             i += 1
-            line += 1
-            col = 1
-            continue
-        if c in " \t\r":
+        elif c in " \t\r":
             i += 1
-            col += 1
-            continue
-        if c == "%":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        start_line, start_col = line, col
-        kind = ("int" if c.isdecimal() else "atom" if c.islower()
-                else "var" if c.isupper() or c == "_" else None)
-        if kind is not None:
+        elif c.islower() or c.isupper() or c == "_":
             # the first character is taken as it is: some cased ones, such as
             # U+24B6, are not alphanumeric
-            j = i + 1
-            if kind == "int":
-                while j < n and text[j].isdecimal():
-                    j += 1
-            else:
-                while j < n and (text[j].isalnum() or text[j] == "_"):
-                    j += 1
-            toks.append(Token(kind, text[i:j], start_line, start_col))
-            col += j - i
+            j = _WORD_TAIL.match(text, i + 1).end()
+            append(("atom" if c.islower() else "var", text[i:j], line, i - start + 1))
             i = j
-            continue
-        if c == "." and (i + 1 >= n or text[i + 1] in " \t\r\n%"):
-            toks.append(Token("end", ".", start_line, start_col))
+        elif c.isdecimal():
+            j = _DIGITS.match(text, i + 1).end()
+            append(("int", text[i:j], line, i - start + 1))
+            i = j
+        elif c == "\n":
             i += 1
-            col += 1
-            continue
-        if c in "()[]|,":
-            toks.append(Token("punct", c, start_line, start_col))
+            line += 1
+            start = i
+        elif c == "." and (i + 1 == n or text[i + 1] in " \t\r\n%"):
+            append(("end", c, line, i - start + 1))
             i += 1
-            col += 1
-            continue
-        for sym in _SYMBOLIC:
-            if text.startswith(sym, i):
-                toks.append(Token("sym", sym, start_line, start_col))
-                i += len(sym)
-                col += len(sym)
-                break
+        elif c == "%":
+            i = text.find("\n", i)
+            if i < 0:
+                i = n
         else:
-            raise ParseError(f"unexpected character {c!r}", line, col)
-    toks.append(Token("eof", "", line, col))
+            m = _SYMBOL.match(text, i)
+            if m is None:
+                raise ParseError(f"unexpected character {c!r}", line, i - start + 1)
+            append(("sym", m.group(), line, i - start + 1))
+            i = m.end()
+    # the end of input is placed where a comment on the last line starts
+    k = text.find("%", start)
+    append(("eof", "", line, (n if k < 0 else k) - start + 1))
     return toks
 
 
@@ -121,24 +110,29 @@ class _Parser:
         self.pos = 0
         self.varmap: dict = {}  # per-clause: name -> Var
 
-    def peek(self) -> Token:
+    def peek(self) -> tuple:
         return self.toks[self.pos]
 
-    def next(self) -> Token:
+    def next(self) -> tuple:
         t = self.toks[self.pos]
         self.pos += 1
         return t
 
-    def expect(self, kind, text=None) -> Token:
-        t = self.peek()
-        if t.kind != kind or (text is not None and t.text != text):
+    def at(self, kind, text) -> bool:
+        """Whether the next token is the given one."""
+        t = self.toks[self.pos]
+        return t[0] == kind and t[1] == text
+
+    def expect(self, kind, text=None) -> tuple:
+        tkind, ttext, line, col = self.next()
+        if tkind != kind or (text is not None and ttext != text):
             want = text if text is not None else kind
-            raise ParseError(f"expected {want!r}, found {t.text!r}", t.line, t.col)
-        return self.next()
+            raise ParseError(f"expected {want!r}, found {ttext!r}", line, col)
+        return tkind, ttext, line, col
 
     def error(self, msg) -> ParseError:
-        t = self.peek()
-        return ParseError(msg, t.line, t.col)
+        _, _, line, col = self.peek()
+        return ParseError(msg, line, col)
 
     def fresh_var(self, name: str) -> Var:
         if name == "_":
@@ -167,41 +161,41 @@ class _Parser:
         out: list = []  # operands of the current expression
         ops: list = []  # (name, priority) of its operators, tightest last
         while True:
-            t = toks[pos]
+            kind, text, line, col = toks[pos]
             pos += 1
-            if t.kind == "int":
-                out.append(Int(int(t.text)))
-            elif t.kind == "var":
-                out.append(self.fresh_var(t.text))
-            elif t.kind == "sym" and t.text == "-" and toks[pos].kind == "int":
-                out.append(Int(-int(toks[pos].text)))
+            if kind == "int":
+                out.append(Int(int(text)))
+            elif kind == "var":
+                out.append(self.fresh_var(text))
+            elif kind == "sym" and text == "-" and toks[pos][0] == "int":
+                out.append(Int(-int(toks[pos][1])))
                 pos += 1
-            elif t.kind == "atom" or (t.kind == "punct" and t.text in ("(", "[")):
-                follow = toks[pos].text if toks[pos].kind == "punct" else None
-                if t.kind == "atom" and follow != "(":
-                    out.append(Atom(t.text))
-                elif t.text == "[" and follow == "]":
+            elif kind == "atom" or (kind == "punct" and text in ("(", "[")):
+                follow = toks[pos][1] if toks[pos][0] == "punct" else None
+                if kind == "atom" and follow != "(":
+                    out.append(Atom(text))
+                elif text == "[" and follow == "]":
                     out.append(NIL)
                     pos += 1
                 else:
-                    pos += t.kind == "atom"
-                    functor = t.text if t.kind == "atom" else (None if t.text == "(" else ".")
+                    pos += kind == "atom"
+                    functor = text if kind == "atom" else (None if text == "(" else ".")
                     frames.append(["]" if functor == "." else ")", functor, [], out, ops])
                     out, ops = [], []
                     continue
             else:
-                raise ParseError(f"expected a term, found {t.text!r}", t.line, t.col)
+                raise ParseError(f"expected a term, found {text!r}", line, col)
             while True:
                 # after an operand: an operator, or the end of the expression
-                t = toks[pos]
-                op = INFIX_OPS.get(t.text)  # no other kind of token spells an operator
+                kind, text, line, col = toks[pos]
+                op = INFIX_OPS.get(text)  # no other kind of token spells an operator
                 if op is not None:
-                    prio, kind = op
-                    while ops and (ops[-1][1] < prio or (ops[-1][1] == prio and kind == "yfx")):
+                    prio, assoc = op
+                    while ops and (ops[-1][1] < prio or (ops[-1][1] == prio and assoc == "yfx")):
                         right = out.pop()
                         out[-1] = Struct(ops.pop()[0], (out[-1], right))
                     if not ops or ops[-1][1] != prio:
-                        ops.append((t.text, prio))
+                        ops.append((text, prio))
                         pos += 1
                         break
                 # the expression ends here: apply the operators left on it
@@ -215,13 +209,13 @@ class _Parser:
                 frame = frames[-1]
                 closer, functor, items = frame[0], frame[1], frame[2]
                 items.append(term)
-                sep = t.text if t.kind == "punct" else None
+                sep = text if kind == "punct" else None
                 if (sep == "," and functor not in (None, "|")) or (sep == "|" and functor == "."):
                     frame[1] = sep if sep == "|" else functor
                     pos += 1
                     break
                 if sep != closer:
-                    raise ParseError(f"expected {closer!r}, found {t.text!r}", t.line, t.col)
+                    raise ParseError(f"expected {closer!r}, found {text!r}", line, col)
                 pos += 1
                 frames.pop()
                 if functor is None:
@@ -237,55 +231,58 @@ class _Parser:
 
     def parse_body(self) -> list[Term]:
         goals = [self.parse_term()]
-        while self.peek().kind == "punct" and self.peek().text == ",":
+        while self.at("punct", ","):
             self.next()
             goals.append(self.parse_term())
         return goals
 
     def parse_directive(self):
-        t = self.expect("atom")
-        if t.text not in ("table", "bridge"):
-            raise ParseError(f"unknown directive {t.text!r}", t.line, t.col)
-        name_tok = self.expect("atom")
+        _, directive, line, col = self.expect("atom")
+        if directive not in ("table", "bridge"):
+            raise ParseError(f"unknown directive {directive!r}", line, col)
+        name = self.expect("atom")[1]
         self.expect("sym", "/")
-        arity_tok = self.expect("int")
+        arity = int(self.expect("int")[1])
         self.expect("end")
-        return t.text, PredId(name_tok.text, int(arity_tok.text))
+        return directive, PredId(name, arity)
 
-    def check_goal(self, g: Term, t: Token):
+    def check_goal(self, g: Term, t: tuple):
+        """A goal read from token t must be callable."""
+        _, _, line, col = t
         if isinstance(g, Var):
-            raise ParseError("variable is not a valid goal", t.line, t.col)
+            raise ParseError("variable is not a valid goal", line, col)
         if isinstance(g, Int):
-            raise ParseError("integer is not a valid goal", t.line, t.col)
+            raise ParseError("integer is not a valid goal", line, col)
 
     def parse_program(self) -> Program:
         clauses = []
         tabled = set()
         bridges = set()
-        while self.peek().kind != "eof":
+        while self.peek()[0] != "eof":
             self.varmap = {}
-            t = self.peek()
-            if t.kind == "sym" and t.text == ":-":
+            _, _, line, col = self.peek()
+            if self.at("sym", ":-"):
                 self.next()
                 kind, pred = self.parse_directive()
                 (tabled if kind == "table" else bridges).add(pred)
                 continue
             head = self.parse_term()
             if isinstance(head, (Var, Int)):
-                raise ParseError("clause head must be an atom or compound", t.line, t.col)
+                raise ParseError("clause head must be an atom or compound", line, col)
             body: list[Term] = []
-            if self.peek().kind == "sym" and self.peek().text == ":-":
+            if self.at("sym", ":-"):
                 self.next()
                 bt = self.peek()
                 body = self.parse_body()
                 for g in body:
                     self.check_goal(g, bt)
             self.expect("end")
-            clauses.append(normalize_clause(head, body))
+            # fresh_var numbered the variables 0..n-1 in first-occurrence order
+            clauses.append(Clause(head, tuple(body)))
         program = Program(tuple(clauses), frozenset(tabled), frozenset(bridges))
-        defined = {c.pred() for c in program.clauses}
+        defined = {pred_key(c.head) for c in clauses}
         for pred in sorted(tabled | bridges):
-            if pred not in defined:
+            if (pred.name, pred.arity) not in defined:
                 log.warning("directive for undefined predicate %s", pred)
         return program
 
@@ -299,8 +296,8 @@ def parse_term(text: str) -> Term:
     """Parse a single term (no trailing period required)."""
     p = _Parser(text)
     t = p.parse_term()
-    if p.peek().kind not in ("eof", "end"):
-        raise p.error(f"trailing input after term: {p.peek().text!r}")
+    if p.peek()[0] not in ("eof", "end"):
+        raise p.error(f"trailing input after term: {p.peek()[1]!r}")
     return t
 
 
@@ -311,10 +308,10 @@ def parse_query(text: str) -> list[Term]:
     goals = p.parse_body()
     for g in goals:
         p.check_goal(g, tok)
-    if p.peek().kind == "end":
+    if p.peek()[0] == "end":
         p.next()
-    if p.peek().kind != "eof":
-        raise p.error(f"trailing input after query: {p.peek().text!r}")
+    if p.peek()[0] != "eof":
+        raise p.error(f"trailing input after query: {p.peek()[1]!r}")
     return goals
 
 

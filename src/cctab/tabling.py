@@ -296,7 +296,6 @@ class Engine:
 
     def __init__(self, program: Program, mode: Mode = Mode.GENERAL,
                  depth_budget: int = DEFAULT_BUDGET):
-        self.program = program
         self.index = compile_index(program)
         self.mode = mode
         self.space = TableSpace()

@@ -1,31 +1,67 @@
 """Logic terms, clauses and programs.
 
-Terms are immutable. Variables carry a clause-local integer id; the printable
-name is kept only for output and never takes part in equality.
+Terms are slots classes treated as immutable. Variables carry a clause-local
+integer id; the printable name is kept only for output and never takes part
+in equality.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Union
 
 from .errors import TypeMismatchError
 
 
-@dataclass(frozen=True, slots=True)
 class Var:
-    id: int
-    name: str = field(default="_", compare=False)
+    """Variable.  Equality and hashing use the id alone; the name is for output."""
+
+    __slots__ = ("id", "name")
+
+    def __init__(self, id: int, name: str = "_"):
+        self.id = id
+        self.name = name
+
+    def __eq__(self, other):
+        return self.id == other.id if type(other) is Var else NotImplemented
+
+    def __hash__(self):
+        return hash((self.id,))
+
+    def __repr__(self):
+        return f"Var(id={self.id!r}, name={self.name!r})"
 
 
-@dataclass(frozen=True, slots=True)
 class Atom:
-    name: str
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        self.name = name
+
+    def __eq__(self, other):
+        return self.name == other.name if type(other) is Atom else NotImplemented
+
+    def __hash__(self):
+        return hash((self.name,))
+
+    def __repr__(self):
+        return f"Atom(name={self.name!r})"
 
 
-@dataclass(frozen=True, slots=True)
 class Int:
-    value: int
+    __slots__ = ("value",)
+
+    def __init__(self, value: int):
+        self.value = value
+
+    def __eq__(self, other):
+        return self.value == other.value if type(other) is Int else NotImplemented
+
+    def __hash__(self):
+        return hash((self.value,))
+
+    def __repr__(self):
+        return f"Int(value={self.value!r})"
 
 
 class Struct:
@@ -48,14 +84,24 @@ class Struct:
         stack = [(self, other)]
         while stack:
             a, b = stack.pop()
-            if type(a) is Struct:
-                if type(b) is not Struct:
-                    return False
+            ta = type(a)
+            if ta is not type(b):
+                return False
+            if ta is Struct:
                 if a is b:
                     continue
                 if a.functor != b.functor or len(a.args) != len(b.args):
                     return False
                 stack.extend(zip(a.args, b.args))
+            elif ta is Var:
+                if a.id != b.id:
+                    return False
+            elif ta is Atom:
+                if a.name != b.name:
+                    return False
+            elif ta is Int:
+                if a.value != b.value:
+                    return False
             elif a != b:
                 return False
         return True
@@ -173,14 +219,59 @@ def vars_of(t: Term) -> list[Var]:
 
 
 def vars_of_all(ts: Iterable[Term]) -> list[Var]:
-    """Variables of the terms ts in first-occurrence order."""
+    """Variables of the terms ts in first-occurrence order, in one pass: the
+    stack holds the argument iterators of the enclosing compounds."""
     out = []
     seen = set()
-    for sub in (s for t in ts for s in walk_subterms(t)):
-        if isinstance(sub, Var) and sub.id not in seen:
-            seen.add(sub.id)
-            out.append(sub)
-    return out
+    stack: list = []
+    it = iter(ts)
+    while True:
+        for x in it:
+            tx = type(x)
+            if tx is Var:
+                if x.id not in seen:
+                    seen.add(x.id)
+                    out.append(x)
+            elif tx is Struct:
+                stack.append(it)
+                it = iter(x.args)
+                break
+        else:
+            if not stack:
+                return out
+            it = stack.pop()
+
+
+def var_names(ts: Iterable[Term]) -> list:
+    """names[i]: the name variable i has where it first occurs in the terms
+    ts, "_G" for an id below the largest that no variable has.  The walk of
+    vars_of_all."""
+    names: list = []
+    stack: list = []
+    it = iter(ts)
+    while True:
+        for x in it:
+            tx = type(x)
+            if tx is Var:
+                i = x.id
+                if i == len(names):  # always so in a normalised clause
+                    names.append(x.name)
+                elif i > len(names):
+                    names.extend([None] * (i - len(names)))
+                    names.append(x.name)
+                elif names[i] is None:
+                    names[i] = x.name
+            elif tx is Struct:
+                stack.append(it)
+                it = iter(x.args)
+                break
+        else:
+            if stack:
+                it = stack.pop()
+            elif None in names:
+                return ["_G" if name is None else name for name in names]
+            else:
+                return names
 
 
 def term_size(t: Term) -> int:

@@ -32,7 +32,9 @@ from .terms import (
     Var,
     mk_list,
     normalize_clause,
+    pred_key,
     pred_of,
+    var_names,
     vars_of,
     vars_of_all,
 )
@@ -91,15 +93,17 @@ class _ContNamer:
         return name
 
 
-def _fresh_var(clause_vars, name):
-    taken = {v.name for v in clause_vars}
+def _fresh_var(names, name):
+    """A new variable of the clause whose var_names are names, called name or,
+    if that is taken, name0, name1, ...; its name is appended to names."""
+    taken = set(names)
     candidate = name
     k = 0
     while candidate in taken:
         candidate = f"{name}{k}"
         k += 1
-    v = Var(max((v.id for v in clause_vars), default=-1) + 1, candidate)
-    clause_vars.append(v)
+    v = Var(len(names), candidate)
+    names.append(candidate)
     return v
 
 
@@ -166,8 +170,7 @@ def _check_higher_order(program: Program, pivots):
                     )
 
 
-def _check_name_collisions(program: Program, tabled, bridges):
-    names = {c.pred().name for c in program.clauses}
+def _check_name_collisions(names, tabled, bridges):
     for pred in sorted(tabled):
         if f"slg_{pred.name}" in names:
             raise TranslateError(f"generated name slg_{pred.name} collides with a source predicate")
@@ -201,16 +204,18 @@ def translate(program: Program, mode: Mode) -> Program:
         return program
 
     _check_higher_order(program, tabled | bridges)
-    _check_name_collisions(program, tabled, bridges)
-
-    by_pred: dict = {}  # PredId -> its clauses; keys in first-definition order
+    by_key: dict = {}  # (name, arity) -> its clauses; keys in first-definition order
     for c in program.clauses:
-        by_pred.setdefault(c.pred(), []).append(c)
+        by_key.setdefault(pred_key(c.head), []).append(c)
+    names = {name for name, _ in by_key}
+    _check_name_collisions(names, tabled, bridges)
+
+    by_pred = {PredId(*key): clauses for key, clauses in by_key.items()}
     for pred in sorted(tabled):
         if pred not in by_pred:
             log.warning("tabled predicate %s has no clauses", pred)
 
-    namer = _ContNamer({c.pred().name for c in program.clauses})
+    namer = _ContNamer(names)
     order = list(by_pred) + [p for p in sorted(tabled) if p not in by_pred]
 
     out: list = []
@@ -228,14 +233,14 @@ def translate(program: Program, mode: Mode) -> Program:
             out.extend(clauses)  # a bridge keeps its plain clauses
         mains, conts = [], []
         for clause in clauses:
-            cvars = vars_of_all((clause.head, *clause.body))
-            id_var = _fresh_var(cvars, "Id")
+            cnames = var_names((clause.head, *clause.body))
+            id_var = _fresh_var(cnames, "Id")
             if pred in tabled:
                 head_tr = Struct(f"slg_{pred.name}", (clause.head, id_var))
                 cont_prev = EMPTY_CONT
                 end_goal = Struct("answer", (id_var, clause.head))
             else:
-                cont_prev = _fresh_var(cvars, "Cont")
+                cont_prev = _fresh_var(cnames, "Cont")
                 head_tr = Struct(f"{pred.name}_bridge", (clause.head, id_var, cont_prev))
                 end_goal = Struct("call", (cont_prev,))
             ctx.orig_head = clause.head

@@ -319,3 +319,22 @@ def test_cased_non_alphanumeric_character_is_read(tmp_path):
     f.write_text("q(aⒶ).\n", encoding="utf-8")
     proc = run_limited("-m", "cctab.cli", str(f), "--translate-only", timeout=20)
     assert (proc.returncode, proc.stderr) == (2, "error: 1:4: expected ')', found 'Ⓐ'\n")
+
+
+@pytest.mark.parametrize("prefix", [b"", b"p(a).\n" * 2000], ids=["first_line", "past_8k"])
+def test_non_utf8_program_exits_2_naming_file_and_byte(tmp_path, prefix):
+    # in a child process, so a traceback would show on its standard error;
+    # the offset counts from the start of the file, not of a read buffer
+    f = tmp_path / "latin1.pl"
+    f.write_bytes(prefix + b"p(\xff).\n")
+    proc = run_limited("-m", "cctab.cli", str(f), "--query", "p(X)")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        2, "", f"error: {f}: byte {len(prefix) + 2} is not UTF-8 (invalid start byte)\n")
+
+
+@pytest.mark.parametrize("newline", ["\r", "\r\n"], ids=["cr", "crlf"])
+def test_program_line_breaks_read_as_text(capsys, tmp_path, newline):
+    f = tmp_path / "breaks.pl"
+    f.write_bytes(f"p(a).{newline}q(b) @.{newline}".encode())
+    assert run_cli(capsys, str(f), "--query", "p(X)") == (
+        2, "", "error: 2:6: unexpected character '@'\n")

@@ -18,10 +18,13 @@ from cctab import (
     print_program,
     print_term,
 )
-from cctab.syntax import INFIX_OPS
-from cctab.terms import NIL, canonical_clause
+from cctab.syntax import _SYMBOLIC, INFIX_OPS, tokenize
+from cctab.terms import NIL, canonical_clause, normalize_clause
 
 from conftest import read_fixture
+from test_differential import PROGRAMS as DIFFERENTIAL_PROGRAMS
+from test_differential import SEED as DIFFERENTIAL_SEED
+from test_differential import random_program
 
 
 def test_parse_reach_program():
@@ -169,20 +172,27 @@ def _random_term(rng, names, depth=0):
     return Struct(rng.choice("fgh"), tuple(_random_term(rng, names, depth + 1) for _ in range(n)))
 
 
+def _random_program(rng) -> tuple:
+    """(source text, heads) of a program of one to six random clauses."""
+    clauses, heads = [], []
+    for _ in range(rng.randint(1, 6)):
+        head = Struct(rng.choice("pqr"), (_random_term(rng, "XYZ"),))
+        heads.append(head)
+        body = ", ".join(
+            print_term(_random_term(rng, "XYZ")).join(["q(", ")"])
+            for _ in range(rng.randint(0, 3))
+        )
+        clauses.append(print_term(head) + (f" :- {body}." if body else "."))
+    return "\n".join(clauses) + "\n", heads
+
+
 def test_round_trip_random_programs():
     rng = random.Random(7)
     for _ in range(50):
-        clauses = []
-        for _ in range(rng.randint(1, 6)):
-            head = Struct(rng.choice("pqr"), (_random_term(rng, "XYZ"),))
+        text, heads = _random_program(rng)
+        for head in heads:
             # the reader must rebuild the printed term, not just a stable one
             assert print_term(parse_term(print_term(head))) == print_term(head)
-            body = ", ".join(
-                print_term(_random_term(rng, "XYZ")).join(["q(", ")"])
-                for _ in range(rng.randint(0, 3))
-            )
-            clauses.append(print_term(head) + (f" :- {body}." if body else "."))
-        text = "\n".join(clauses) + "\n"
         p = parse_program(text)
         _same_program(parse_program(print_program(p)), p)
 
@@ -195,3 +205,124 @@ def test_clause_order_preserved():
         "f(2)",
         "e(3)",
     ]
+
+
+# -- token positions and the reader's normal form ---------------------------------
+
+
+def _reference_tokenize(text: str) -> list:
+    """The reader's tokens as (kind, text, line, col), scanned one character
+    at a time: the specification syntax.tokenize must keep."""
+    toks = []
+    i, line, col = 0, 1, 1
+    n = len(text)
+    while i < n:
+        c = text[i]
+        if c == "\n":
+            i, line, col = i + 1, line + 1, 1
+            continue
+        if c in " \t\r":
+            i, col = i + 1, col + 1
+            continue
+        if c == "%":
+            while i < n and text[i] != "\n":
+                i += 1
+            continue
+        kind = ("int" if c.isdecimal() else "atom" if c.islower()
+                else "var" if c.isupper() or c == "_" else None)
+        if kind is not None:
+            j = i + 1
+            while j < n and (text[j].isdecimal() if kind == "int"
+                             else text[j].isalnum() or text[j] == "_"):
+                j += 1
+        elif c == "." and (i + 1 >= n or text[i + 1] in " \t\r\n%"):
+            kind, j = "end", i + 1
+        elif c in "()[]|,":
+            kind, j = "punct", i + 1
+        else:
+            sym = next((s for s in _SYMBOLIC if text.startswith(s, i)), None)
+            if sym is None:
+                raise ParseError(f"unexpected character {c!r}", line, col)
+            kind, j = "sym", i + len(sym)
+        toks.append((kind, text[i:j], line, col))
+        col += j - i
+        i = j
+    toks.append(("eof", "", line, col))
+    return toks
+
+
+def _tokens_or_error(tokenizer, text):
+    try:
+        return tokenizer(text)
+    except ParseError as e:
+        return (e.line, e.col, e.message)
+
+
+def _reader_corpus():
+    """Program texts: the fixtures, the random round-trip programs, the
+    differential corpus and clauses with '_', infix operators and list tails."""
+    for name in ("reach.pl", "mixed_loop.pl"):
+        yield read_fixture(name)
+    rng = random.Random(7)
+    for _ in range(50):
+        yield _random_program(rng)[0]
+    rng = random.Random(DIFFERENTIAL_SEED)
+    for _ in range(DIFFERENTIAL_PROGRAMS):
+        yield random_program(rng)
+    yield ("p(_, X, _, [H|T]) :- q(_, X + 1 * Y, [a, b|T]), H = _, Y is -2 - X.\n"
+           "r([X, Y|_], Y) :- s(Y, [_|X]), X \\= [].\n"
+           "p :- q(X, _), X > 1, r([Z|W], Z), W = [_, Z].\n")
+
+
+def test_tokenize_matches_the_character_scan():
+    rng = random.Random(12)
+    alphabet = "aqX_Y09١²Ⓐǅé ()[]|,.%=<>:-+*/\\\t\r\n@ "
+    texts = list(_reader_corpus())
+    texts += ["".join(rng.choice(alphabet) for _ in range(rng.randint(0, 30)))
+              for _ in range(3000)]
+    for text in texts:
+        assert _tokens_or_error(tokenize, text) == _tokens_or_error(_reference_tokenize, text), text
+
+
+PARSE_ERRORS = {
+    "tab": ("p(a).\n\tq(b)\n\tr(c).", 3, 2, "expected 'end', found 'r'"),
+    "tab_in_line": ("p(a,\tb) :-\t@", 1, 12, "unexpected character '@'"),
+    "crlf": ("p(a).\r\nq(b) @.\r\n", 2, 6, "unexpected character '@'"),
+    "crlf_missing_end": ("p(a).\r\nq(b)\r\n", 3, 1, "expected 'end', found ''"),
+    "comment_lines": ("% c\np(a). % x\n% y\nq(b) ;", 4, 6, "unexpected character ';'"),
+    "unexpected": ("p(a) :- q(#).", 1, 11, "unexpected character '#'"),
+    "circled_a": ("p(Ⓐ) q.", 1, 6, "expected 'end', found 'q'"),
+    "circled_a_in_word": ("p(aⒶ).", 1, 4, "expected ')', found 'Ⓐ'"),
+    "arabic_indic_digits": ("p(١٢٣) x", 1, 8, "expected 'end', found 'x'"),
+    "superscript_digit": ("p(²).", 1, 3, "unexpected character '²'"),
+    "titlecase": ("ǅ.", 1, 1, "unexpected character 'ǅ'"),
+    "no_break_space": ("p( ).", 1, 3, "unexpected character '\\xa0'"),
+    "dot_then_word": ("p(a).q.", 1, 5, "unexpected character '.'"),
+    "missing_end": ("p(a)", 1, 5, "expected 'end', found ''"),
+    "missing_end_newline": ("p(a)\n", 2, 1, "expected 'end', found ''"),
+    # the end of input is placed where a final comment starts
+    "missing_end_comment": ("p(a) % c", 1, 6, "expected 'end', found ''"),
+    "missing_end_comment_line": ("p(a)\n% c", 2, 1, "expected 'end', found ''"),
+    "empty_body": ("p(a) :-", 1, 8, "expected a term, found ''"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PARSE_ERRORS))
+def test_parse_error_line_and_col(case):
+    source, line, col, message = PARSE_ERRORS[case]
+    with pytest.raises(ParseError) as e:
+        parse_program(source)
+    assert (e.value.line, e.value.col, e.value.message) == (line, col, message)
+
+
+def test_non_ascii_decimal_digits_read_as_an_integer():
+    assert parse_term("p(١٢٣)") == Struct("p", (Int(123),))
+
+
+def test_reader_emits_normalised_clauses():
+    for text in _reader_corpus():
+        for c in parse_program(text).clauses:
+            again = normalize_clause(c.head, c.body)
+            assert again == c
+            # == ignores variable names: the printed forms show ids and names
+            assert repr(again) == repr(c)
