@@ -45,7 +45,7 @@ for mode in (Mode.LEGACY, Mode.GENERAL):
     # general mode marks p/1 as a bridge itself; legacy mode ignores bridges
     engine = Engine(translate(program, mode), mode=mode)
     got = [print_term(s.goals[0]) for s in engine.solve(parse_query("t(A)"))]
-    equal, missing, _ = compare_answer_sets(engine, facts, PredId("t", 1))
+    equal, missing, _ = compare_answer_sets(engine.space, facts, PredId("t", 1))
     verdict = "complete" if equal else f"missing {[print_term(t) for t in missing]}"
     print(f"{mode.value:8} mode answers: {got}  ->  {verdict}")
     if mode is Mode.GENERAL:

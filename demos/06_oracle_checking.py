@@ -41,7 +41,7 @@ for trial in range(25):
 
     facts = bottom_up_eval(program)
     equal, missing, extra = compare_answer_sets(
-        engine, facts, PredId("path", 2), call=query
+        engine.space, facts, PredId("path", 2), call=query
     )
     assert equal, (missing, extra)
     checked += engine_count

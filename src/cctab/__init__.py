@@ -10,7 +10,7 @@ is an independent ground-truth oracle for answer sets.
 """
 
 from .bridges import CallGraph, build_call_graph, find_bridges
-from .engine import BindingStore, eval_builtin, solve, unify
+from .engine import BindingStore, solve, unify
 from .errors import (
     Error,
     ExistenceError,
@@ -46,7 +46,7 @@ from .terms import (
     canonical_variant,
     mk_list,
 )
-from .translate import Mode, effective_bridges, get_lbinds, split_following, translate
+from .translate import Mode, effective_bridges, translate
 
 __all__ = [
     "Atom",
@@ -78,10 +78,8 @@ __all__ = [
     "canonical_variant",
     "compare_answer_sets",
     "effective_bridges",
-    "eval_builtin",
     "find_bridges",
     "gen_fixture",
-    "get_lbinds",
     "mk_list",
     "parse_program",
     "parse_query",
@@ -90,7 +88,6 @@ __all__ = [
     "print_program",
     "print_term",
     "solve",
-    "split_following",
     "translate",
     "unify",
 ]

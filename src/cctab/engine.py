@@ -216,14 +216,15 @@ def unify(a: Term, b: Term, store: BindingStore) -> bool:
 
 
 def unify_stored(live: Term, stored: Term, varmap: list, names, store: BindingStore) -> bool:
-    """Unify a live term with a stored term whose variables are numbered 0..n-1.
+    """Unify a live term with a stored term whose variable ids are below nvars.
 
-    varmap[i] is the live term stored variable i stands for, None until it is
-    first met; the stored term itself is never copied.  A first occurrence
-    facing a bound live subterm takes it without a binding.  One facing an
-    unbound live variable becomes a new store variable named names[i] ("_G"
-    when names is None) that the live variable is bound to, as unification
-    against a renamed copy would do.  On failure the store is restored.
+    varmap has nvars slots; varmap[i] is the live term stored variable i
+    stands for, None until it is first met.  The stored term is never copied.
+    A first occurrence facing a bound live subterm takes it without a binding.
+    One facing an unbound live variable becomes a new store variable named
+    names[i] ("_G" when names is None) that the live variable is bound to, as
+    unification against a renamed copy would do.  On failure the store is
+    restored.
     """
     bindings = store.bindings
     trail = store.trail
@@ -278,7 +279,7 @@ def unify_stored(live: Term, stored: Term, varmap: list, names, store: BindingSt
 
 
 def instantiate(term: Term, varmap: list, store: BindingStore = None, names=None) -> Term:
-    """Rebuild a normalized term (vars numbered 0..n-1) through varmap.
+    """Rebuild a stored term, whose variable ids are below nvars, through varmap.
 
     A slot that is still None gets a new store variable named names[i] ("_G"
     when names is None); slots already filled are shared, never copied.
@@ -423,25 +424,15 @@ BUILTINS = {
 }
 
 
-def eval_builtin(goal: Term, store: BindingStore) -> bool:
-    """Evaluate a built-in goal; raises if goal is not a built-in."""
-    if isinstance(goal, Atom):
-        key, args = (goal.name, 0), ()
-    else:
-        key, args = (goal.functor, len(goal.args)), goal.args
-    fn = BUILTINS.get(key)
-    if fn is None:
-        raise ExistenceError(f"not a built-in: {key[0]}/{key[1]}")
-    return fn(args, store)
-
-
 TABLING_PRIMS = {("slg", 1), ("slgcall", 1), ("answer", 2)}
 
 
 def compile_index(program: Program) -> dict:
     """(name, arity) -> (clauses, by_first, var_first).
 
-    Each clause is (head, body, nvars, var_names), in source order.  by_first
+    Each clause is (head, body, nvars, var_names), in source order: its
+    variable ids are below nvars, not necessarily every one of them used, and
+    var_names names each id ("_G" for an unused one).  by_first
     maps a first-argument key (an atom or integer itself, or the (functor,
     arity) of a compound) to the clauses that can match a call whose first
     argument has that key: the clauses with that key or with a variable there,

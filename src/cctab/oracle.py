@@ -233,14 +233,14 @@ def _is_most_general(call: Term, pred: PredId) -> bool:
 
 
 def compare_answer_sets(space, facts: dict, pred: PredId, call: Term = None):
-    """Compare a completed generator's answers against the oracle.
+    """Compare a completed generator's answers in the TableSpace space
+    against the oracle's.
 
     Returns (equal, missing, extra); missing/extra are sorted lists of terms
     the engine lacks / has beyond the oracle's set for the queried variant.
     """
     from .tabling import COMPLETE
 
-    space = getattr(space, "space", space)
     if call is not None:
         entry = space.lookup(canonical_variant(call))
         if entry is None or entry.status != COMPLETE:

@@ -254,7 +254,7 @@ def var_names(ts: Iterable[Term]) -> list:
             tx = type(x)
             if tx is Var:
                 i = x.id
-                if i == len(names):  # always so in a normalised clause
+                if i == len(names):  # always so where ids follow first occurrence
                     names.append(x.name)
                 elif i > len(names):
                     names.extend([None] * (i - len(names)))
@@ -335,38 +335,22 @@ def cyclic_term_error(v: Var) -> TypeMismatchError:
     return TypeMismatchError(f"cyclic term: {v.name} is bound to a term that contains it")
 
 
-def renumber(ids: dict, keep_names: bool):
-    """copy_term variable policy: number variables 0.. in first-occurrence order.
+def canonical_variant(t: Term) -> Term:
+    """Renumber variables left-to-right from 0, the k-th named _k.
 
-    ids maps each original variable id to its new Var, so len(ids) is the
-    number of distinct variables met.  A new Var keeps the original's name
-    when keep_names holds and is named _k otherwise.
+    Two terms are variants (equal up to a bijective renaming of variables)
+    exactly when their canonical forms are equal.
     """
+    ids: dict = {}  # original variable id -> its new Var
 
     def var(v: Var) -> Var:
         w = ids.get(v.id)
         if w is None:
             k = len(ids)
-            w = ids[v.id] = Var(k, v.name if keep_names else f"_{k}")
+            w = ids[v.id] = Var(k, f"_{k}")
         return w
 
-    return var
-
-
-def canonical_variant(t: Term) -> Term:
-    """Renumber variables left-to-right from 0.
-
-    Two terms are variants (equal up to a bijective renaming of variables)
-    exactly when their canonical forms are equal.
-    """
-    return copy_term(t, renumber({}, False))
-
-
-def normalize_clause(head: Term, body: Iterable[Term]) -> Clause:
-    """Renumber clause variables 0..n-1 in first-occurrence order, keeping names."""
-    var = renumber({}, True)
-    head = copy_term(head, var)
-    return Clause(head, tuple(copy_term(g, var) for g in body))
+    return copy_term(t, var)
 
 
 def canonical_clause(c: Clause) -> tuple:

@@ -13,6 +13,9 @@ Two modes:
   continuation terms carry three arguments (no PrevCont).  Correct only when
   every tabled call occurs directly inside a tabled clause body; kept as a
   contrast mode for the regression fixtures.
+
+The clauses a source clause becomes keep its variable ids, with Id and Cont
+above them: their ids are below nvars, but a cut may leave some unused.
 """
 
 from __future__ import annotations
@@ -28,15 +31,12 @@ from .terms import (
     PredId,
     Program,
     Struct,
-    Term,
     Var,
     mk_list,
-    normalize_clause,
     pred_key,
     pred_of,
     var_names,
     vars_of,
-    vars_of_all,
 )
 
 log = logging.getLogger(__name__)
@@ -47,32 +47,6 @@ EMPTY_CONT = Atom("[]")
 class Mode(enum.Enum):
     GENERAL = "general"
     LEGACY = "legacy"
-
-
-def split_following(body, tabled, bridges):
-    """Split a body at the leftmost tabled-or-bridge call.
-
-    Returns (prefix, pivot, suffix); pivot is None (with suffix empty and
-    prefix == body) when no such call exists.
-    """
-    for i, goal in enumerate(body):
-        p = pred_of(goal)
-        if p is not None and (p in tabled or p in bridges):
-            return list(body[:i]), goal, list(body[i + 1 :])
-    return list(body), None, []
-
-
-def get_lbinds(before, pivot, after):
-    """Variables to save in a continuation's binding list.
-
-    Those occurring both before the pivot (clause head included) and after it
-    (final answer/2 or call(Cont) goal included), except variables of the
-    pivot call itself, which travel inside the pending-call slot.  Ordered by
-    first occurrence in the clause.
-    """
-    after_ids = {v.id for v in vars_of_all(after)}
-    pivot_ids = {v.id for v in vars_of(pivot)}
-    return [v for v in vars_of_all(before) if v.id in after_ids and v.id not in pivot_ids]
 
 
 class _ContNamer:
@@ -107,55 +81,10 @@ def _fresh_var(names, name):
     return v
 
 
-def trans_body(head_tr, body, id_var, cont_prev, end_goal, ctx):
-    """Translate one clause body into a chain of clauses.
-
-    The first clause covers the prefix up to the first tabled/bridge call;
-    each later one is a continuation clause; the last body ends in end_goal.
-    Returns (main_clause, continuation_clauses).
-    """
-    chunks = []
-    current_head = head_tr
-    remaining = list(body)
-    consumed = []  # goals before the current chunk, for the binding lists
-    while True:
-        prefix, pivot, suffix = split_following(remaining, ctx.tabled, ctx.bridges)
-        if pivot is None:
-            chunks.append((current_head, prefix + [end_goal]))
-            break
-        before = [ctx.orig_head] + consumed + prefix
-        after = suffix + [end_goal]
-        lbinds = get_lbinds(before, pivot, after)
-        cont_name = ctx.namer.next(ctx.cont_base)
-        args = (id_var, mk_list(lbinds), pivot, cont_prev)  # legacy: no PrevCont
-        cont = Struct(cont_name, args if ctx.mode is Mode.GENERAL else args[:3])
-        p = pred_of(pivot)
-        if p in ctx.tabled:
-            call_goal = Struct("slgcall", (cont,))
-        else:
-            call_goal = Struct(f"{p.name}_bridge", (pivot, id_var, cont))
-        chunks.append((current_head, prefix + [call_goal]))
-        current_head = cont
-        consumed = consumed + prefix + [pivot]
-        remaining = suffix
-    normalized = [normalize_clause(h, b) for h, b in chunks]
-    return normalized[0], normalized[1:]
-
-
-class _Ctx:
-    def __init__(self, mode, tabled, bridges, namer):
-        self.mode = mode
-        self.tabled = tabled
-        self.bridges = bridges  # empty in legacy mode
-        self.namer = namer
-        self.orig_head: Term = Atom("[]")
-        self.cont_base = ""
-
-
 def _interface_clause(pred: PredId) -> Clause:
     args = tuple(Var(i, chr(ord("A") + i) if i < 26 else f"V{i + 1}") for i in range(pred.arity))
     head = Struct(pred.name, args) if args else Atom(pred.name)
-    return normalize_clause(head, [Struct("slg", (head,))])
+    return Clause(head, (Struct("slg", (head,)),))
 
 
 def _check_higher_order(program: Program, pivots):
@@ -203,7 +132,8 @@ def translate(program: Program, mode: Mode) -> Program:
     if not tabled and not bridges:
         return program
 
-    _check_higher_order(program, tabled | bridges)
+    pivots = tabled | bridges
+    _check_higher_order(program, pivots)
     by_key: dict = {}  # (name, arity) -> its clauses; keys in first-definition order
     for c in program.clauses:
         by_key.setdefault(pred_key(c.head), []).append(c)
@@ -221,32 +151,56 @@ def translate(program: Program, mode: Mode) -> Program:
     out: list = []
     for pred in order:
         clauses = by_pred.get(pred, [])
-        if pred not in tabled and pred not in bridges:
+        if pred not in pivots:
             out.extend(clauses)
             continue
-        ctx = _Ctx(mode, tabled, bridges, namer)
         if pred in tabled:
-            ctx.cont_base = f"slg_{pred.name}" if mode is Mode.GENERAL else f"{pred.name}_cont"
+            cont_base = f"slg_{pred.name}" if mode is Mode.GENERAL else f"{pred.name}_cont"
             out.append(_interface_clause(pred))
         else:
-            ctx.cont_base = f"{pred.name}_bridge"
+            cont_base = f"{pred.name}_bridge"
             out.extend(clauses)  # a bridge keeps its plain clauses
         mains, conts = [], []
         for clause in clauses:
-            cnames = var_names((clause.head, *clause.body))
+            head, body = clause.head, clause.body
+            cnames = var_names((head, *body))
             id_var = _fresh_var(cnames, "Id")
             if pred in tabled:
-                head_tr = Struct(f"slg_{pred.name}", (clause.head, id_var))
                 cont_prev = EMPTY_CONT
-                end_goal = Struct("answer", (id_var, clause.head))
+                chain_head = Struct(f"slg_{pred.name}", (head, id_var))
+                end_goal = Struct("answer", (id_var, head))
             else:
                 cont_prev = _fresh_var(cnames, "Cont")
-                head_tr = Struct(f"{pred.name}_bridge", (clause.head, id_var, cont_prev))
+                chain_head = Struct(f"{pred.name}_bridge", (head, id_var, cont_prev))
                 end_goal = Struct("call", (cont_prev,))
-            ctx.orig_head = clause.head
-            main, more = trans_body(head_tr, clause.body, id_var, cont_prev, end_goal, ctx)
-            mains.append(main)
-            conts.extend(more)
+            goal_vars = [vars_of(g) for g in (head, *body, end_goal)]
+            spans: dict = {}  # id -> [first, last goal position, var], in first-occurrence order
+            for pos, vs in enumerate(goal_vars):
+                for v in vs:
+                    spans.setdefault(v.id, [pos, pos, v])[1] = pos
+            chain, goals = [], []
+            for i, goal in enumerate(body, 1):
+                p = pred_of(goal)
+                if p not in pivots:
+                    goals.append(goal)
+                    continue
+                # save what is bound before the cut and used after it; the
+                # call's own variables travel in the pending-call slot
+                in_call = {v.id for v in goal_vars[i]}
+                lbinds = [v for k, (first, last, v) in spans.items()
+                          if first < i < last and k not in in_call]
+                args = (id_var, mk_list(lbinds), goal, cont_prev)  # legacy: no PrevCont
+                cont = Struct(namer.next(cont_base), args if mode is Mode.GENERAL else args[:3])
+                if p in tabled:
+                    goals.append(Struct("slgcall", (cont,)))
+                else:
+                    goals.append(Struct(f"{p.name}_bridge", (goal, id_var, cont)))
+                chain.append(Clause(chain_head, tuple(goals)))
+                chain_head, goals = cont, []
+            goals.append(end_goal)
+            chain.append(Clause(chain_head, tuple(goals)))
+            mains.append(chain[0])
+            conts.extend(chain[1:])
         out.extend(mains)
         out.extend(conts)
     return Program(tuple(out), frozenset(), frozenset())

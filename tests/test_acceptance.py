@@ -73,7 +73,7 @@ def test_criterion_4_cycle_termination():
             assert len(got) == len(set(got)) == nodes * nodes
             facts = bottom_up_eval(parse_program(src))
             equal, missing, extra = compare_answer_sets(
-                eng, facts, PredId("path", 2), call=parse_query("path(X, Y)")[0]
+                eng.space, facts, PredId("path", 2), call=parse_query("path(X, Y)")[0]
             )
             assert equal, (missing, extra)
             if size == 100:
@@ -97,7 +97,7 @@ def test_criterion_5_randomized_oracle_equivalence():
             call = parse_query("path(X, Y)")[0]
             list(eng.solve(call))
             equal, missing, extra = compare_answer_sets(
-                eng, bottom_up_eval(parse_program(src)), PredId("path", 2), call=call
+                eng.space, bottom_up_eval(parse_program(src)), PredId("path", 2), call=call
             )
             assert equal, (trial, missing, extra)
         assert time.time() - t0 < 60.0

@@ -13,7 +13,6 @@ from cctab import (
     TypeMismatchError,
     Var,
     canonical_variant,
-    eval_builtin,
     parse_program,
     parse_query,
     parse_term,
@@ -21,7 +20,7 @@ from cctab import (
     translate,
     unify,
 )
-from cctab.engine import BindingStore, solve
+from cctab.engine import BUILTINS, BindingStore, solve
 from cctab.terms import walk_subterms
 
 
@@ -83,44 +82,44 @@ def test_unify_shared_variable():
 def test_is_evaluates_sum():
     store = BindingStore()
     a = store.new_var("A")
-    assert eval_builtin(Struct("is", (a, Struct("+", (Int(0), Int(1))))), store)
+    assert BUILTINS[("is", 2)]((a, Struct("+", (Int(0), Int(1)))), store)
     assert store.walk(a) == Int(1)
 
 
 def test_comparison():
     store = BindingStore()
-    assert eval_builtin(Struct("<", (Int(0), Int(1))), store)
-    assert not eval_builtin(Struct("<", (Int(1), Int(1))), store)
+    assert BUILTINS[("<", 2)]((Int(0), Int(1)), store)
+    assert not BUILTINS[("<", 2)]((Int(1), Int(1)), store)
 
 
 def test_is_unbound_operand_raises():
     store = BindingStore()
     a, x = store.new_var("A"), store.new_var("X")
     with pytest.raises(InstantiationError):
-        eval_builtin(Struct("is", (a, Struct("+", (x, Int(1))))), store)
+        BUILTINS[("is", 2)]((a, Struct("+", (x, Int(1)))), store)
 
 
 def test_arithmetic_type_and_zero_divisor():
     store = BindingStore()
     with pytest.raises(TypeMismatchError):
-        eval_builtin(Struct("is", (store.new_var("A"), Atom("a"))), store)
+        BUILTINS[("is", 2)]((store.new_var("A"), Atom("a")), store)
     with pytest.raises(TypeMismatchError):
-        eval_builtin(Struct("is", (store.new_var("B"), Struct("//", (Int(1), Int(0))))), store)
+        BUILTINS[("is", 2)]((store.new_var("B"), Struct("//", (Int(1), Int(0)))), store)
 
 
 def test_arith_operators():
     store = BindingStore()
     for text, value in [("7 // 2", 3), ("7 mod 2", 1), ("2 * 3 - 1", 5)]:
         v = store.new_var("V")
-        assert eval_builtin(Struct("is", (v, parse_term(text))), store)
+        assert BUILTINS[("is", 2)]((v, parse_term(text)), store)
         assert store.walk(v) == Int(value)
 
 
 def test_not_unifiable():
     store = BindingStore()
     x = store.new_var("X")
-    assert eval_builtin(Struct("\\=", (Atom("a"), Atom("b"))), store)
-    assert not eval_builtin(Struct("\\=", (x, Atom("b"))), store)
+    assert BUILTINS[("\\=", 2)]((Atom("a"), Atom("b")), store)
+    assert not BUILTINS[("\\=", 2)]((x, Atom("b")), store)
     assert store.walk(x) == x  # probe bindings undone
 
 
@@ -326,13 +325,13 @@ def test_deeply_nested_arithmetic_evaluates():
     store = BindingStore()
     try:
         got = [print_term(s["X"]) for s in solve(parse_query("q(X)"), p)]
-        equal = eval_builtin(Struct("=:=", (deep, Int(-2999))), store)
+        equal = BUILTINS[("=:=", 2)]((deep, Int(-2999)), store)
     except RecursionError:
         got = equal = "RecursionError"  # caught: pytest would print every frame
     assert got == ["5000"] and equal is True
     store, expr = fresh_store_terms("1 + 2 * (3 - X)")
     with pytest.raises(InstantiationError):
-        eval_builtin(Struct("is", (store.new_var("V"), expr)), store)
+        BUILTINS[("is", 2)]((store.new_var("V"), expr), store)
 
 
 # -- the frozen copy as variant key -----------------------------------------------

@@ -123,7 +123,7 @@ def test_general_mode_agrees_with_oracle(mixed_loop_src):
     eng = make_engine(mixed_loop_src)
     list(eng.solve(parse_query("t(A)")))
     facts = bottom_up_eval(parse_program(mixed_loop_src))
-    equal, missing, extra = compare_answer_sets(eng, facts, PredId("t", 1))
+    equal, missing, extra = compare_answer_sets(eng.space, facts, PredId("t", 1))
     assert equal and not missing and not extra
 
 
@@ -131,7 +131,7 @@ def test_legacy_mode_mismatch_reports_missing(mixed_loop_src):
     eng = make_engine(mixed_loop_src, Mode.LEGACY)
     list(eng.solve(parse_query("t(A)")))
     facts = bottom_up_eval(parse_program(mixed_loop_src))
-    equal, missing, extra = compare_answer_sets(eng, facts, PredId("t", 1))
+    equal, missing, extra = compare_answer_sets(eng.space, facts, PredId("t", 1))
     assert not equal
     assert [print_term(t) for t in missing] == ["t(1)"]
     assert extra == []
@@ -147,7 +147,7 @@ def test_random_graph_transitive_closure_agrees():
     q = parse_query("path(X, Y)")[0]
     list(eng.solve(q))
     facts = bottom_up_eval(parse_program(src))
-    equal, missing, extra = compare_answer_sets(eng, facts, PredId("path", 2), call=q)
+    equal, missing, extra = compare_answer_sets(eng.space, facts, PredId("path", 2), call=q)
     assert equal, (missing, extra)
 
 
@@ -157,7 +157,7 @@ def test_grid_fixture_agrees_with_oracle():
     q = parse_query("path(X, Y)")[0]
     count = sum(1 for _ in eng.solve(q))
     facts = bottom_up_eval(parse_program(src))
-    equal, missing, extra = compare_answer_sets(eng, facts, PredId("path", 2), call=q)
+    equal, missing, extra = compare_answer_sets(eng.space, facts, PredId("path", 2), call=q)
     assert equal, (missing, extra)
     assert count == len(facts[PredId("path", 2)]) > 0
 
@@ -166,4 +166,4 @@ def test_compare_requires_completed_entry(mixed_loop_src):
     eng = make_engine(mixed_loop_src)
     facts = bottom_up_eval(parse_program(mixed_loop_src))
     with pytest.raises(RangeRestrictionError):
-        compare_answer_sets(eng, facts, PredId("t", 1), call=parse_term("t(X)"))
+        compare_answer_sets(eng.space, facts, PredId("t", 1), call=parse_term("t(X)"))

@@ -11,18 +11,15 @@ from cctab import (
     TranslateError,
     effective_bridges,
     find_bridges,
-    get_lbinds,
     parse_program,
-    parse_query,
-    parse_term,
+    print_clause,
     print_program,
-    print_term,
-    split_following,
     translate,
 )
+from cctab.engine import compile_index
 from cctab.terms import canonical_clause, pred_of, vars_of, vars_of_all
 
-from conftest import FIXTURES, read_fixture, read_golden
+from conftest import FIXTURES, answers, make_engine, read_fixture, read_golden
 from test_differential import SEED, random_program
 
 
@@ -75,71 +72,77 @@ def test_translate_absorbs_a_bridge_union_already_made():
         assert effective_bridges(p, Mode.LEGACY) == p.bridges
 
 
-# -- split_following --------------------------------------------------------------
+# -- cutting a body at its tabled and bridge calls ---------------------------------
+# Each cut ends a clause in a call that carries a continuation; the binding
+# list of that continuation holds the variables bound before the cut and used
+# after it (the final answer/2 or call(Cont) included), except those of the
+# call itself, in first-occurrence order.
 
 
-def goals(text):
-    return parse_query(text)
+def chain(src: str) -> list:
+    return print_program(general(src)).splitlines()
 
 
 def test_split_at_leftmost_bridge():
-    body = goals("p(B), A is B + 1")
-    prefix, pivot, suffix = split_following(body, frozenset(), {PredId("p", 1)})
-    assert prefix == []
-    assert print_term(pivot) == "p(B)"
-    assert [print_term(g) for g in suffix] == ["A is B + 1"]
+    out = chain(read_fixture("mixed_loop.pl"))  # t(A) :- p(B), A is B + 1.
+    assert "slg_t(t(A), Id) :- p_bridge(p(B), Id, slg_t0(Id, [A], p(B), []))." in out
+    assert "slg_t0(Id, [A], p(B), []) :- A is B + 1, answer(Id, t(A))." in out
 
 
 def test_split_at_tabled_call_after_prefix():
-    body = goals("edge(X, Y), path(Y, Z)")
-    prefix, pivot, suffix = split_following(body, {PredId("path", 2)}, frozenset())
-    assert [print_term(g) for g in prefix] == ["edge(X, Y)"]
-    assert print_term(pivot) == "path(Y, Z)"
-    assert suffix == []
+    out = chain(read_fixture("reach.pl"))  # path(X, Z) :- edge(X, Y), path(Y, Z).
+    assert "slg_path(path(X, Z), Id) :- edge(X, Y), slgcall(slg_path0(Id, [X], path(Y, Z), []))." in out
+    assert "slg_path0(Id, [X], path(Y, Z), []) :- answer(Id, path(X, Z))." in out
 
 
 def test_split_without_pivot():
-    body = goals("edge(X, Z)")
-    prefix, pivot, suffix = split_following(body, {PredId("path", 2)}, frozenset())
-    assert pivot is None
-    assert prefix == body
-    assert suffix == []
+    out = chain(read_fixture("reach.pl"))  # path(X, Z) :- edge(X, Z).
+    assert "slg_path(path(X, Z), Id) :- edge(X, Z), answer(Id, path(X, Z))." in out
+    assert [line for line in out if line.startswith("slg_path1")] == []
 
 
 def test_split_commits_to_first_pivot():
-    body = goals("t(X), t(Y)")
-    _, pivot, suffix = split_following(body, {PredId("t", 1)}, frozenset())
-    assert print_term(pivot) == "t(X)"
-    assert [print_term(g) for g in suffix] == ["t(Y)"]
-
-
-# -- get_lbinds --------------------------------------------------------------------
+    out = chain(":- table t/1.\n:- table u/2.\nu(X, Y) :- t(X), t(Y).\n")
+    assert "slg_u(u(X, Y), Id) :- slgcall(slg_u0(Id, [Y], t(X), []))." in out
+    assert "slg_u0(Id, [Y], t(X), []) :- slgcall(slg_u1(Id, [X], t(Y), []))." in out
+    assert "slg_u1(Id, [X], t(Y), []) :- answer(Id, u(X, Y))." in out
 
 
 def test_lbinds_mixed_loop_clause():
-    head = parse_term("c(t(A), p(B), x(A, B))")  # one clause's terms, sharing vars
-    t_head, pivot, after = head.args
-    binds = get_lbinds([t_head], pivot, [Struct("is", (after.args[0], after.args[1]))])
-    assert [v.name for v in binds] == ["A"]
+    out = general(read_fixture("mixed_loop.pl"))
+    conts = [c.head for c in out.clauses if c.pred() == PredId("slg_t0", 4)]
+    assert [[v.name for v in vars_of(h.args[1])] for h in conts] == [["A"]]
 
 
 def test_lbinds_reach_clause():
-    packed = parse_term("c(path(X, Z), edge(X, Y), path(Y, Z), answer(path(X, Z)))")
-    head, prefix, pivot, end = packed.args
-    binds = get_lbinds([head, prefix], pivot, [end])
-    assert [v.name for v in binds] == ["X"]
+    out = general(read_fixture("reach.pl"))
+    conts = [c.head for c in out.clauses if c.pred() == PredId("slg_path0", 4)]
+    assert [[v.name for v in vars_of(h.args[1])] for h in conts] == [["X"]]
 
 
 def test_lbinds_excludes_pivot_vars():
-    packed = parse_term("c(p(B), t(B), lt(B))")
-    head, pivot, after = packed.args
-    assert get_lbinds([head], pivot, [after]) == []
+    # B is used after the cut, by answer/2, but travels inside t(B)
+    out = chain(":- table p/1.\n:- table t/1.\np(B) :- t(B), lt(B).\n")
+    assert "slg_p(p(B), Id) :- slgcall(slg_p0(Id, [], t(B), []))." in out
+    assert "slg_p0(Id, [], t(B), []) :- lt(B), answer(Id, p(B))." in out
 
 
 def test_lbinds_first_occurrence_order():
-    packed = parse_term("c(h(U, W), a(W, V), t(Z), g(V, U, W))")
-    head, prefix, pivot, after = packed.args
-    assert [v.name for v in get_lbinds([head, prefix], pivot, [after])] == ["U", "W", "V"]
+    out = chain(":- table h/2.\n:- table t/1.\nh(U, W) :- a(W, V), t(Z), g(V, U, W).\n")
+    assert "slg_h(h(U, W), Id) :- a(W, V), slgcall(slg_h0(Id, [U, W, V], t(Z), []))." in out
+
+
+def test_clause_ids_with_a_gap_index_and_answer():
+    # the continuation keeps the source ids: W (id 2) occurs only before the
+    # cut, so slg_t0's clause has no variable 2 and compile_index names it _G
+    src = (":- table t/2.\nt(X, Y) :- e(X, Y).\nt(X, Y) :- e(X, W), f(W, V), t(V, Y).\n"
+           "e(1,2). e(2,3). f(2,2). f(3,1).\n")
+    program = general(src)
+    (cont,) = [c for c in program.clauses if c.pred() == PredId("slg_t0", 4)]
+    assert print_clause(cont) == "slg_t0(Id, [X], t(V, Y), []) :- answer(Id, t(X, Y))."
+    (entry,) = compile_index(program)[("slg_t0", 4)][0]
+    assert entry[2:] == (5, ["X", "Y", "_G", "V", "Id"])
+    assert sorted(answers(make_engine(src), "t(1, Y)")) == ["t(1, 2)", "t(1, 3)"]
 
 
 # -- identity and shape ---------------------------------------------------------------
