@@ -33,7 +33,7 @@ def report(name, source):
     print("call graph edges (built-ins excluded):")
     for a, b in sorted(graph.edges):
         print(f"  {a} -> {b}")
-    bridges = find_bridges(program, graph)
+    bridges = find_bridges(program)
     shown = ", ".join(str(b) for b in sorted(bridges)) or "none"
     print(f"bridge predicates: {shown}")
     print()

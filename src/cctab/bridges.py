@@ -15,12 +15,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .engine import BUILTINS, TABLING_PRIMS
+from .engine import ENGINE_PREDS
 from .terms import PredId, Program, pred_key
-
-# (name, arity) of the predicates resolved by the engine itself; they never
-# appear as graph nodes.
-BUILTIN_KEYS = frozenset((*BUILTINS, *TABLING_PRIMS, ("call", 1)))
 
 
 @dataclass(frozen=True)
@@ -31,7 +27,8 @@ class CallGraph:
 
 def build_call_graph(program: Program) -> CallGraph:
     # Predicates are (name, arity) tuples while scanning, which sort as PredId
-    # does; each node becomes one PredId at the end, shared by its edges.
+    # does; each node becomes one PredId at the end, shared by its edges.  The
+    # predicates the engine resolves itself are no nodes.
     nodes = set()
     edges = set()
     for clause in program.clauses:
@@ -39,7 +36,7 @@ def build_call_graph(program: Program) -> CallGraph:
         nodes.add(caller)
         for goal in clause.body:
             callee = pred_key(goal)
-            if callee is None or callee in BUILTIN_KEYS:
+            if callee is None or callee in ENGINE_PREDS:
                 continue
             nodes.add(callee)
             edges.add((caller, callee))
@@ -60,14 +57,14 @@ def _reachable(starts, succ: dict) -> set:
     return out
 
 
-def find_bridges(program: Program, graph: CallGraph = None) -> set:
+def find_bridges(program: Program) -> set:
     """(union over tabled T of Forward(T)) & (union of Backward(T)) - tabled.
 
     Forward(T) and Backward(T) are the predicates T reaches and those that
     reach T through one or more call edges; the tabled predicates themselves
     are left out, since the translation already saves their environments.
     """
-    graph = graph or build_call_graph(program)
+    graph = build_call_graph(program)
     succ: dict = {}
     pred: dict = {}
     for a, b in graph.edges:

@@ -426,6 +426,9 @@ BUILTINS = {
 
 TABLING_PRIMS = {("slg", 1), ("slgcall", 1), ("answer", 2)}
 
+# (name, arity) of every predicate the machine resolves itself, not by clauses
+ENGINE_PREDS = frozenset((*BUILTINS, *TABLING_PRIMS, ("call", 1)))
+
 
 def compile_index(program: Program) -> dict:
     """(name, arity) -> (clauses, by_first, var_first).
@@ -534,14 +537,14 @@ class StoredIterCP:
 class Machine:
     """One SLD computation: goal stack, choice points, trail."""
 
-    def __init__(self, index, runtime=None, budget=None, counters=None):
+    def __init__(self, index, runtime=None, budget=None):
         self.index = index
         self.store = BindingStore()
         self.goals = None  # cons cells (goal, rest), None = empty
         self.cps: list = []
         self.runtime = runtime
         self.budget = budget if budget is not None else Budget()
-        self.counters = counters
+        self.counters = runtime.counters if runtime is not None else None  # for slg_resolutions
         self.gen_mark = None  # trail mark where the innermost open generator began, or None
         self._resume_by_backtracking = False
 

@@ -38,7 +38,8 @@ def _is_ground(t: Term) -> bool:
 
 
 def _match(pattern: Term, fact: Term, env: dict):
-    """One-way match of a pattern (vars allowed) against a ground fact.
+    """One-way match of a pattern (vars allowed) against a ground fact; a
+    variable env binds stands for its value, which is ground.
 
     Returns an extended copy of env, or None.
     """
@@ -175,7 +176,7 @@ def _goal_envs(goal: Term, env: dict, store: _FactStore, clause: Clause):
         yield from _eval_builtin_goal(goal, env, clause)
         return
     for fact in store.candidates(pred, goal, env):
-        out = _match(_subst(goal, env), fact, env)
+        out = _match(goal, fact, env)
         if out is not None:
             yield out if out is not env else dict(env)
 

@@ -230,11 +230,19 @@ class _Parser:
     # -- clauses and directives ----------------------------------------------
 
     def parse_body(self) -> list[Term]:
-        goals = [self.parse_term()]
-        while self.at("punct", ","):
+        """Comma-separated goals; a variable or an integer goal is a
+        ParseError at the goal's first token."""
+        goals = []
+        while True:
+            _, _, line, col = self.peek()
+            g = self.parse_term()
+            if isinstance(g, (Var, Int)):
+                kind = "variable" if isinstance(g, Var) else "integer"
+                raise ParseError(f"{kind} is not a valid goal", line, col)
+            goals.append(g)
+            if not self.at("punct", ","):
+                return goals
             self.next()
-            goals.append(self.parse_term())
-        return goals
 
     def parse_directive(self):
         _, directive, line, col = self.expect("atom")
@@ -245,14 +253,6 @@ class _Parser:
         arity = int(self.expect("int")[1])
         self.expect("end")
         return directive, PredId(name, arity)
-
-    def check_goal(self, g: Term, t: tuple):
-        """A goal read from token t must be callable."""
-        _, _, line, col = t
-        if isinstance(g, Var):
-            raise ParseError("variable is not a valid goal", line, col)
-        if isinstance(g, Int):
-            raise ParseError("integer is not a valid goal", line, col)
 
     def parse_program(self) -> Program:
         clauses = []
@@ -272,10 +272,7 @@ class _Parser:
             body: list[Term] = []
             if self.at("sym", ":-"):
                 self.next()
-                bt = self.peek()
                 body = self.parse_body()
-                for g in body:
-                    self.check_goal(g, bt)
             self.expect("end")
             # fresh_var numbered the variables 0..n-1 in first-occurrence order
             clauses.append(Clause(head, tuple(body)))
@@ -304,10 +301,7 @@ def parse_term(text: str) -> Term:
 def parse_query(text: str) -> list[Term]:
     """Parse a comma-separated goal list; accepts an optional trailing period."""
     p = _Parser(text)
-    tok = p.peek()
     goals = p.parse_body()
-    for g in goals:
-        p.check_goal(g, tok)
     if p.peek()[0] == "end":
         p.next()
     if p.peek()[0] != "eof":

@@ -38,8 +38,8 @@ from dataclasses import dataclass, field, replace
 from .engine import (
     BUILTINS,
     DEFAULT_BUDGET,
+    ENGINE_PREDS,
     SOLUTION,
-    TABLING_PRIMS,
     Budget,
     Machine,
     StoredIterCP,
@@ -56,6 +56,7 @@ from .translate import Mode
 
 EVALUATING = "evaluating"
 COMPLETE = "complete"
+DROPPED = "dropped"  # by a failed query, whose evaluation was left half done
 CONT_ARITY = {Mode.GENERAL: 4, Mode.LEGACY: 3}  # of the continuation terms each mode makes
 # What lets a general-mode tabled call escape slgcall/1: bridges cannot cover it.
 UNINSTRUMENTED = ("a call the translation does not instrument (call/1 of a goal bound at "
@@ -98,13 +99,12 @@ class StoredCont:
 @dataclass
 class GeneratorEntry:
     id: int
-    call: Term  # frozen call, vars 0..call_nvars-1; its variant key
-    call_nvars: int
+    call: Term  # frozen call; its variant key
     answers: list = field(default_factory=list)  # (term, nvars), insertion order
     index: set = field(default_factory=set)  # the answer terms, as variant keys
     continuations: list = field(default_factory=list)  # StoredCont
     cont_keys: set = field(default_factory=set)  # the continuation terms, as variant keys
-    status: str = EVALUATING
+    status: str = EVALUATING  # then COMPLETE, or DROPPED
     pos: int = None  # completion stack index while EVALUATING
     deplink: int = None  # lowest stack position this generator depends on
     suspension_total: int = 0  # cumulative; survives completion
@@ -160,20 +160,19 @@ class TableSpace:
 
     def __init__(self):
         self.entries: list = []
-        self.variant_index: dict = {}
+        self.variant_index: dict = {}  # frozen call -> its GeneratorEntry
         self.stack: list = []  # ids of EVALUATING generators, oldest first
         self.arenas: list = []  # active resumption worklists, innermost last
         self.counters = Counters()
 
     def lookup(self, call: Term):
         """The entry of a frozen call's variant, or None."""
-        eid = self.variant_index.get(call)
-        return None if eid is None else self.entries[eid]
+        return self.variant_index.get(call)
 
-    def new_generator(self, call: Term, call_nvars: int, creator=None) -> GeneratorEntry:
-        entry = GeneratorEntry(id=len(self.entries), call=call, call_nvars=call_nvars)
+    def new_generator(self, call: Term, creator=None) -> GeneratorEntry:
+        entry = GeneratorEntry(id=len(self.entries), call=call)
         self.entries.append(entry)
-        self.variant_index[call] = entry.id
+        self.variant_index[call] = entry
         entry.pos = len(self.stack)
         self.stack.append(entry.id)
         entry.deplink = entry.pos
@@ -294,12 +293,10 @@ class Engine:
     completed variant is answered by pure table reads on re-query.
     """
 
-    def __init__(self, program: Program, mode: Mode = Mode.GENERAL,
-                 depth_budget: int = DEFAULT_BUDGET):
+    def __init__(self, program: Program, mode: Mode = Mode.GENERAL):
         self.index = compile_index(program)
         self.mode = mode
         self.space = TableSpace()
-        self.depth_budget = depth_budget
         self._conts: dict = {}  # (name, arity) -> its _ContClause, or None; built as resumed
 
     @property
@@ -308,13 +305,13 @@ class Engine:
 
     # -- public query API ---------------------------------------------------
 
-    def solve(self, goals, depth_budget: int = None):
+    def solve(self, goals, depth_budget: int = DEFAULT_BUDGET):
         """Enumerate solutions of a goal or goal list; local scheduling.  One
-        machine runs the query and every generator it opens."""
+        machine runs the query and every generator it opens, within
+        depth_budget resolution steps."""
         if not isinstance(goals, (list, tuple)):
             goals = [goals]
-        budget = Budget(depth_budget if depth_budget is not None else self.depth_budget)
-        machine = Machine(self.index, runtime=self, budget=budget, counters=self.counters)
+        machine = Machine(self.index, runtime=self, budget=Budget(depth_budget))
         named, live_goals = machine.start(goals)
         store = machine.store
         try:
@@ -330,10 +327,6 @@ class Engine:
         except BaseException:
             self._purge_incomplete()
             raise
-
-    def slg(self, call: Term, depth_budget: int = None):
-        """Run a tabled call to completion and enumerate its answers."""
-        yield from self.solve(Struct("slg", (call,)), depth_budget=depth_budget)
 
     def answer_terms(self, call: Term) -> list:
         """Stored answers for the variant of call, in insertion order."""
@@ -360,7 +353,7 @@ class Engine:
         pred = pred_of(frozen)
         if (f"slg_{pred.name}", 2) not in self.index:
             raise TablingError(f"not a tabled predicate: {pred}")
-        entry = space.new_generator(frozen, nvars, creator)
+        entry = space.new_generator(frozen, creator)
         arena = None
         if creator is None:
             arena = deque()
@@ -407,10 +400,13 @@ class Engine:
         id_t = store.walk(cont.args[0])
         if type(id_t) is not Int or not (0 <= id_t.value < len(self.space.entries)):
             raise TablingError("malformed continuation term: bad generator id")
+        owner = self.space.entries[id_t.value]
+        if owner.status == DROPPED:
+            raise TablingError(f"slgcall/1: generator {owner.id} was dropped by a failed query")
         pending = store.walk(cont.args[2])
         if type(pending) not in (Atom, Struct):
             raise TablingError("malformed continuation term: pending call is not callable")
-        entry = self._variant(machine, pending, goal, rest, self.space.entries[id_t.value])
+        entry = self._variant(machine, pending, goal, rest, owner)
         if entry is None:
             return True
         if entry.status == COMPLETE:
@@ -453,6 +449,8 @@ class Engine:
         entry = self.space.entries[id_t.value]
         if entry.status == COMPLETE:
             raise TablingError(f"answer/2: generator {entry.id} is already complete")
+        if entry.status == DROPPED:
+            raise TablingError(f"answer/2: generator {entry.id} was dropped by a failed query")
         stored_answer = store.freeze(goal.args[1])
         if stored_answer[0] in entry.index:
             return False
@@ -471,12 +469,15 @@ class Engine:
         """Drop half-evaluated generators after a failed query.
 
         Their answer sets cannot be trusted, so the variants are forgotten
-        entirely; a later query re-evaluates them from scratch.
+        entirely; a later query re-evaluates them from scratch.  The dropped
+        entries stay in the entries list, marked DROPPED, so a generator id
+        that names one is refused.
         """
         space = self.space
         for gid in space.stack:
             entry = space.entries[gid]
             space.variant_index.pop(entry.call, None)
+            entry.status = DROPPED
             entry.continuations.clear()
             entry.cont_keys.clear()
             entry.pos = None
@@ -506,8 +507,7 @@ class Engine:
         for k, (s, h) in enumerate(plan):
             if type(h) is Var and h.id == clause.cont:
                 key = (s.functor, len(s.args)) if type(s) is Struct else None
-                if (key and key not in BUILTINS and key not in TABLING_PRIMS
-                        and key != ("call", 1) and self._cont_clause(key)):
+                if key and key not in ENGINE_PREDS and self._cont_clause(key):
                     return clause, plan[:k] + plan[k + 1 :], s
                 break
         return clause, plan, None

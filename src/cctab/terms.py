@@ -106,10 +106,6 @@ class Struct:
                 return False
         return True
 
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        return NotImplemented if eq is NotImplemented else not eq
-
     def __hash__(self):
         # the hash of the preorder tokens, left to right: functor and arity of
         # a compound, the name of an atom, the value of an integer, a variable

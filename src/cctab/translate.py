@@ -21,7 +21,6 @@ above them: their ids are below nvars, but a cut may leave some unused.
 from __future__ import annotations
 
 import enum
-import logging
 
 from . import bridges as bridge_analysis
 from .errors import TranslateError
@@ -39,7 +38,6 @@ from .terms import (
     vars_of,
 )
 
-log = logging.getLogger(__name__)
 
 EMPTY_CONT = Atom("[]")
 
@@ -141,9 +139,6 @@ def translate(program: Program, mode: Mode) -> Program:
     _check_name_collisions(names, tabled, bridges)
 
     by_pred = {PredId(*key): clauses for key, clauses in by_key.items()}
-    for pred in sorted(tabled):
-        if pred not in by_pred:
-            log.warning("tabled predicate %s has no clauses", pred)
 
     namer = _ContNamer(names)
     order = list(by_pred) + [p for p in sorted(tabled) if p not in by_pred]

@@ -32,8 +32,8 @@ def run_limited(*argv, timeout=30) -> subprocess.CompletedProcess:
                           timeout=timeout, preexec_fn=limit)
 
 
-def make_engine(source: str, mode: Mode = Mode.GENERAL, **kw) -> Engine:
-    return Engine(translate(parse_program(source), mode), mode=mode, **kw)
+def make_engine(source: str, mode: Mode = Mode.GENERAL) -> Engine:
+    return Engine(translate(parse_program(source), mode), mode=mode)
 
 
 def answers(engine: Engine, query: str) -> list:

@@ -67,6 +67,15 @@ def test_parse_errors_carry_position():
         parse_program(":- tible t/1.")
 
 
+@pytest.mark.parametrize("text, line, col, kind", [("q, X", 1, 4, "variable"),
+                                                    ("q(1), r,  (7).", 1, 11, "integer")],
+                         ids=["variable", "integer"])
+def test_invalid_query_goal_reported_where_it_starts(text, line, col, kind):
+    with pytest.raises(ParseError) as e:
+        parse_query(text)
+    assert (e.value.line, e.value.col, e.value.message) == (line, col, f"{kind} is not a valid goal")
+
+
 def test_operator_parsing():
     t = parse_term("A is B + 1 * 2")
     assert t == Struct(
@@ -304,6 +313,9 @@ PARSE_ERRORS = {
     "missing_end_comment": ("p(a) % c", 1, 6, "expected 'end', found ''"),
     "missing_end_comment_line": ("p(a)\n% c", 2, 1, "expected 'end', found ''"),
     "empty_body": ("p(a) :-", 1, 8, "expected a term, found ''"),
+    # an invalid goal is reported where it starts, not where the body does
+    "integer_goal": ("p :- q,\n  r, 3.", 2, 6, "integer is not a valid goal"),
+    "variable_goal": ("p :- q, (X).", 1, 9, "variable is not a valid goal"),
 }
 
 

@@ -97,7 +97,7 @@ def test_completion_empties_continuations(mixed_loop_src):
 def test_slg_on_non_tabled_predicate_errors(mixed_loop_src):
     eng = make_engine(mixed_loop_src)
     with pytest.raises(TablingError, match="not a tabled predicate"):
-        list(eng.slg(parse_term("nosuch(X)")))
+        list(eng.solve(Struct("slg", (parse_term("nosuch(X)"),))))
 
 
 def test_bridge_predicate_keeps_its_interface(mixed_loop_src):
@@ -203,7 +203,7 @@ def test_answer_into_completed_table_errors(mixed_loop_src):
 
 def test_complete_with_pending_work_errors():
     space = TableSpace()
-    entry = space.new_generator(parse_term("t(_)"), 1)
+    entry = space.new_generator(parse_term("t(_)"))
     arena = [(StoredCont(parse_term("c(0, [], t(0), [])"), 0, entry.id), (parse_term("t(0)"), 0))]
     space.arenas.append(arena)
     with pytest.raises(TablingError, match="pending"):
@@ -439,8 +439,8 @@ def test_cyclic_answer_purges_the_table_space():
 
 def test_complete_keeps_outer_generators_on_the_stack():
     space = TableSpace()
-    first = space.new_generator(parse_term("t(_)"), 1)
-    second = space.new_generator(parse_term("u(_)"), 1)
+    first = space.new_generator(parse_term("t(_)"))
+    second = space.new_generator(parse_term("u(_)"))
     complete(space, second)
     assert space.stack == [first.id]
     assert (first.status, first.pos) == (EVALUATING, 0)
@@ -898,3 +898,29 @@ def test_succeeding_generator_clause_is_an_internal_error(mode, query, generator
     assert eng.space.stack == [] and eng.space.arenas == []
     assert eng.space.variant_index == {}
     assert (eng.counters.generators, eng.counters.slg_resolutions) == (generators, generators)
+
+
+# p(X)'s evaluation never ends: each answer of q runs into loop/1, so the
+# budget stops the query and drops p's and q's generators (ids 0 and 1).
+DROPPED_BY_BUDGET = """:- table p/1.
+:- table q/1.
+q(1).
+q(2).
+p(X) :- q(X), loop(X).
+loop(X) :- loop(X).
+k(Id, [], q(X), []) :- answer(Id, p(X)).
+"""
+
+
+@pytest.mark.parametrize("query, prim", [("answer(0, p(7))", "answer/2"),
+                                         ("slgcall(k(0, [], q(X), []))", "slgcall/1")],
+                         ids=["answer", "slgcall"])
+def test_dropped_generator_is_refused(query, prim):
+    eng = make_engine(DROPPED_BY_BUDGET)
+    with pytest.raises(ResourceLimitError):
+        list(eng.solve(parse_query("p(X)"), depth_budget=2000))
+    generators = eng.counters.generators
+    with pytest.raises(TablingError, match=f"^{prim}: generator 0 was dropped by a failed query$"):
+        list(eng.solve(parse_query(query)))
+    assert eng.space.entries[0].answers == [] and eng.counters.generators == generators
+    assert eng.space.stack == [] and eng.space.arenas == []
