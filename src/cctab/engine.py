@@ -84,7 +84,7 @@ class BindingStore:
             return t
         return copy_term(t, lambda v: v, self.walk)
 
-    def freeze(self, term: Term, sizes: list = None) -> tuple:
+    def freeze(self, term: Term, sizes: list = None, ids: dict = None) -> tuple:
         """(copy, nvars): term with all bindings applied and its unbound
         variables renumbered 0..nvars-1 in first-occurrence order, keeping names.
 
@@ -96,12 +96,16 @@ class BindingStore:
         its own compound value is a cyclic term, a TypeMismatchError.  When
         sizes is a list and the copy is a compound, the cells (term_size) of
         each of its arguments are appended to it, counted in the same pass.
+        When ids is a dict, it receives each unbound variable's id, mapped to
+        its renumbered Var, in the order of the renumbering.
         """
         bindings = self.bindings
-        ids: dict = {}  # original variable id -> its renumbered Var
+        if ids is None:
+            ids = {}  # original variable id -> its renumbered Var
         t = self.walk(term)
         if type(t) is Var:
-            return Var(0, t.name), 1
+            ids[t.id] = w = Var(0, t.name)
+            return w, 1
         if type(t) is not Struct:
             return t, 0
         toks = [t.functor, len(t.args)]  # Struct.__hash__'s tokens, in its order
@@ -508,26 +512,53 @@ class StoredIterCP:
 
     Reads the backing list length on every retry, so it works both for frozen
     (completed) answer lists and for lists that grow during the iteration.
+
+    A list that no longer grows may come with substs, one slot per entry, and
+    live, the ids of the live term's unbound variables in the order its
+    variant numbers them.  Then entries are read by substitution: a slot is
+    filled when its entry is first unified, with the values the live
+    variables took (a ground entry binds each to its own subterm), and every
+    later read binds each live variable to its value, one binding and one
+    trail entry each, as unify_stored did.  A slot is False for an entry that
+    is not ground or did not unify (not an instance of the variant), which is
+    unified at every read.
     """
 
-    __slots__ = ("target", "stored", "i", "mark", "rest")
+    __slots__ = ("target", "stored", "i", "mark", "rest", "substs", "live")
 
-    def __init__(self, target, stored, mark, rest):
+    def __init__(self, target, stored, mark, rest, substs=None, live=None):
         self.target = target
         self.stored = stored
         self.i = 0
         self.mark = mark
         self.rest = rest
+        self.substs = substs
+        self.live = live
 
     def try_next(self, m: "Machine") -> bool:
         store = m.store
         store.undo_to(self.mark)
-        while self.i < len(self.stored):
-            term, nvars = self.stored[self.i]
-            self.i += 1
-            if unify_stored(self.target, term, [None] * nvars, None, store):
-                m.goals = self.rest
-                return True
+        bindings = store.bindings
+        stored = self.stored
+        substs = self.substs
+        live = self.live
+        while self.i < len(stored):
+            i = self.i
+            self.i = i + 1
+            sub = False if substs is None else substs[i]
+            if sub is None or sub is False:
+                term, nvars = stored[i]
+                ok = unify_stored(self.target, term, [None] * nvars, None, store)
+                if sub is None:
+                    substs[i] = [bindings[v] for v in live] if ok and not nvars else False
+                if not ok:
+                    continue
+            else:
+                for v, value in zip(live, sub):
+                    bindings[v] = value
+                store.trail.extend(live)
+            m.goals = self.rest
+            return True
         return False
 
 
@@ -556,8 +587,9 @@ class Machine:
         """Push a copy of the query goals with one fresh store variable per
         query variable.
 
-        Returns ({name: live variable} for the named query variables in
-        first-occurrence order, [live goals]).
+        Returns ({name: query variable id} for the named query variables in
+        first-occurrence order, live), where live[i] is the store variable of
+        query variable i (None for an id no query variable has).
         """
         live: dict = {}  # query variable id -> its store variable
         new_var = self.store.new_var
@@ -568,9 +600,9 @@ class Machine:
                 w = live[v.id] = new_var(v.name)
             return w
 
-        live_goals = [copy_term(g, var) for g in goals]
-        self.push_goals(live_goals)
-        return {w.name: w for w in live.values() if w.name != "_"}, live_goals
+        self.push_goals([copy_term(g, var) for g in goals])
+        by_id = [live.get(i) for i in range(max(live, default=-1) + 1)]
+        return {w.name: i for i, w in live.items() if w.name != "_"}, by_id
 
     def backtrack(self) -> bool:
         """Resume the newest choice point that has an alternative left; when
@@ -669,6 +701,6 @@ def solve(goals, program: Program, depth_budget: int = DEFAULT_BUDGET):
     if isinstance(goals, (Atom, Struct, Var, Int)):
         goals = [goals]
     machine = Machine(compile_index(program), budget=Budget(depth_budget))
-    named, _ = machine.start(goals)
+    named, live = machine.start(goals)
     while machine.run() == SOLUTION:
-        yield {name: machine.store.resolve(v) for name, v in named.items()}
+        yield {name: machine.store.resolve(live[i]) for name, i in named.items()}

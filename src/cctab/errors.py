@@ -38,7 +38,7 @@ class TypeMismatchError(QueryError):
 
 
 class ResourceLimitError(QueryError):
-    """Resolution step budget or oracle iteration cap exceeded."""
+    """Resolution step budget, oracle iteration cap or memory exceeded."""
 
 
 class TablingError(QueryError):

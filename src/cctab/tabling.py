@@ -48,7 +48,7 @@ from .engine import (
     unify,
     unify_stored,
 )
-from .errors import InstantiationError, TablingError, TypeMismatchError
+from .errors import InstantiationError, ResourceLimitError, TablingError, TypeMismatchError
 from .syntax import print_term
 from .terms import (Atom, Int, Program, Struct, Term, Var, canonical_variant, pred_key, pred_of,
                     walk_subterms)
@@ -108,6 +108,9 @@ class GeneratorEntry:
     pos: int = None  # completion stack index while EVALUATING
     deplink: int = None  # lowest stack position this generator depends on
     suspension_total: int = 0  # cumulative; survives completion
+    # from completion, one slot per answer: its substitution (the values the
+    # call's variables take in it), filled at its first read; see StoredIterCP
+    substs: list = None
 
 
 def head_plan(term, head) -> list | None:
@@ -181,6 +184,33 @@ class TableSpace:
         self.counters.generators += 1
         return entry
 
+    def check(self):
+        """Raise TablingError unless the invariants that hold between queries
+        do: no generator is evaluating and no arena is open, every entry is
+        complete or dropped, variant_index maps each complete call to its
+        entry and nothing else, each table indexes every answer once, and a
+        substitution cache has one slot per answer.  For tests; no query
+        calls it."""
+        if self.stack or self.arenas:
+            raise TablingError(f"check: stack {self.stack}, {len(self.arenas)} open arenas")
+        complete_entries = 0
+        for entry in self.entries:
+            call = print_term(entry.call)
+            if entry.status == COMPLETE:
+                complete_entries += 1
+                if self.variant_index.get(entry.call) is not entry:
+                    raise TablingError(f"check: {call} is not indexed to its entry")
+            elif entry.status != DROPPED:
+                raise TablingError(f"check: {call} is {entry.status}")
+            if len(entry.answers) != len(entry.index):
+                raise TablingError(f"check: {call} has {len(entry.answers)} answers, "
+                                   f"{len(entry.index)} indexed")
+            if entry.substs is not None and len(entry.substs) != len(entry.answers):
+                raise TablingError(f"check: {call} has {len(entry.substs)} substitution slots "
+                                   f"for {len(entry.answers)} answers")
+        if len(self.variant_index) != complete_entries:
+            raise TablingError("check: variant_index holds an entry that is not complete")
+
     def pending_for_segment(self, pos: int) -> bool:
         for arena in self.arenas:
             for cont, _ans in arena:
@@ -200,6 +230,7 @@ def complete(space: TableSpace, leader: GeneratorEntry):
     for gid in space.stack[pos:]:
         entry = space.entries[gid]
         entry.status = COMPLETE
+        entry.substs = [None] * len(entry.answers)
         entry.continuations.clear()
         entry.cont_keys.clear()
         entry.pos = None
@@ -312,18 +343,21 @@ class Engine:
         if not isinstance(goals, (list, tuple)):
             goals = [goals]
         machine = Machine(self.index, runtime=self, budget=Budget(depth_budget))
-        named, live_goals = machine.start(goals)
-        store = machine.store
+        named, live = machine.start(goals)
+        resolve = machine.store.resolve
         try:
             while machine.run() == SOLUTION:
-                yield Solution(
-                    bindings={name: store.resolve(v) for name, v in named.items()},
-                    goals=[store.resolve(g) for g in live_goals],
-                )
+                values = [resolve(v) for v in live]  # of each query variable, by id
+                # positional: a keyword call costs measurably more per solution
+                yield Solution({name: values[i] for name, i in named.items()},
+                               [instantiate(g, values) for g in goals])
         except GeneratorExit:
             # Closed at a yield, where no evaluation is in progress; a purge
             # here could run at garbage collection, inside another query.
             raise
+        except MemoryError:
+            self._purge_incomplete()
+            raise ResourceLimitError("out of memory") from None
         except BaseException:
             self._purge_incomplete()
             raise
@@ -341,11 +375,13 @@ class Engine:
     # runs, and the goal is retried once it is done.  It returns False for the
     # machine to backtrack: the goal failed, or the hook pushed a choice point.
 
-    def _variant(self, machine, call, goal, rest, creator):
+    def _variant(self, machine, call, goal, rest, creator, live):
         """The table entry of call's variant.  When there is none yet and call
-        is tabled, its generator is opened on machine, and None is returned."""
+        is tabled, its generator is opened on machine, and None is returned.
+        The dict live receives the ids of call's unbound variables, in the
+        order of the variant's variables."""
         store = machine.store
-        frozen, nvars = store.freeze(call)
+        frozen, nvars = store.freeze(call, None, live)
         space = self.space
         entry = space.lookup(frozen)
         if entry is not None:
@@ -371,14 +407,16 @@ class Engine:
             raise InstantiationError("slg/1: unbound call")
         if type(call) is Int:
             raise TypeMismatchError("slg/1: integer is not a callable term")
-        entry = self._variant(machine, call, goal, rest, None)
+        live: dict = {}
+        entry = self._variant(machine, call, goal, rest, None, live)
         if entry is None:
             return True
         if entry.status == COMPLETE or self.mode is Mode.LEGACY:
             # In legacy mode, the original scheme: read whatever answers exist
             # right now and fail past them; nothing is suspended, later answers
-            # are lost.
-            machine.cps.append(StoredIterCP(call, entry.answers, store.mark(), rest))
+            # are lost.  An incomplete entry has no substs, so it is unified.
+            machine.cps.append(StoredIterCP(call, entry.answers, store.mark(), rest,
+                                            entry.substs, live))
             return False
         raise TablingError(
             f"tabled call {print_term(entry.call)} reached its own evaluation through "
@@ -406,12 +444,14 @@ class Engine:
         pending = store.walk(cont.args[2])
         if type(pending) not in (Atom, Struct):
             raise TablingError("malformed continuation term: pending call is not callable")
-        entry = self._variant(machine, pending, goal, rest, owner)
+        live: dict = {}
+        entry = self._variant(machine, pending, goal, rest, owner, live)
         if entry is None:
             return True
         if entry.status == COMPLETE:
             # each answer unified into the pending call resumes the continuation
-            machine.cps.append(StoredIterCP(pending, entry.answers, store.mark(), (cont, rest)))
+            machine.cps.append(StoredIterCP(pending, entry.answers, store.mark(), (cont, rest),
+                                            entry.substs, live))
             return False
         self._suspend(machine, cont, id_t.value, entry)
         return False

@@ -48,3 +48,19 @@ def mixed_loop_src() -> str:
 @pytest.fixture
 def reach_src() -> str:
     return read_fixture("reach.pl")
+
+
+def memory_error_at_answer(monkeypatch, k: int):
+    """Make the k-th call of Engine.on_answer from now on raise MemoryError."""
+    import cctab.tabling
+
+    real = cctab.tabling.Engine.on_answer
+    calls = []
+
+    def on_answer(self, machine, goal, rest):
+        calls.append(goal)
+        if len(calls) == k:
+            raise MemoryError
+        return real(self, machine, goal, rest)
+
+    monkeypatch.setattr(cctab.tabling.Engine, "on_answer", on_answer)

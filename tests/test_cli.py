@@ -3,7 +3,7 @@ import pytest
 from cctab.cli import main
 from cctab.fixtures import gen_fixture
 
-from conftest import FIXTURES, read_golden, run_limited
+from conftest import FIXTURES, memory_error_at_answer, read_golden, run_limited
 
 MIXED = str(FIXTURES / "mixed_loop.pl")
 
@@ -84,6 +84,12 @@ def test_depth_flag_limits_runaway(capsys, tmp_path):
     code, _, err = run_cli(capsys, str(f), "--query", "loop(1)", "--depth", "1000")
     assert code == 2
     assert "budget" in err
+
+
+def test_out_of_memory_exits_2(capsys, monkeypatch):
+    memory_error_at_answer(monkeypatch, 30)
+    code, out, err = run_cli(capsys, "--gen", "chain:12", "--query", "path(X, Y)")
+    assert (code, out, err) == (2, "", "error: out of memory\n")
 
 
 def test_parse_error_exits_2(capsys, tmp_path):

@@ -30,7 +30,8 @@ from cctab.oracle import oracle_answers_for
 from cctab.terms import pred_of
 from cctab.tabling import COMPLETE, EVALUATING, StoredCont, TableSpace, complete
 
-from conftest import HERE, answers, make_engine, read_fixture, run_limited
+from conftest import (HERE, answers, make_engine, memory_error_at_answer, read_fixture,
+                      run_limited)
 
 
 def test_mixed_loop_general_finds_both_answers(mixed_loop_src):
@@ -411,6 +412,23 @@ def test_interrupted_query_leaves_table_space_consistent(monkeypatch):
     monkeypatch.undo()
     assert eng.space.stack == [] and eng.space.arenas == []
     assert len(answers(eng, "path(X, Y)")) == 441
+
+
+@pytest.mark.parametrize("mode", list(Mode), ids=lambda m: m.value)
+def test_out_of_memory_is_a_resource_limit(mode, monkeypatch):
+    # a complete table made before the failed query survives it
+    src = gen_fixture("chain", 12)
+    eng, fresh = make_engine(src, mode), make_engine(src, mode)
+    assert answers(eng, "path(3, Y)") == answers(fresh, "path(3, Y)")
+    memory_error_at_answer(monkeypatch, 30)
+    with pytest.raises(ResourceLimitError, match="^out of memory$") as info:
+        answers(eng, "path(X, Y)")
+    assert info.value.__suppress_context__
+    assert eng.space.stack == [] and eng.space.arenas == []
+    eng.space.check()
+    monkeypatch.undo()
+    assert answers(eng, "path(X, Y)") == answers(fresh, "path(X, Y)")
+    eng.space.check()
 
 
 REQUERY_AFTER_CYCLIC_TERM = """
