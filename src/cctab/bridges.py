@@ -64,12 +64,14 @@ def find_bridges(program: Program) -> set:
     reach T through one or more call edges; the tabled predicates themselves
     are left out, since the translation already saves their environments.
     """
-    graph = build_call_graph(program)
+    # the walks run over (name, arity) keys: a PredId hashes through a Python call
     succ: dict = {}
     pred: dict = {}
-    for a, b in graph.edges:
+    for a, b in build_call_graph(program).edges:
+        a, b = (a.name, a.arity), (b.name, b.arity)
         succ.setdefault(a, []).append(b)
         pred.setdefault(b, []).append(a)
-    forward = _reachable(program.tabled, succ)
-    backward = _reachable(program.tabled, pred)
-    return (forward & backward) - set(program.tabled)
+    tabled = {(p.name, p.arity) for p in program.tabled}
+    forward = _reachable(tabled, succ)
+    backward = _reachable(tabled, pred)
+    return {PredId(*key) for key in (forward & backward) - tabled}

@@ -287,10 +287,11 @@ def instantiate(term: Term, varmap: list, store: BindingStore = None, names=None
 
     A slot that is still None gets a new store variable named names[i] ("_G"
     when names is None); slots already filled are shared, never copied.
-    Iterative: compound arguments are descended through an explicit stack.
-    This is copy_term with the variable policy inlined: it copies every
-    clause body and resumed continuation, and a call per variable there
-    costs measurable solve time.
+    Iterative: compound arguments are descended through an explicit stack,
+    which is set up only at the first compound argument; a compound with
+    none is built in one loop.  This is copy_term with the variable policy
+    inlined: it copies every clause body, resumed continuation and solution,
+    and a call per variable there costs measurable solve time.
     """
     if type(term) is Var:
         v = varmap[term.id]
@@ -299,8 +300,23 @@ def instantiate(term: Term, varmap: list, store: BindingStore = None, names=None
         return v
     if type(term) is not Struct:
         return term
+    functor, args, built = term.functor, term.args, []
+    for a in args:
+        ta = type(a)
+        if ta is Var:
+            v = varmap[a.id]
+            if v is None:
+                v = varmap[a.id] = store.new_var(names[a.id] if names else "_G")
+            built.append(v)
+        elif ta is Struct:
+            break
+        else:
+            built.append(a)
+    else:
+        return Struct(functor, tuple(built))
+    # the stack loop goes on from the first compound argument, args[len(built)]
     stack: list = []  # (functor, args, built, next index) of the enclosing compounds
-    functor, args, built, i = term.functor, term.args, [], 0
+    i = len(built)
     while True:
         n = len(args)
         while i < n:
@@ -537,8 +553,11 @@ class StoredIterCP:
 
     def try_next(self, m: "Machine") -> bool:
         store = m.store
-        store.undo_to(self.mark)
         bindings = store.bindings
+        trail = store.trail
+        mark = self.mark
+        while len(trail) > mark:  # store.undo_to(mark), inline
+            bindings[trail.pop()] = None
         stored = self.stored
         substs = self.substs
         live = self.live
@@ -556,7 +575,7 @@ class StoredIterCP:
             else:
                 for v, value in zip(live, sub):
                     bindings[v] = value
-                store.trail.extend(live)
+                trail.extend(live)
             m.goals = self.rest
             return True
         return False

@@ -263,13 +263,16 @@ class GeneratorCP:
     def try_next(self, m: Machine) -> bool:
         if self.entry is None:
             return False
-        store = m.store
+        bindings = m.store.bindings
+        trail = m.store.trail
+        mark = self.mark
         arena = self.arena
         runtime = m.runtime
         counters = runtime.space.counters
         while True:
-            store.undo_to(self.mark)
-            del store.bindings[self.nvars :]
+            while len(trail) > mark:  # store.undo_to(mark), inline
+                bindings[trail.pop()] = None
+            del bindings[self.nvars :]
             if not arena:
                 break
             stored, ans = arena.popleft()
@@ -311,10 +314,23 @@ class _ContClause:
                 self.cont = v.id
 
 
-@dataclass
 class Solution:
-    bindings: dict  # var name -> resolved Term
-    goals: list  # resolved instances of the query goals
+    """One solution of a query: goals, the resolved instances of the query
+    goals.  bindings, the named query variables' resolved values, is built
+    from values (by query variable id) and named (name -> id) when read."""
+
+    __slots__ = ("goals", "values", "named")
+
+    def __init__(self, goals: list, values: list, named: dict):
+        self.goals = goals
+        self.values = values
+        self.named = named
+
+    @property
+    def bindings(self) -> dict:
+        """var name -> resolved Term, in first-occurrence order."""
+        values = self.values
+        return {name: values[i] for name, i in self.named.items()}
 
 
 class Engine:
@@ -344,13 +360,20 @@ class Engine:
             goals = [goals]
         machine = Machine(self.index, runtime=self, budget=Budget(depth_budget))
         named, live = machine.start(goals)
+        bindings = machine.store.bindings
         resolve = machine.store.resolve
         try:
             while machine.run() == SOLUTION:
-                values = [resolve(v) for v in live]  # of each query variable, by id
+                values = []  # of each query variable, by id
+                for t in live:
+                    while type(t) is Var:  # store.walk(t), inline
+                        b = bindings[t.id]
+                        if b is None:
+                            break
+                        t = b
+                    values.append(resolve(t) if type(t) is Struct else t)
                 # positional: a keyword call costs measurably more per solution
-                yield Solution({name: values[i] for name, i in named.items()},
-                               [instantiate(g, values) for g in goals])
+                yield Solution([instantiate(g, values) for g in goals], values, named)
         except GeneratorExit:
             # Closed at a yield, where no evaluation is in progress; a purge
             # here could run at garbage collection, inside another query.

@@ -210,17 +210,12 @@ def walk_subterms(t: Term) -> Iterator[Term]:
 
 
 def vars_of(t: Term) -> list[Var]:
-    """Variables of t in first-occurrence order."""
-    return vars_of_all((t,))
-
-
-def vars_of_all(ts: Iterable[Term]) -> list[Var]:
-    """Variables of the terms ts in first-occurrence order, in one pass: the
-    stack holds the argument iterators of the enclosing compounds."""
+    """Variables of t in first-occurrence order, in one pass: the stack holds
+    the argument iterators of the enclosing compounds."""
     out = []
     seen = set()
     stack: list = []
-    it = iter(ts)
+    it = iter((t,))
     while True:
         for x in it:
             tx = type(x)
@@ -241,7 +236,7 @@ def vars_of_all(ts: Iterable[Term]) -> list[Var]:
 def var_names(ts: Iterable[Term]) -> list:
     """names[i]: the name variable i has where it first occurs in the terms
     ts, "_G" for an id below the largest that no variable has.  The walk of
-    vars_of_all."""
+    vars_of, over several terms."""
     names: list = []
     stack: list = []
     it = iter(ts)
@@ -347,9 +342,3 @@ def canonical_variant(t: Term) -> Term:
         return w
 
     return copy_term(t, var)
-
-
-def canonical_clause(c: Clause) -> tuple:
-    """Canonical form of a clause for structural comparison-modulo-renaming."""
-    packed = Struct(":-", (c.head, mk_list(c.body)))
-    return canonical_variant(packed)

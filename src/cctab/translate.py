@@ -27,7 +27,6 @@ from .errors import TranslateError
 from .terms import (
     Atom,
     Clause,
-    PredId,
     Program,
     Struct,
     Var,
@@ -79,9 +78,9 @@ def _fresh_var(names, name):
     return v
 
 
-def _interface_clause(pred: PredId) -> Clause:
-    args = tuple(Var(i, chr(ord("A") + i) if i < 26 else f"V{i + 1}") for i in range(pred.arity))
-    head = Struct(pred.name, args) if args else Atom(pred.name)
+def _interface_clause(name: str, arity: int) -> Clause:
+    args = tuple(Var(i, chr(ord("A") + i) if i < 26 else f"V{i + 1}") for i in range(arity))
+    head = Struct(name, args) if args else Atom(name)
     return Clause(head, (Struct("slg", (head,)),))
 
 
@@ -130,43 +129,45 @@ def translate(program: Program, mode: Mode) -> Program:
     if not tabled and not bridges:
         return program
 
-    pivots = tabled | bridges
-    _check_higher_order(program, pivots)
+    _check_higher_order(program, tabled | bridges)
     by_key: dict = {}  # (name, arity) -> its clauses; keys in first-definition order
     for c in program.clauses:
         by_key.setdefault(pred_key(c.head), []).append(c)
     names = {name for name, _ in by_key}
     _check_name_collisions(names, tabled, bridges)
 
-    by_pred = {PredId(*key): clauses for key, clauses in by_key.items()}
+    # predicates are (name, arity) keys from here: a PredId hashes through a Python call
+    tabled_keys = {(p.name, p.arity) for p in tabled}
+    pivot_keys = tabled_keys | {(p.name, p.arity) for p in bridges}
 
     namer = _ContNamer(names)
-    order = list(by_pred) + [p for p in sorted(tabled) if p not in by_pred]
+    order = list(by_key) + sorted(tabled_keys - by_key.keys())
 
     out: list = []
-    for pred in order:
-        clauses = by_pred.get(pred, [])
-        if pred not in pivots:
+    for key in order:
+        name = key[0]
+        clauses = by_key.get(key, [])
+        if key not in pivot_keys:
             out.extend(clauses)
             continue
-        if pred in tabled:
-            cont_base = f"slg_{pred.name}" if mode is Mode.GENERAL else f"{pred.name}_cont"
-            out.append(_interface_clause(pred))
+        if key in tabled_keys:
+            cont_base = f"slg_{name}" if mode is Mode.GENERAL else f"{name}_cont"
+            out.append(_interface_clause(*key))
         else:
-            cont_base = f"{pred.name}_bridge"
+            cont_base = f"{name}_bridge"
             out.extend(clauses)  # a bridge keeps its plain clauses
         mains, conts = [], []
         for clause in clauses:
             head, body = clause.head, clause.body
             cnames = var_names((head, *body))
             id_var = _fresh_var(cnames, "Id")
-            if pred in tabled:
+            if key in tabled_keys:
                 cont_prev = EMPTY_CONT
-                chain_head = Struct(f"slg_{pred.name}", (head, id_var))
+                chain_head = Struct(f"slg_{name}", (head, id_var))
                 end_goal = Struct("answer", (id_var, head))
             else:
                 cont_prev = _fresh_var(cnames, "Cont")
-                chain_head = Struct(f"{pred.name}_bridge", (head, id_var, cont_prev))
+                chain_head = Struct(f"{name}_bridge", (head, id_var, cont_prev))
                 end_goal = Struct("call", (cont_prev,))
             goal_vars = [vars_of(g) for g in (head, *body, end_goal)]
             spans: dict = {}  # id -> [first, last goal position, var], in first-occurrence order
@@ -175,8 +176,8 @@ def translate(program: Program, mode: Mode) -> Program:
                     spans.setdefault(v.id, [pos, pos, v])[1] = pos
             chain, goals = [], []
             for i, goal in enumerate(body, 1):
-                p = pred_of(goal)
-                if p not in pivots:
+                p = pred_key(goal)
+                if p not in pivot_keys:
                     goals.append(goal)
                     continue
                 # save what is bound before the cut and used after it; the
@@ -186,10 +187,10 @@ def translate(program: Program, mode: Mode) -> Program:
                           if first < i < last and k not in in_call]
                 args = (id_var, mk_list(lbinds), goal, cont_prev)  # legacy: no PrevCont
                 cont = Struct(namer.next(cont_base), args if mode is Mode.GENERAL else args[:3])
-                if p in tabled:
+                if p in tabled_keys:
                     goals.append(Struct("slgcall", (cont,)))
                 else:
-                    goals.append(Struct(f"{p.name}_bridge", (goal, id_var, cont)))
+                    goals.append(Struct(f"{p[0]}_bridge", (goal, id_var, cont)))
                 chain.append(Clause(chain_head, tuple(goals)))
                 chain_head, goals = cont, []
             goals.append(end_goal)

@@ -19,12 +19,17 @@ from cctab import (
     print_term,
 )
 from cctab.syntax import _SYMBOLIC, INFIX_OPS, tokenize
-from cctab.terms import NIL, Clause, canonical_clause, copy_term
+from cctab.terms import NIL, Clause, copy_term
 
 from conftest import read_fixture
 from test_differential import PROGRAMS as DIFFERENTIAL_PROGRAMS
 from test_differential import SEED as DIFFERENTIAL_SEED
 from test_differential import random_program
+
+
+def canonical_clause(c: Clause) -> Struct:
+    """Canonical form of a clause for structural comparison-modulo-renaming."""
+    return canonical_variant(Struct(":-", (c.head, mk_list(c.body))))
 
 
 def test_parse_reach_program():

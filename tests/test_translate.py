@@ -17,10 +17,11 @@ from cctab import (
     translate,
 )
 from cctab.engine import compile_index
-from cctab.terms import canonical_clause, pred_of, vars_of, vars_of_all
+from cctab.terms import pred_of, vars_of
 
 from conftest import FIXTURES, answers, make_engine, read_fixture, read_golden
 from test_differential import SEED, random_program
+from test_syntax import canonical_clause
 
 
 def general(src: str) -> Program:
@@ -208,7 +209,7 @@ def test_closed_continuations():
             name = clause.pred().name
             if re.fullmatch(r"(slg_\w+?|\w+?_bridge)\d+", name):
                 head_ids = {v.id for v in vars_of(clause.head)}
-                body_ids = {v.id for v in vars_of_all(clause.body)}
+                body_ids = {v.id for g in clause.body for v in vars_of(g)}
                 assert body_ids <= head_ids
 
 
