@@ -19,7 +19,12 @@ A resumption matches the stored continuation against its predicate's one
 clause and runs the clause's leading built-ins in place.  A final answer/2
 goes straight to on_answer; a final call(Cont) goes on, in place, into the
 one clause of the continuation Cont holds; any other rest of a body is
-handed to the machine.
+handed to the machine.  A stored continuation whose resumption can only end
+in on_answer gets a resume plan at its first resumption: a ground answer
+that is an instance of its pending call then fills the last clause's head
+map from its arguments and builds the answer/2 goal, with the steps and
+counts of the generic path and no unification (substitution factoring, as in
+Ramakrishnan et al., JLP 1999).
 
 Suspended continuations are frozen at capture time: copied with their
 bindings applied, except for ground subterms, which no binding reaches and
@@ -34,6 +39,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field, replace
+from operator import itemgetter
 
 from .engine import (
     BUILTINS,
@@ -51,7 +57,7 @@ from .engine import (
 from .errors import InstantiationError, ResourceLimitError, TablingError, TypeMismatchError
 from .syntax import print_term
 from .terms import (Atom, Int, Program, Struct, Term, Var, canonical_variant, pred_key, pred_of,
-                    walk_subterms)
+                    vars_of, walk_subterms)
 from .translate import Mode
 
 EVALUATING = "evaluating"
@@ -94,6 +100,7 @@ class StoredCont:
     nvars: int
     gen_id: int  # generator this continuation delivers answers to
     steps: list = None  # per call(Cont) depth, Engine._step's (clause, plan, target); built as met
+    plan: tuple = None  # Engine._resume_plan's, built with steps; None when there is none
 
 
 @dataclass
@@ -292,9 +299,11 @@ class _ContClause:
     """The one clause of a continuation predicate, split for running in place:
     its leading built-in goals (guards), then the rest of its body.  answer is
     that rest when it is one answer/2 goal; cont is the id of V when it is one
-    call(V) goal whose V occurs once in the head and in no guard."""
+    call(V) goal whose V occurs once in the head and in no guard.  build, for
+    an answer/2 body whose variables all occur in the head, is _answer_build's
+    (tail, steps)."""
 
-    __slots__ = ("head", "nvars", "names", "guards", "rest", "answer", "cont")
+    __slots__ = ("head", "nvars", "names", "guards", "rest", "answer", "cont", "linear", "build")
 
     def __init__(self, clause):
         self.head, body, self.nvars, self.names = clause
@@ -304,14 +313,55 @@ class _ContClause:
             k += 1
         self.guards = [(BUILTINS[key], g) for key, g in zip(keys[:k], body)]
         self.rest = body[k:]
-        self.answer = self.cont = None
+        ids = [t.id for t in walk_subterms(self.head) if type(t) is Var]
+        self.linear = len(set(ids)) == len(ids)  # no variable occurs twice in the head
+        self.answer = self.cont = self.build = None
         if keys[k:] == [("answer", 2)]:
             self.answer = body[k]
+            if not self.guards:
+                self.build = _answer_build(self.answer, self.nvars, self.head)
         elif keys[k:] == [("call", 1)] and type(body[k].args[0]) is Var:
             v = body[k].args[0]
             seen = [t for g in (self.head, *body[:k]) for t in walk_subterms(g)]
             if sum(type(t) is Var and t.id == v.id for t in seen) == 1:
                 self.cont = v.id
+
+
+def _answer_build(goal, nvars, head):
+    """(tail, steps) that build goal from a head map, or None when goal has a
+    variable head does not.  The map's slots are the clause's variables and
+    then tail's: goal's atoms and integers, and one slot per compound, which
+    holds it once built.  steps builds the compounds inner first, each as
+    (slot, functor, getter), where getter takes the map to the argument tuple
+    (itemgetter over the argument slots); goal's own step is the last."""
+    in_head = {v.id for v in vars_of(head)}
+    tail: list = []
+    steps: list = []
+    stack = [(goal, [])]  # (compound, its argument slots so far) of the enclosing compounds
+    while stack:
+        s, slots = stack[-1]
+        if len(slots) < len(s.args):
+            a = s.args[len(slots)]
+            if type(a) is Struct:
+                stack.append((a, []))
+                continue
+            if type(a) is Var:
+                if a.id not in in_head:
+                    return None
+                slots.append(a.id)
+            else:
+                slots.append(nvars + len(tail))
+                tail.append(a)
+            continue
+        stack.pop()
+        slot = nvars + len(tail)
+        tail.append(None)
+        # itemgetter of one slot returns the value, not a 1-tuple
+        getter = itemgetter(*slots) if len(slots) > 1 else lambda m, i=slots[0]: (m[i],)
+        steps.append((slot, s.functor, getter))
+        if stack:
+            stack[-1][1].append(slot)
+    return tail, steps
 
 
 class Solution:
@@ -575,17 +625,84 @@ class Engine:
                 break
         return clause, plan, None
 
+    def _resume_plan(self, term, nvars, steps):
+        """The resume plan of a stored term with nvars variables and first
+        step steps[0], or None.  A plan needs each variable of term to be an
+        argument of the pending call, none twice, and each clause that the
+        resumption runs in place to have no guard and a head plan whose pairs
+        each fill a head variable of their own, from a variable of term or a
+        ground subterm.  A ground instance of the pending call then binds
+        every variable, no step can fail or bind, and the resumption ends in
+        the last clause's answer/2, which must have a build.  Deeper steps are
+        appended to steps as met.
+
+        The plan is (functor, arity, check, values, base, fills, slg, deeper,
+        build steps).  An answer is an instance of the pending call when it
+        has its functor and arity and check(args) == values, check taking the
+        pending call's other arguments.  base is the last clause's head map
+        with its ground slots and build tail filled; fills pairs an answer
+        argument's index with the head slot it fills.  slg is the
+        slg_resolutions the first clause counts, deeper those of each clause
+        a call(Cont) runs in place."""
+        pending = term.args[2]
+        if type(pending) is not Struct:
+            return None
+        at = [None] * nvars  # variable id of term -> the index of the argument of pending it is
+        checked: list = []  # the other arguments; one that holds a variable equals no ground one
+        for i, a in enumerate(pending.args):
+            if type(a) is not Var:
+                checked.append(i)
+            elif at[a.id] is None:
+                at[a.id] = i
+            else:
+                return None
+        if None in at:
+            return None
+        slgs = []  # per depth, the slg_resolutions its clause counts
+        depth = 0
+        while True:
+            clause, plan, target = steps[depth]
+            if plan is None or clause.guards or not clause.linear:
+                return None
+            for s, h in plan:
+                if type(h) is not Var or type(s) is Struct and vars_of(s):
+                    return None
+            slgs.append(term.functor.startswith("slg_"))
+            if target is None:
+                break
+            term = target
+            depth += 1
+            if depth == len(steps):
+                steps.append(self._step(term, self._conts[(term.functor, len(term.args))]))
+        if clause.build is None:
+            return None
+        tail, build = clause.build
+        base = [None] * clause.nvars + tail
+        fills = []
+        for s, h in plan:
+            if type(s) is Var:
+                fills.append((at[s.id], h.id))
+            else:
+                base[h.id] = s
+        check = itemgetter(*checked) if checked else None
+        return (pending.functor, len(pending.args), check, check and check(pending.args),
+                base, fills, slgs[0], slgs[1:], build)
+
     def _resume(self, m, stored, ans) -> bool:
         """Resume a stored continuation with an answer on machine m.
 
-        The answer is unified with the pending call, and the stored term is
-        matched against its predicate's one clause through one varmap, so
-        neither stored term is copied beyond what the goals need.  The
-        clause's guards run in place; an answer/2 tail goes to on_answer, and
-        a call(Cont) tail matches Cont's subterm against the clause it names
-        and goes on there.  Each goal spends the step and counts the
-        slg_resolutions the machine would.  True when m.goals holds the rest of
-        a body for m to run; False when the resumption failed or ended here.
+        With a resume plan and a ground answer that is an instance of the
+        pending call, the plan fills the last clause's head map from the
+        answer's arguments, builds the answer/2 goal and hands it to
+        on_answer.  Otherwise the answer is unified with the pending call,
+        and the stored term is matched against its predicate's one clause
+        through one varmap, so neither stored term is copied beyond what the
+        goals need.  The clause's guards run in place; an answer/2 tail goes
+        to on_answer, and a call(Cont) tail matches Cont's subterm against
+        the clause it names and goes on there.  Each goal spends the step and
+        counts the slg_resolutions the machine would, on either path.  True
+        when m.goals holds the rest of a body for m to run; False when the
+        resumption failed or ended here.
         """
         term = stored.term
         steps = stored.steps
@@ -597,10 +714,34 @@ class Engine:
                 raise TablingError(f"continuation predicate {pred_of(term)} has {n} clauses; "
                                    "a resumption needs exactly one")
             steps = stored.steps = [self._step(term, clause)]
+            stored.plan = self._resume_plan(term, stored.nvars, steps)
+        ans_term, ans_nvars = ans
+        plan = stored.plan
+        if plan is not None and not ans_nvars and type(ans_term) is Struct:
+            functor, arity, check, values, base, fills, slg, deeper, build = plan
+            args = ans_term.args
+            if (ans_term.functor == functor and len(args) == arity
+                    and (check is None or check(args) == values)):
+                # the steps and counts of the generic path, in its order
+                spend = m.budget.spend
+                counters = self.space.counters
+                spend()
+                counters.slg_resolutions += slg
+                for k in deeper:
+                    spend()
+                    spend()
+                    counters.slg_resolutions += k
+                spend()
+                hmap = base.copy()
+                for i, slot in fills:
+                    hmap[slot] = args[i]
+                for slot, f, getter in build:
+                    hmap[slot] = goal = Struct(f, getter(hmap))
+                self.on_answer(m, goal, None)
+                return False
         store = m.store
         varmap = [None] * stored.nvars
         pending = term.args[2]
-        ans_term, ans_nvars = ans
         if ans_nvars:
             # the answer is the stored side here, so an unbound variable of the
             # continuation is bound to the answer's fresh variable, not the reverse

@@ -383,6 +383,21 @@ def test_pinned_counters_and_answer_order(make_src, query, counts, n_answers, di
     assert table_digest(eng) == digest
 
 
+@pytest.mark.parametrize("mode", list(Mode), ids=lambda m: m.value)
+@pytest.mark.parametrize("n", [8, 16, 32])
+def test_chain_counters_in_closed_form(n, mode):
+    # the work of path(X, Y) on chain-n as a function of n alone: a change in
+    # the algorithm's complexity shows here, where no timing would
+    eng = make_engine(gen_fixture("chain", n), mode)
+    assert len(answers(eng, "path(X, Y)")) == n * (n + 1) // 2
+    general = mode is Mode.GENERAL
+    assert dataclasses.asdict(eng.counters) == dict(
+        suspensions=2 * n - 1, resumptions=(n - 1) ** 2, e_cells=3 * (2 * n - 1),
+        h_cells=(4 if general else 3) * (2 * n - 1), trail_at_suspend=3 * (2 * n - 1) + 1,
+        generators=n + 1, answers=n * n,
+        slg_resolutions=(n - 1) ** 2 + n + 1 if general else n + 1)
+
+
 def test_non_ground_tabled_answer_prints_fresh_variable():
     eng = make_engine(":- table p/2.\np(a, X).\np(b, c).\n")
     assert answers(eng, "p(a, Y)") == ["p(a, _G)"]
