@@ -97,7 +97,8 @@ class BindingStore:
         sizes is a list and the copy is a compound, the cells (term_size) of
         each of its arguments are appended to it, counted in the same pass.
         When ids is a dict, it receives each unbound variable's id, mapped to
-        its renumbered Var, in the order of the renumbering.
+        its renumbered Var, in the order of the renumbering.  A compound with
+        no compound argument is copied in one loop, as instantiate does.
         """
         bindings = self.bindings
         if ids is None:
@@ -109,13 +110,46 @@ class BindingStore:
         if type(t) is not Struct:
             return t, 0
         toks = [t.functor, len(t.args)]  # Struct.__hash__'s tokens, in its order
-        structs = 1  # compounds met so far: the cells met are len(toks) - structs
         if sizes is not None:
             first = len(sizes)
             sizes.extend([1] * len(t.args))
+        built: list = []
+        same = True
+        for a in t.args:
+            ta = type(a)
+            if ta is Var:
+                x = a
+                while type(x) is Var:
+                    b = bindings[x.id]
+                    if b is None:
+                        break
+                    x = b
+                ta = type(x)
+                if ta is Struct:
+                    break
+                same = False
+                if ta is Var:
+                    w = ids.get(x.id)
+                    if w is None:
+                        w = ids[x.id] = Var(len(ids), x.name)
+                    built.append(w)
+                    toks.append(w)
+                    continue
+                a = x
+            elif ta is Struct:
+                break
+            built.append(a)
+            toks.append(a.value if ta is Int else a.name)
+        else:  # no compound argument: built in one loop
+            if not same:
+                t = Struct(t.functor, tuple(built))
+            t._hash = hash(tuple(toks))
+            return t, len(ids)
+        # the stack loop goes on from the first compound argument, args[len(built)]
+        structs = 1  # compounds met so far: the cells met are len(toks) - structs
         active: set = set()  # ids of the bound variables whose compound value is being copied
         stack: list = []  # (term, built, next index, unchanged, via) of the enclosing compounds
-        s, built, i, same, via = t, [], 0, True, None
+        s, i, via = t, len(built), None
         while True:
             args = s.args
             n = len(args)

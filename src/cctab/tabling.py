@@ -19,12 +19,17 @@ A resumption matches the stored continuation against its predicate's one
 clause and runs the clause's leading built-ins in place.  A final answer/2
 goes straight to on_answer; a final call(Cont) goes on, in place, into the
 one clause of the continuation Cont holds; any other rest of a body is
-handed to the machine.  A stored continuation whose resumption can only end
-in on_answer gets a resume plan at its first resumption: a ground answer
-that is an instance of its pending call then fills the last clause's head
-map from its arguments and builds the answer/2 goal, with the steps and
-counts of the generic path and no unification (substitution factoring, as in
-Ramakrishnan et al., JLP 1999).
+handed to the machine.  A stored continuation gets a resume plan at its
+first resumption when each clause it runs in place has a linear head whose
+variables the stored term fills one each.  A ground answer that is an
+instance of its pending call then fills each clause's head map, with no
+unification, from the answer's arguments, ground subterms and, for a
+variable no argument binds, the new variables unification would make
+(substitution factoring, as in Ramakrishnan et al., JLP 1999).  Guards,
+call(Cont) chains and machine tails run from those maps as on the generic
+path, with its steps and counts; a final answer/2 is built from the map,
+and one built from answer arguments and ground subterms alone reaches
+on_answer with the hash of its variant key, not to be frozen again.
 
 Suspended continuations are frozen at capture time: copied with their
 bindings applied, except for ground subterms, which no binding reaches and
@@ -299,11 +304,13 @@ class _ContClause:
     """The one clause of a continuation predicate, split for running in place:
     its leading built-in goals (guards), then the rest of its body.  answer is
     that rest when it is one answer/2 goal; cont is the id of V when it is one
-    call(V) goal whose V occurs once in the head and in no guard.  build, for
-    an answer/2 body whose variables all occur in the head, is _answer_build's
-    (tail, steps)."""
+    call(V) goal whose V occurs once in the head and in no guard.  For an
+    answer/2 body, build is _answer_build's (tail, steps) when its variables
+    each occur in the head or a guard, and key is _answer_key's for its
+    answer when their variables all occur in the head."""
 
-    __slots__ = ("head", "nvars", "names", "guards", "rest", "answer", "cont", "linear", "build")
+    __slots__ = ("head", "nvars", "names", "guards", "rest", "answer", "cont", "linear", "build",
+                 "key")
 
     def __init__(self, clause):
         self.head, body, self.nvars, self.names = clause
@@ -314,27 +321,28 @@ class _ContClause:
         self.guards = [(BUILTINS[key], g) for key, g in zip(keys[:k], body)]
         self.rest = body[k:]
         ids = [t.id for t in walk_subterms(self.head) if type(t) is Var]
-        self.linear = len(set(ids)) == len(ids)  # no variable occurs twice in the head
-        self.answer = self.cont = self.build = None
+        head = set(ids)
+        self.linear = len(head) == len(ids)  # no variable occurs twice in the head
+        # the variables of the head and the guards, with repeats
+        known = ids + [t.id for g in body[:k] for t in walk_subterms(g) if type(t) is Var]
+        self.answer = self.cont = self.build = self.key = None
         if keys[k:] == [("answer", 2)]:
             self.answer = body[k]
-            if not self.guards:
-                self.build = _answer_build(self.answer, self.nvars, self.head)
+            self.build = _answer_build(self.answer, self.nvars, set(known))
+            self.key = _answer_key(self.answer.args[1], head)
         elif keys[k:] == [("call", 1)] and type(body[k].args[0]) is Var:
-            v = body[k].args[0]
-            seen = [t for g in (self.head, *body[:k]) for t in walk_subterms(g)]
-            if sum(type(t) is Var and t.id == v.id for t in seen) == 1:
-                self.cont = v.id
+            if known.count(body[k].args[0].id) == 1:
+                self.cont = body[k].args[0].id
 
 
-def _answer_build(goal, nvars, head):
+def _answer_build(goal, nvars, known):
     """(tail, steps) that build goal from a head map, or None when goal has a
-    variable head does not.  The map's slots are the clause's variables and
-    then tail's: goal's atoms and integers, and one slot per compound, which
-    holds it once built.  steps builds the compounds inner first, each as
-    (slot, functor, getter), where getter takes the map to the argument tuple
-    (itemgetter over the argument slots); goal's own step is the last."""
-    in_head = {v.id for v in vars_of(head)}
+    variable whose id is not in known.  The map's slots are the clause's
+    variables and then tail's: goal's atoms and integers, and one slot per
+    compound, which holds it once built.  steps builds the compounds inner
+    first, each as (slot, functor, getter), where getter takes the map to the
+    argument tuple (itemgetter over the argument slots); goal's own step is
+    the last."""
     tail: list = []
     steps: list = []
     stack = [(goal, [])]  # (compound, its argument slots so far) of the enclosing compounds
@@ -346,7 +354,7 @@ def _answer_build(goal, nvars, head):
                 stack.append((a, []))
                 continue
             if type(a) is Var:
-                if a.id not in in_head:
+                if a.id not in known:
                     return None
                 slots.append(a.id)
             else:
@@ -362,6 +370,34 @@ def _answer_build(goal, nvars, head):
         if stack:
             stack[-1][1].append(slot)
     return tail, steps
+
+
+def _answer_key(t, head):
+    """(toks, slots) of a compound t: the tokens of its variant key, those
+    Struct.__hash__ hashes, with None where t has a variable, and for each
+    such position, (position, the variable's id), its slot in a head map.
+    None when t is not a compound or has a variable whose id is not in
+    head."""
+    if type(t) is not Struct:
+        return None
+    toks: list = []
+    slots = []
+    stack = [t]
+    while stack:
+        x = stack.pop()
+        tx = type(x)
+        if tx is Var:
+            if x.id not in head:
+                return None
+            slots.append((len(toks), x.id))
+            toks.append(None)
+        elif tx is Struct:
+            toks.append(x.functor)
+            toks.append(len(x.args))
+            stack.extend(reversed(x.args))
+        else:
+            toks.append(x.value if tx is Int else x.name)
+    return toks, slots
 
 
 class Solution:
@@ -554,7 +590,11 @@ class Engine:
         for i in range(len(entry.answers)):
             arena.append((stored, entry.answers[i]))
 
-    def on_answer(self, machine, goal, rest):
+    def on_answer(self, machine, goal, rest, ground=False):
+        """Record the answer of goal, answer(Id, Answer), for generator Id.
+        ground says that Answer is ground, as a resume plan can tell; it is
+        then stored as it is, since freezing a ground term returns it, with
+        the hash the plan preset or one computed at its first lookup."""
         store = machine.store
         id_t = store.walk(goal.args[0])
         if type(id_t) is not Int or not (0 <= id_t.value < len(self.space.entries)):
@@ -564,7 +604,7 @@ class Engine:
             raise TablingError(f"answer/2: generator {entry.id} is already complete")
         if entry.status == DROPPED:
             raise TablingError(f"answer/2: generator {entry.id} was dropped by a failed query")
-        stored_answer = store.freeze(goal.args[1])
+        stored_answer = (goal.args[1], 0) if ground else store.freeze(goal.args[1])
         if stored_answer[0] in entry.index:
             return False
         entry.index.add(stored_answer[0])
@@ -627,23 +667,30 @@ class Engine:
 
     def _resume_plan(self, term, nvars, steps):
         """The resume plan of a stored term with nvars variables and first
-        step steps[0], or None.  A plan needs each variable of term to be an
-        argument of the pending call, none twice, and each clause that the
-        resumption runs in place to have no guard and a head plan whose pairs
-        each fill a head variable of their own, from a variable of term or a
-        ground subterm.  A ground instance of the pending call then binds
-        every variable, no step can fail or bind, and the resumption ends in
-        the last clause's answer/2, which must have a build.  Deeper steps are
-        appended to steps as met.
+        step steps[0], or None.  A plan needs no variable to be two arguments
+        of the pending call, and each clause that the resumption runs in
+        place to have a linear head and a head plan whose pairs each fill a
+        head variable of their own, from a variable of term or a ground
+        subterm.  Under a ground instance of the pending call no head plan
+        can then fail: each head variable takes an answer argument, a ground
+        subterm or, for a variable of term that is no argument of the
+        pending call (a loose one), what match_plan would give it.  Deeper
+        steps are appended to steps as met.
 
-        The plan is (functor, arity, check, values, base, fills, slg, deeper,
-        build steps).  An answer is an instance of the pending call when it
-        has its functor and arity and check(args) == values, check taking the
-        pending call's other arguments.  base is the last clause's head map
-        with its ground slots and build tail filled; fills pairs an answer
-        argument's index with the head slot it fills.  slg is the
-        slg_resolutions the first clause counts, deeper those of each clause
-        a call(Cont) runs in place."""
+        The plan is (functor, arity, check, values, nloose, ground, depths).
+        An answer is an instance of the pending call when it has its functor
+        and arity and check(args) == values, check taking the pending call's
+        other arguments.  depths holds, per clause run in place, (slg, base,
+        fills, fresh, clause, more): the slg_resolutions it counts; its head
+        map with the ground slots filled, and the build tail when it has a
+        build, or None when nothing reads or writes the map (no guard, no
+        loose variable, and a call(Cont) goes on); (answer argument index,
+        head slot) pairs; (loose index, head slot, name) triples, in the
+        order match_plan meets them; the clause; and whether a call(Cont)
+        goes on to a deeper one.  nloose counts the loose variables.  ground
+        is whether the last clause has a key and no loose variable, so that
+        its answer is built from answer arguments and ground subterms
+        alone."""
         pending = term.args[2]
         if type(pending) is not Struct:
             return None
@@ -656,53 +703,61 @@ class Engine:
                 at[a.id] = i
             else:
                 return None
-        if None in at:
-            return None
-        slgs = []  # per depth, the slg_resolutions its clause counts
+        loose: dict = {}  # variable id of term that no answer argument binds -> its index
+        depths = []
         depth = 0
         while True:
             clause, plan, target = steps[depth]
-            if plan is None or clause.guards or not clause.linear:
+            if plan is None or not clause.linear:
                 return None
+            base = [None] * clause.nvars + (clause.build[0] if clause.build else [])
+            fills = []
+            fresh = []
             for s, h in plan:
-                if type(h) is not Var or type(s) is Struct and vars_of(s):
+                if type(h) is not Var:
                     return None
-            slgs.append(term.functor.startswith("slg_"))
+                if type(s) is Var:
+                    if at[s.id] is None:
+                        fresh.append((loose.setdefault(s.id, len(loose)), h.id, clause.names[h.id]))
+                    else:
+                        fills.append((at[s.id], h.id))
+                elif type(s) is Struct and vars_of(s):
+                    return None
+                else:
+                    base[h.id] = s
+            if target is not None and not clause.guards and not fresh:
+                base = None  # nothing reads or writes this head map
+            depths.append((term.functor.startswith("slg_"), base, fills, fresh, clause,
+                           target is not None))
             if target is None:
                 break
             term = target
             depth += 1
             if depth == len(steps):
                 steps.append(self._step(term, self._conts[(term.functor, len(term.args))]))
-        if clause.build is None:
-            return None
-        tail, build = clause.build
-        base = [None] * clause.nvars + tail
-        fills = []
-        for s, h in plan:
-            if type(s) is Var:
-                fills.append((at[s.id], h.id))
-            else:
-                base[h.id] = s
+        # each head variable takes an answer argument, a ground subterm or a new variable
+        ground = clause.key is not None and not fresh
         check = itemgetter(*checked) if checked else None
         return (pending.functor, len(pending.args), check, check and check(pending.args),
-                base, fills, slgs[0], slgs[1:], build)
+                len(loose), ground, depths)
 
     def _resume(self, m, stored, ans) -> bool:
         """Resume a stored continuation with an answer on machine m.
 
         With a resume plan and a ground answer that is an instance of the
-        pending call, the plan fills the last clause's head map from the
-        answer's arguments, builds the answer/2 goal and hands it to
-        on_answer.  Otherwise the answer is unified with the pending call,
-        and the stored term is matched against its predicate's one clause
-        through one varmap, so neither stored term is copied beyond what the
-        goals need.  The clause's guards run in place; an answer/2 tail goes
-        to on_answer, and a call(Cont) tail matches Cont's subterm against
-        the clause it names and goes on there.  Each goal spends the step and
-        counts the slg_resolutions the machine would, on either path.  True
-        when m.goals holds the rest of a body for m to run; False when the
-        resumption failed or ended here.
+        pending call, the plan fills each clause's head map from the answer's
+        arguments and its own ground slots, and makes the new variables that
+        match_plan would for the loose ones.  Otherwise the answer is unified
+        with the pending call, and the stored term is matched against its
+        predicate's one clause through one varmap, so neither stored term is
+        copied beyond what the goals need.  Either way the clause's guards
+        run in place, and a call(Cont) tail goes on into the clause Cont
+        names.  An answer/2 tail goes to on_answer, built by the clause's
+        build on a plan, and not frozen again when the plan knows it is
+        ground; any other tail is handed to the machine.  Each goal spends
+        the step and counts the slg_resolutions the machine would, on either
+        path.  True when m.goals holds the rest of a body for m to run; False
+        when the resumption failed or ended here.
         """
         term = stored.term
         steps = stored.steps
@@ -715,75 +770,117 @@ class Engine:
                                    "a resumption needs exactly one")
             steps = stored.steps = [self._step(term, clause)]
             stored.plan = self._resume_plan(term, stored.nvars, steps)
+        store = m.store
+        spend = m.budget.spend
+        counters = self.space.counters
         ans_term, ans_nvars = ans
         plan = stored.plan
+        depths = None
         if plan is not None and not ans_nvars and type(ans_term) is Struct:
-            functor, arity, check, values, base, fills, slg, deeper, build = plan
+            functor, arity, check, values, nloose, ground, depths = plan
             args = ans_term.args
-            if (ans_term.functor == functor and len(args) == arity
-                    and (check is None or check(args) == values)):
-                # the steps and counts of the generic path, in its order
-                spend = m.budget.spend
-                counters = self.space.counters
-                spend()
+            if (ans_term.functor != functor or len(args) != arity
+                    or check is not None and check(args) != values):
+                depths = None
+        if depths is not None:
+            if nloose:
+                loose = [None] * nloose  # the new variable each loose one stands for
+                bindings = store.bindings
+                trail = store.trail
+            spend()  # as on the generic path below, in its order
+            for slg, base, fills, fresh, clause, more in depths:
                 counters.slg_resolutions += slg
-                for k in deeper:
+                if base is not None:
+                    hmap = base.copy()
+                    for i, slot in fills:
+                        hmap[slot] = args[i]
+                    for k, slot, name in fresh:  # match_plan's steps for a loose variable
+                        x = loose[k]
+                        if x is None:
+                            x = loose[k] = store.new_var()
+                        while type(x) is Var:
+                            b = bindings[x.id]
+                            if b is None:
+                                v = Var(len(bindings), name)
+                                bindings.append(None)
+                                bindings[x.id] = v
+                                trail.append(x.id)
+                                x = v
+                                break
+                            x = b
+                        hmap[slot] = x
+                    names = clause.names
+                    for fn, g in clause.guards:
+                        spend()
+                        if not fn(instantiate(g, hmap, store, names).args
+                                  if type(g) is Struct else (), store):
+                            return False
+                if more:
                     spend()
                     spend()
-                    counters.slg_resolutions += k
-                spend()
-                hmap = base.copy()
-                for i, slot in fills:
-                    hmap[slot] = args[i]
-                for slot, f, getter in build:
-                    hmap[slot] = goal = Struct(f, getter(hmap))
-                self.on_answer(m, goal, None)
-                return False
-        store = m.store
-        varmap = [None] * stored.nvars
-        pending = term.args[2]
-        if ans_nvars:
-            # the answer is the stored side here, so an unbound variable of the
-            # continuation is bound to the answer's fresh variable, not the reverse
-            ok = unify_stored(instantiate(pending, varmap, store), ans_term,
-                              [None] * ans_nvars, None, store)
         else:
-            ok = unify_stored(ans_term, pending, varmap, None, store)
-        if not ok:
-            return False
-        spend = m.budget.spend
-        spend()  # resuming resolves one clause: one step, as any resolved goal spends
-        depth = 0
-        while True:
-            if term.functor.startswith("slg_"):
-                self.space.counters.slg_resolutions += 1
-            clause, plan, target = steps[depth]
-            names = clause.names
-            hmap = [None] * clause.nvars
-            if plan is None or not match_plan(plan, varmap, hmap, names, store):
+            varmap = [None] * stored.nvars
+            pending = term.args[2]
+            if ans_nvars:
+                # the answer is the stored side here, so an unbound variable of the
+                # continuation is bound to the answer's fresh variable, not the reverse
+                ok = unify_stored(instantiate(pending, varmap, store), ans_term,
+                                  [None] * ans_nvars, None, store)
+            else:
+                ok = unify_stored(ans_term, pending, varmap, None, store)
+            if not ok:
                 return False
-            for fn, g in clause.guards:
-                spend()
-                if not fn(instantiate(g, hmap, store, names).args if type(g) is Struct else (),
-                          store):
+            spend()  # resuming resolves one clause: one step, as any resolved goal spends
+            depth = 0
+            while True:
+                if term.functor.startswith("slg_"):
+                    counters.slg_resolutions += 1
+                clause, plan, target = steps[depth]
+                names = clause.names
+                hmap = [None] * clause.nvars
+                if plan is None or not match_plan(plan, varmap, hmap, names, store):
                     return False
-            if target is not None:
+                for fn, g in clause.guards:
+                    spend()
+                    if not fn(instantiate(g, hmap, store, names).args if type(g) is Struct else (),
+                              store):
+                        return False
+                if target is None:
+                    break
                 spend()  # call/1
                 spend()  # and the clause it resolves
                 term = target
                 depth += 1
                 if depth == len(steps):
                     steps.append(self._step(term, self._conts[(term.functor, len(term.args))]))
-                continue
-            if clause.answer is not None:
-                spend()
+        if clause.answer is not None:
+            spend()
+            if depths is None or clause.build is None:
                 self.on_answer(m, instantiate(clause.answer, hmap, store, names), None)
                 return False
-            goals = None
-            for g in reversed(clause.rest):
-                goals = (instantiate(g, hmap, store, names) if clause.nvars else g, goals)
-            m.goals = goals
-            return True
+            for slot, f, getter in clause.build[1]:
+                hmap[slot] = goal = Struct(f, getter(hmap))
+            if ground:  # the hash of the answer's variant key, from its parts
+                toks, kslots = clause.key
+                toks = toks.copy()
+                for pos, slot in kslots:
+                    a = hmap[slot]
+                    ta = type(a)
+                    if ta is Int:
+                        toks[pos] = a.value
+                    elif ta is Atom:
+                        toks[pos] = a.name
+                    else:
+                        break  # a compound: Struct.__hash__ walks the answer instead
+                else:
+                    goal.args[1]._hash = hash(tuple(toks))
+            self.on_answer(m, goal, None, ground)
+            return False
+        goals = None
+        for g in reversed(clause.rest):
+            goals = (instantiate(g, hmap, store, names) if clause.nvars else g, goals)
+        m.goals = goals
+        return True
 
     def _finish_group(self, entry):
         space = self.space

@@ -57,10 +57,10 @@ def memory_error_at_answer(monkeypatch, k: int):
     real = cctab.tabling.Engine.on_answer
     calls = []
 
-    def on_answer(self, machine, goal, rest):
+    def on_answer(self, machine, goal, rest, ground=False):
         calls.append(goal)
         if len(calls) == k:
             raise MemoryError
-        return real(self, machine, goal, rest)
+        return real(self, machine, goal, rest, ground)
 
     monkeypatch.setattr(cctab.tabling.Engine, "on_answer", on_answer)

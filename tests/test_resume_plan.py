@@ -1,11 +1,13 @@
 """Resumption through resume plans.
 
-A stored continuation whose resumption can only end in answer/2 gets a resume
-plan at its first resumption.  A ground answer that is an instance of the
-pending call then follows the plan instead of being unified.  Everything
-observable must equal what an engine with no plans gives, every resumption
-on the generic path: the printed solutions in order, the tables and all the
-counters, also when the step budget runs out partway.
+A stored continuation gets a resume plan at its first resumption when every
+clause it runs in place has a linear head that a ground instance of the
+pending call fills without unification.  Such an answer then follows the
+plan: it fills the head maps, and the guards, call(Cont) chains, answer/2
+goals and machine tails run from them.  Everything observable must equal
+what an engine with no plans gives, every resumption on the generic path:
+the printed solutions in order, the tables and all the counters, also when
+the step budget runs out partway.
 """
 
 import dataclasses
@@ -114,11 +116,11 @@ NOT_PLANNED = {
     "non_instance": (":- table r/1.\n:- table p/2.\np(1, Y) :- answer(1, p(2, 3)).\n"
                      "p(1, Y) :- answer(1, q(1, 3)).\np(1, Y) :- answer(1, p(1)).\n"
                      "p(1, 2).\nr(Y) :- p(1, Y).\n", "r(Y)", ["r(2)"], 3, 4),
-    # g/2 is a bridge whose continuation holds [Y], which `is` binds after
-    # the resumption, so no answer binds it
-    "bridge_is": (":- table t/2.\ne(1, 2).\ne(2, 3).\nt(X, Y) :- e(X, Y).\n"
-                  "t(X, Y) :- g(X, Y).\ng(X, Y) :- t(X, W), Y is W + 1, Y < 5.\n",
-                  "t(A, B)", ["t(1, 2)", "t(2, 3)", "t(1, 3)", "t(2, 4)", "t(1, 4)"], 5, 5),
+    # the hand-written head k(Id, [], p(A, A), []) repeats a variable, so
+    # only a unification can refuse the answer p(1, 2)
+    "nonlinear": (":- table r/1.\n:- table p/2.\np(1, 1).\np(1, 2).\np(2, 2).\n"
+                  "r(A) :- slgcall(k(0, [], p(A, B), [])).\n"
+                  "k(Id, [], p(A, A), []) :- answer(Id, r(A)).\n", "r(A)", ["r(1)", "r(2)"], 3, 3),
 }
 
 
@@ -146,14 +148,97 @@ hop(X, Y) :- e(X, Z), r(Z, Y).
 """
 
 
-@pytest.mark.parametrize("src, query, resumptions", [
-    (gen_fixture("chain", 8), "path(X, Y)", 49),
-    (HOP_BRIDGE, "r(X, Y)", 18),
-], ids=["chain8", "hop_bridge"])
-def test_resumptions_through_plans_alone(src, query, resumptions, monkeypatch):
+# (program, query, its answers or None, its resumptions); every resumption
+# follows a plan, and the same answers come with none
+PLANNED = {
+    "chain8": (gen_fixture("chain", 8), "path(X, Y)", None, 49),
+    "hop_bridge": (HOP_BRIDGE, "r(X, Y)", None, 18),
+    # g/2 is a bridge whose continuation holds [Y], a variable that no answer
+    # binds; `is` binds it before call(Cont) runs the answer clause in place
+    "bridge_is": (":- table t/2.\ne(1, 2).\ne(2, 3).\nt(X, Y) :- e(X, Y).\n"
+                  "t(X, Y) :- g(X, Y).\ng(X, Y) :- t(X, W), Y is W + 1, Y < 5.\n",
+                  "t(A, B)", ["t(1, 2)", "t(2, 3)", "t(1, 3)", "t(2, 4)", "t(1, 4)"], 5),
+    # the bridge h/2's guard Y < 3 fails for t(2, 3) and t(3, 4)
+    "guard_fails": (":- table t/2.\ne(1, 2).\ne(2, 3).\ne(3, 4).\nt(X, Y) :- e(X, Y).\n"
+                    "t(X, Y) :- h(X, Y).\nh(X, Y) :- t(X, Y), Y < 3.\n",
+                    "t(A, B)", ["t(1, 2)", "t(2, 3)", "t(3, 4)"], 3),
+    # the answer clause's guard `is` binds its [Y], a new variable, which
+    # its answer/2 then holds, so the answer is frozen
+    "is_fresh": (":- table t/2.\ne(1, 2).\ne(2, 3).\nt(X, Y) :- e(X, Y).\n"
+                 "t(X, Y) :- t(X, W), Y is W + 1, Y < 5.\n",
+                 "t(A, B)", ["t(1, 2)", "t(2, 3)", "t(1, 3)", "t(2, 4)", "t(1, 4)"], 5),
+    # the tail e(W, Y) goes to the machine, and the fact binds its new Y
+    "tail_fact": (":- table t/2.\n:- table p/2.\np(1, 2).\np(2, 3).\ne(2, 5).\ne(3, 6).\n"
+                  "e(3, 7).\nt(X, Y) :- p(X, W), e(W, Y).\n",
+                  "t(A, B)", ["t(1, 5)", "t(2, 6)", "t(2, 7)"], 2),
+    # the tail is slgcall/1 of an incomplete t/2, which suspends: the trail
+    # that trail_at_suspend counts includes the binding of the new [Z]
+    "tail_suspends": (":- table t/2.\ne(1, 2).\ne(2, 3).\ne(3, 1).\nt(X, Y) :- e(X, Y).\n"
+                      "t(X, Z) :- h(X, Y), t(Y, Z).\nh(X, Y) :- t(X, Y), Y < 3.\n",
+                      "t(A, B)", ["t(1, 2)", "t(2, 3)", "t(3, 1)", "t(1, 3)", "t(3, 2)", "t(3, 3)"],
+                      14),
+    # hand-written: k's [B] is met first at a depth with no guard, whose
+    # call(Cont) goes on into m, and again in m, whose tail suspends; the
+    # variables made for it at each depth reach trail_at_suspend
+    "loose_through_call": (":- table r/2.\n:- table p/1.\n:- table q/1.\np(1).\np(2).\nq(3).\n"
+                           "r(A, B) :- slgcall(k(0, [B], p(A), m(0, [B], p(A), []))).\n"
+                           "k(Id, [B], p(A), Cont) :- call(Cont).\n"
+                           "m(Id, [B], p(A), []) :- slgcall(n(Id, [A], q(B), [])).\n"
+                           "n(Id, [A], q(B), []) :- answer(Id, r(A, B)).\n",
+                           "r(A, B)", ["r(1, 3)", "r(2, 3)"], 4),
+    # each answer of t/2 is stored by the machine from q/2's facts, frozen,
+    # and then built again by a plan with its key's hash preset (from an
+    # atom and an integer, or computed from the compound f(c)): a wrong hash
+    # would store it twice
+    "keys_as_frozen": (":- table t/2.\n:- table p/2.\np(a, 1).\np(b, f(c)).\np(2, g).\n"
+                       "t(X, Y) :- p(X, Y).\nt(X, Y) :- q(X, Y).\n"
+                       "q(a, 1).\nq(b, f(c)).\nq(2, g).\n",
+                       "t(X, Y)", ["t(a, 1)", "t(b, f(c))", "t(2, g)"], 3),
+    # a hand-written answer clause whose guard binds B, a variable not in its
+    # head, which its answer/2 then holds
+    "guard_var": (":- table r/1.\n:- table p/1.\np(1).\np(2).\n"
+                  "r(B) :- slgcall(k(0, [], p(A), [])).\n"
+                  "k(Id, [], p(A), []) :- B is A + 1, answer(Id, r(B)).\n",
+                  "r(B)", ["r(2)", "r(3)"], 2),
+}
+
+
+@pytest.mark.parametrize("case", list(PLANNED))
+def test_resumptions_through_plans_alone(case, monkeypatch):
+    src, query, want, total = PLANNED[case]
     taken = generic_resumptions(monkeypatch)
-    run(make_engine(src), [query])
-    assert len(taken) == resumptions and not any(taken)
+    got = same_without_plans(src, [query], Mode.GENERAL)
+    assert want is None or got[0] == got[1] == want
+    # the engine with plans runs first, then the one without
+    assert len(taken) == 2 * total and taken == [False] * total + [True] * total
+
+
+@pytest.mark.parametrize("mode", list(Mode), ids=lambda m: m.value)
+def test_without_plans_every_resumption_is_generic(mode, monkeypatch):
+    # the reference the tests above compare with: were a plan left in it, they
+    # would compare plans with plans
+    taken = generic_resumptions(monkeypatch)
+    for src, queries in fixed_programs(mode):
+        run(make_engine(src, mode), queries, plans=False)
+    assert len(taken) > 100 and all(taken)
+
+
+# two tables in the style of the mixed benchmark workload: t0 loops through
+# the bridge h0 (guard Z < 3) and reaches t1 through the bridge g0 (`is`,
+# then >); t1 also calls t0
+TWO_TABLES = """:- table t0/2.
+:- table t1/2.
+t0(X, Y) :- e0(X, Y).
+t0(X, Z) :- h0(X, Y), e0(Y, Z).
+h0(X, Z) :- t0(X, Z), Z < 3.
+t0(X, Y) :- g0(X, Y).
+g0(X, Y) :- t1(X, W), Y is W + 1, X > Y.
+t1(X, Y) :- e1(X, Y).
+t1(X, Y) :- t0(Y, X).
+e0(1, 2).
+e0(2, 3).
+e1(3, 1).
+"""
 
 
 @pytest.mark.parametrize("mode", list(Mode), ids=lambda m: m.value)
@@ -161,7 +246,8 @@ def test_resumptions_through_plans_alone(src, query, resumptions, monkeypatch):
     (gen_fixture("chain", 8), "path(X, Y)"),
     (read_fixture("mixed_loop.pl"), "t(A)"),
     (HOP_BRIDGE, "r(X, Y)"),
-], ids=["chain8", "mixed_loop", "hop_bridge"])
+    (TWO_TABLES, "t0(X, Y)"),
+], ids=["chain8", "mixed_loop", "hop_bridge", "two_tables"])
 def test_step_budget_runs_out_where_it_does_without_plans(src, query, mode):
     # every budget up to the first that answers the query, which must also
     # answer it without plans
