@@ -571,10 +571,12 @@ class StoredIterCP:
     later read binds each live variable to its value, one binding and one
     trail entry each, as unify_stored did.  A slot is False for an entry that
     is not ground or did not unify (not an instance of the variant), which is
-    unified at every read.
+    unified at every read.  When the live term's arguments are its unbound
+    variables, each once and in order, a slot holds the entry's own argument
+    tuple, which are those values, and no list is made for it.
     """
 
-    __slots__ = ("target", "stored", "i", "mark", "rest", "substs", "live")
+    __slots__ = ("target", "stored", "i", "mark", "rest", "substs", "live", "direct")
 
     def __init__(self, target, stored, mark, rest, substs=None, live=None):
         self.target = target
@@ -584,6 +586,8 @@ class StoredIterCP:
         self.rest = rest
         self.substs = substs
         self.live = live
+        self.direct = (substs is not None and type(target) is Struct
+                       and [a.id if type(a) is Var else None for a in target.args] == list(live))
 
     def try_next(self, m: "Machine") -> bool:
         store = m.store
@@ -603,7 +607,8 @@ class StoredIterCP:
                 term, nvars = stored[i]
                 ok = unify_stored(self.target, term, [None] * nvars, None, store)
                 if sub is None:
-                    substs[i] = [bindings[v] for v in live] if ok and not nvars else False
+                    substs[i] = ((term.args if self.direct else [bindings[v] for v in live])
+                                 if ok and not nvars else False)
                 if not ok:
                     continue
             else:

@@ -18,7 +18,9 @@ machine backtracks into it.
 A resumption matches the stored continuation against its predicate's one
 clause and runs the clause's leading built-ins in place.  A final answer/2
 goes straight to on_answer; a final call(Cont) goes on, in place, into the
-one clause of the continuation Cont holds; any other rest of a body is
+one clause of the continuation Cont holds; a fact join F, answer/2, where F
+calls a predicate of ground facts, matches F against the facts the machine
+would select and records an answer per match; any other rest of a body is
 handed to the machine.  A stored continuation gets a resume plan at its
 first resumption when each clause it runs in place has a linear head whose
 variables the stored term fills one each.  A ground answer that is an
@@ -26,10 +28,11 @@ instance of its pending call then fills each clause's head map, with no
 unification, from the answer's arguments, ground subterms and, for a
 variable no argument binds, the new variables unification would make
 (substitution factoring, as in Ramakrishnan et al., JLP 1999).  Guards,
-call(Cont) chains and machine tails run from those maps as on the generic
-path, with its steps and counts; a final answer/2 is built from the map,
-and one built from answer arguments and ground subterms alone reaches
-on_answer with the hash of its variant key, not to be frozen again.
+call(Cont) chains, fact joins and machine tails run from those maps as on
+the generic path, with its steps and counts.  On either path a guard's
+arguments and a final answer/2 are built from the head map; an answer
+whose variables hold atoms or integers is ground and reaches on_answer
+with the hash of its variant key, not to be frozen again.
 
 Suspended continuations are frozen at capture time: copied with their
 bindings applied, except for ground subterms, which no binding reaches and
@@ -303,47 +306,75 @@ class GeneratorCP:
 class _ContClause:
     """The one clause of a continuation predicate, split for running in place:
     its leading built-in goals (guards), then the rest of its body.  answer is
-    that rest when it is one answer/2 goal; cont is the id of V when it is one
-    call(V) goal whose V occurs once in the head and in no guard.  For an
-    answer/2 body, build is _answer_build's (tail, steps) when its variables
-    each occur in the head or a guard, and key is _answer_key's for its
-    answer when their variables all occur in the head."""
+    the last goal of that rest when the rest is one answer/2 goal, or a fact
+    join: a goal F, then answer/2, where F calls a predicate of ground facts
+    that the machine resolves by clauses, with no compound argument.  join
+    is then (F's arguments, each a variable id or a constant; the
+    predicate's index entry; whether the machine counts F as an SLG
+    resolution).  cont is the id of V when the rest is one call(V) goal whose
+    V occurs once in the head and in no guard.
 
-    __slots__ = ("head", "nvars", "names", "guards", "rest", "answer", "cont", "linear", "build",
-                 "key")
+    The goals run in place are built from a head map in which the head
+    matched has filled every head variable: its slots are the clause's
+    variables and then tail's (see _build).  guards holds per guard (its
+    built-in, the slots of its new variables, _build's steps for its
+    compound arguments, the getter of its arguments).  For an answer/2,
+    build is _build's steps when the answer's variables each occur in the
+    head, a guard or F, and vslots holds the ids of the variables of its
+    answer."""
 
-    def __init__(self, clause):
+    __slots__ = ("head", "nvars", "names", "guards", "rest", "answer", "cont", "join", "linear",
+                 "tail", "build", "vslots")
+
+    def __init__(self, clause, index):
         self.head, body, self.nvars, self.names = clause
         keys = [pred_key(g) for g in body]
         k = 0
         while k < len(body) and keys[k] in BUILTINS:
             k += 1
-        self.guards = [(BUILTINS[key], g) for key, g in zip(keys[:k], body)]
         self.rest = body[k:]
         ids = [t.id for t in walk_subterms(self.head) if type(t) is Var]
-        head = set(ids)
-        self.linear = len(head) == len(ids)  # no variable occurs twice in the head
-        # the variables of the head and the guards, with repeats
-        known = ids + [t.id for g in body[:k] for t in walk_subterms(g) if type(t) is Var]
-        self.answer = self.cont = self.build = self.key = None
-        if keys[k:] == [("answer", 2)]:
-            self.answer = body[k]
-            self.build = _answer_build(self.answer, self.nvars, set(known))
-            self.key = _answer_key(self.answer.args[1], head)
-        elif keys[k:] == [("call", 1)] and type(body[k].args[0]) is Var:
+        self.linear = len(set(ids)) == len(ids)  # no variable occurs twice in the head
+        self.answer = self.cont = self.join = self.build = None
+        rest = keys[k:]
+        if rest == [("call", 1)] and type(body[k].args[0]) is Var:
+            # the variables of the head and the guards, with repeats
+            known = ids + [t.id for g in body[:k] for t in walk_subterms(g) if type(t) is Var]
             if known.count(body[k].args[0].id) == 1:
                 self.cont = body[k].args[0].id
+        known = set(ids)
+        self.tail = []
+        guards = []
+        for key, g in zip(keys[:k], body):
+            new: list = []
+            steps = (_build(g, self.nvars, known, self.tail, new) if type(g) is Struct
+                     else [(None, None, lambda m: ())])
+            guards.append((BUILTINS[key], tuple(new), tuple(steps[:-1]), steps[-1][2]))
+        self.guards = tuple(guards)  # (), shared, when there is none
+        if len(rest) == 2 and rest[1] == ("answer", 2) and rest[0] not in ENGINE_PREDS:
+            f = body[k]
+            facts = index.get(rest[0])
+            if (type(f) is Struct and facts and all(type(a) is not Struct for a in f.args)
+                    and all(not c[1] and not c[2] for c in facts[0])):
+                self.join = (tuple(a.id if type(a) is Var else a for a in f.args), facts,
+                             f.functor.startswith("slg_"))
+                known.update(a.id for a in f.args if type(a) is Var)
+        if rest == [("answer", 2)] or self.join:
+            self.answer = body[-1]
+            self.build = _build(self.answer, self.nvars, known, self.tail)
+            self.vslots = tuple(v.id for v in vars_of(self.answer.args[1]))
 
 
-def _answer_build(goal, nvars, known):
-    """(tail, steps) that build goal from a head map, or None when goal has a
-    variable whose id is not in known.  The map's slots are the clause's
-    variables and then tail's: goal's atoms and integers, and one slot per
-    compound, which holds it once built.  steps builds the compounds inner
-    first, each as (slot, functor, getter), where getter takes the map to the
-    argument tuple (itemgetter over the argument slots); goal's own step is
-    the last."""
-    tail: list = []
+def _build(goal, nvars, known, tail, new=None):
+    """Steps that build the compound goal from a head map, or None when goal
+    has a variable whose id is not in known and new is None.  The map's
+    slots are the clause's variables and then tail's: goal's atoms and
+    integers, and one slot per compound, which holds it once built; they are
+    appended to tail.  Each step is (slot, functor, getter), getter taking
+    the map to the argument tuple (itemgetter over the argument slots); the
+    inner compounds come first, goal's own step last.  When new is a list,
+    each variable not in known is appended to it and to known at its first
+    occurrence, in the order instantiate makes their new variables."""
     steps: list = []
     stack = [(goal, [])]  # (compound, its argument slots so far) of the enclosing compounds
     while stack:
@@ -355,7 +386,10 @@ def _answer_build(goal, nvars, known):
                 continue
             if type(a) is Var:
                 if a.id not in known:
-                    return None
+                    if new is None:
+                        return None
+                    new.append(a.id)
+                    known.add(a.id)
                 slots.append(a.id)
             else:
                 slots.append(nvars + len(tail))
@@ -369,35 +403,7 @@ def _answer_build(goal, nvars, known):
         steps.append((slot, s.functor, getter))
         if stack:
             stack[-1][1].append(slot)
-    return tail, steps
-
-
-def _answer_key(t, head):
-    """(toks, slots) of a compound t: the tokens of its variant key, those
-    Struct.__hash__ hashes, with None where t has a variable, and for each
-    such position, (position, the variable's id), its slot in a head map.
-    None when t is not a compound or has a variable whose id is not in
-    head."""
-    if type(t) is not Struct:
-        return None
-    toks: list = []
-    slots = []
-    stack = [t]
-    while stack:
-        x = stack.pop()
-        tx = type(x)
-        if tx is Var:
-            if x.id not in head:
-                return None
-            slots.append((len(toks), x.id))
-            toks.append(None)
-        elif tx is Struct:
-            toks.append(x.functor)
-            toks.append(len(x.args))
-            stack.extend(reversed(x.args))
-        else:
-            toks.append(x.value if tx is Int else x.name)
-    return toks, slots
+    return steps
 
 
 class Solution:
@@ -646,7 +652,7 @@ class Engine:
         """The _ContClause of a predicate with exactly one clause, else None."""
         if key not in self._conts:
             clauses = self.index.get(key, ((),))[0]
-            self._conts[key] = _ContClause(clauses[0]) if len(clauses) == 1 else None
+            self._conts[key] = _ContClause(clauses[0], self.index) if len(clauses) == 1 else None
         return self._conts[key]
 
     def _step(self, term, clause):
@@ -677,20 +683,17 @@ class Engine:
         pending call (a loose one), what match_plan would give it.  Deeper
         steps are appended to steps as met.
 
-        The plan is (functor, arity, check, values, nloose, ground, depths).
+        The plan is (functor, arity, check, values, nloose, depths).
         An answer is an instance of the pending call when it has its functor
         and arity and check(args) == values, check taking the pending call's
         other arguments.  depths holds, per clause run in place, (slg, base,
         fills, fresh, clause, more): the slg_resolutions it counts; its head
-        map with the ground slots filled, and the build tail when it has a
-        build, or None when nothing reads or writes the map (no guard, no
+        map with the ground slots filled, followed by the clause's builder
+        tail, or None when nothing reads or writes the map (no guard, no
         loose variable, and a call(Cont) goes on); (answer argument index,
         head slot) pairs; (loose index, head slot, name) triples, in the
         order match_plan meets them; the clause; and whether a call(Cont)
-        goes on to a deeper one.  nloose counts the loose variables.  ground
-        is whether the last clause has a key and no loose variable, so that
-        its answer is built from answer arguments and ground subterms
-        alone."""
+        goes on to a deeper one.  nloose counts the loose variables."""
         pending = term.args[2]
         if type(pending) is not Struct:
             return None
@@ -710,7 +713,7 @@ class Engine:
             clause, plan, target = steps[depth]
             if plan is None or not clause.linear:
                 return None
-            base = [None] * clause.nvars + (clause.build[0] if clause.build else [])
+            base = [None] * clause.nvars + clause.tail
             fills = []
             fresh = []
             for s, h in plan:
@@ -727,19 +730,17 @@ class Engine:
                     base[h.id] = s
             if target is not None and not clause.guards and not fresh:
                 base = None  # nothing reads or writes this head map
-            depths.append((term.functor.startswith("slg_"), base, fills, fresh, clause,
-                           target is not None))
+            depths.append((term.functor.startswith("slg_"), base, tuple(fills), tuple(fresh),
+                           clause, target is not None))
             if target is None:
                 break
             term = target
             depth += 1
             if depth == len(steps):
                 steps.append(self._step(term, self._conts[(term.functor, len(term.args))]))
-        # each head variable takes an answer argument, a ground subterm or a new variable
-        ground = clause.key is not None and not fresh
         check = itemgetter(*checked) if checked else None
         return (pending.functor, len(pending.args), check, check and check(pending.args),
-                len(loose), ground, depths)
+                len(loose), depths)
 
     def _resume(self, m, stored, ans) -> bool:
         """Resume a stored continuation with an answer on machine m.
@@ -751,13 +752,13 @@ class Engine:
         with the pending call, and the stored term is matched against its
         predicate's one clause through one varmap, so neither stored term is
         copied beyond what the goals need.  Either way the clause's guards
-        run in place, and a call(Cont) tail goes on into the clause Cont
-        names.  An answer/2 tail goes to on_answer, built by the clause's
-        build on a plan, and not frozen again when the plan knows it is
-        ground; any other tail is handed to the machine.  Each goal spends
-        the step and counts the slg_resolutions the machine would, on either
-        path.  True when m.goals holds the rest of a body for m to run; False
-        when the resumption failed or ended here.
+        run in place, their arguments built from the head map, and a
+        call(Cont) tail goes on into the clause Cont names.  An answer/2
+        tail goes to _put_answer and a fact join to _join; any other tail,
+        and a join that _join leaves, is handed to the machine.  Each goal
+        spends the step and counts the slg_resolutions the machine would, on
+        either path.  True when m.goals holds the rest of a body for m to
+        run; False when the resumption failed or ended here.
         """
         term = stored.term
         steps = stored.steps
@@ -777,7 +778,7 @@ class Engine:
         plan = stored.plan
         depths = None
         if plan is not None and not ans_nvars and type(ans_term) is Struct:
-            functor, arity, check, values, nloose, ground, depths = plan
+            functor, arity, check, values, nloose, depths = plan
             args = ans_term.args
             if (ans_term.functor != functor or len(args) != arity
                     or check is not None and check(args) != values):
@@ -809,11 +810,13 @@ class Engine:
                                 break
                             x = b
                         hmap[slot] = x
-                    names = clause.names
-                    for fn, g in clause.guards:
+                    for fn, new, build, getter in clause.guards:
                         spend()
-                        if not fn(instantiate(g, hmap, store, names).args
-                                  if type(g) is Struct else (), store):
+                        for slot in new:
+                            hmap[slot] = store.new_var(clause.names[slot])
+                        for slot, f, get in build:
+                            hmap[slot] = Struct(f, get(hmap))
+                        if not fn(getter(hmap), store):
                             return False
                 if more:
                     spend()
@@ -836,14 +839,16 @@ class Engine:
                 if term.functor.startswith("slg_"):
                     counters.slg_resolutions += 1
                 clause, plan, target = steps[depth]
-                names = clause.names
-                hmap = [None] * clause.nvars
-                if plan is None or not match_plan(plan, varmap, hmap, names, store):
+                hmap = [None] * clause.nvars + clause.tail
+                if plan is None or not match_plan(plan, varmap, hmap, clause.names, store):
                     return False
-                for fn, g in clause.guards:
+                for fn, new, build, getter in clause.guards:
                     spend()
-                    if not fn(instantiate(g, hmap, store, names).args if type(g) is Struct else (),
-                              store):
+                    for slot in new:
+                        hmap[slot] = store.new_var(clause.names[slot])
+                    for slot, f, get in build:
+                        hmap[slot] = Struct(f, get(hmap))
+                    if not fn(getter(hmap), store):
                         return False
                 if target is None:
                     break
@@ -854,33 +859,108 @@ class Engine:
                 if depth == len(steps):
                     steps.append(self._step(term, self._conts[(term.functor, len(term.args))]))
         if clause.answer is not None:
-            spend()
-            if depths is None or clause.build is None:
-                self.on_answer(m, instantiate(clause.answer, hmap, store, names), None)
+            if clause.join is None:
+                self._put_answer(m, clause, hmap)
                 return False
-            for slot, f, getter in clause.build[1]:
-                hmap[slot] = goal = Struct(f, getter(hmap))
-            if ground:  # the hash of the answer's variant key, from its parts
-                toks, kslots = clause.key
-                toks = toks.copy()
-                for pos, slot in kslots:
-                    a = hmap[slot]
-                    ta = type(a)
-                    if ta is Int:
-                        toks[pos] = a.value
-                    elif ta is Atom:
-                        toks[pos] = a.name
-                    else:
-                        break  # a compound: Struct.__hash__ walks the answer instead
-                else:
-                    goal.args[1]._hash = hash(tuple(toks))
-            self.on_answer(m, goal, None, ground)
-            return False
+            if self._join(m, clause, hmap):
+                return False
         goals = None
         for g in reversed(clause.rest):
-            goals = (instantiate(g, hmap, store, names) if clause.nvars else g, goals)
+            goals = (instantiate(g, hmap, store, clause.names) if clause.nvars else g, goals)
         m.goals = goals
         return True
+
+    def _join(self, m, clause, hmap) -> bool:
+        """Run clause's fact join F, answer(Id, A) in place from the head map
+        hmap, as the machine would run it: F's step, then, for each fact
+        that matches, in source order, answer/2's step and on_answer.  An
+        argument of F that holds an atom or integer must equal the fact's;
+        one that holds an unbound variable takes the fact's value, and a
+        store variable is bound to it and unbound again after the answer.
+        False, with nothing done, when an argument holds a compound or two
+        hold the same unbound variable: the machine runs the goals then."""
+        args, (clauses, by_first, var_first), slg = clause.join
+        store = m.store
+        bindings = store.bindings
+        checks = []  # (position, the atom or integer a fact must have there)
+        free = []  # (position, slot, the store variable or None): take the fact's value
+        for i, a in enumerate(args):
+            if type(a) is not int:
+                checks.append((i, a))
+                continue
+            x = hmap[a]
+            while type(x) is Var:
+                b = bindings[x.id]
+                if b is None:
+                    break
+                x = b
+            if x is None or type(x) is Var:
+                if free and any(slot == a or x is not None and v is x for _i, slot, v in free):
+                    return False
+                free.append((i, a, x))
+            elif type(x) is Struct:
+                return False
+            else:
+                checks.append((i, x))
+        if checks and checks[0][0] == 0:  # Machine.run's choice, whose facts all match there
+            clauses = by_first.get(checks.pop(0)[1], var_first)
+        m.budget.spend()
+        self.space.counters.slg_resolutions += slg
+        trail = store.trail
+        mark = len(trail)
+        for head, _body, _nvars, _names in clauses:
+            fact = head.args
+            for i, x in checks:
+                if fact[i] != x:
+                    break
+            else:
+                fmap = hmap.copy()
+                for i, slot, v in free:
+                    fmap[slot] = fact[i]
+                    if v is not None:
+                        bindings[v.id] = fact[i]
+                        trail.append(v.id)
+                self._put_answer(m, clause, fmap)
+                while len(trail) > mark:
+                    bindings[trail.pop()] = None
+        return True
+
+    def _put_answer(self, m, clause, hmap):
+        """Spend answer/2's step and record clause's answer from the head map
+        hmap, built by the clause's build.  An answer whose variables each
+        hold an atom or an integer is ground: it is stored as it is, not
+        frozen again, with the hash of its variant key when it has no
+        compound argument."""
+        m.budget.spend()
+        build = clause.build
+        if build is None:
+            self.on_answer(m, instantiate(clause.answer, hmap, m.store, clause.names), None)
+            return
+        for slot, f, getter in build:
+            hmap[slot] = goal = Struct(f, getter(hmap))
+        t = goal.args[1]
+        if type(t) is Struct:
+            toks = [t.functor, len(t.args)]  # Struct.__hash__'s tokens, in its order
+            for a in t.args:
+                ta = type(a)
+                if ta is Int:
+                    toks.append(a.value)
+                elif ta is Atom:
+                    toks.append(a.name)
+                else:
+                    break
+            else:
+                t._hash = hash(tuple(toks))
+                self.on_answer(m, goal, None, True)
+                return
+        # a variable or a compound in the answer: its variables' values decide
+        ground = True
+        for slot in clause.vslots:
+            a = hmap[slot] = m.store.walk(hmap[slot])
+            ground = ground and (type(a) is Int or type(a) is Atom)
+        for slot, f, getter in build:
+            hmap[slot] = goal = Struct(f, getter(hmap))
+        self.on_answer(m, goal, None, ground)
 
     def _finish_group(self, entry):
         space = self.space

@@ -118,6 +118,19 @@ def test_edge_case_substitutions():
     assert substs("non_instance") == [False, ["2"], ["4"]]
 
 
+def test_an_open_call_keeps_each_answers_arguments_as_its_substitution():
+    # p(Z, Y) has its unbound variables as arguments, once each and in order;
+    # p(X, X) repeats one, so its substitutions are lists of their own
+    got = []
+    for case in ("nonground", "repeated"):
+        src, query, _ = EDGE_CASES[case]
+        eng = make_engine(src)
+        list(eng.solve(parse_query(query)))
+        (entry,) = eng.space.entries
+        got.append([sub is t.args for sub, (t, _n) in zip(entry.substs, entry.answers) if sub])
+    assert got == [[True], [False, False, False]]
+
+
 def test_nonground_answer_binds_fresh_variables():
     src, query, _ = EDGE_CASES["nonground"]
     eng = make_engine(src)

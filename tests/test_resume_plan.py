@@ -8,6 +8,10 @@ goals and machine tails run from them.  Everything observable must equal
 what an engine with no plans gives, every resumption on the generic path:
 the printed solutions in order, the tables and all the counters, also when
 the step budget runs out partway.
+
+A continuation clause whose body ends in a fact join, a goal over ground
+facts and then answer/2, runs that join in place, on either path.  It must
+give what the machine gives when it runs those two goals.
 """
 
 import dataclasses
@@ -18,19 +22,22 @@ import cctab.tabling
 from cctab import Error, Mode, gen_fixture, parse_query, print_term
 from cctab.tabling import Engine
 
-from conftest import make_engine, read_fixture
+from conftest import answers, make_engine, read_fixture
 from test_behaviour_digest import fixed_programs, random_programs
 from test_tabling import table_digest
 
 
-def run(eng, queries, budget=None, plans=True) -> list:
+def run(eng, queries, budget=None, plans=True, joins=True) -> list:
     """Per query, its printed solutions in order, ended by the error it
     raised, if any; then the tables and the counters.  Without plans, the
-    plan builder builds none."""
+    plan builder builds none; without joins, every fact join is handed to
+    the machine."""
     out = []
     with pytest.MonkeyPatch.context() as mp:
         if not plans:
             mp.setattr(Engine, "_resume_plan", lambda self, term, nvars, steps: None)
+        if not joins:
+            mp.setattr(Engine, "_join", lambda self, m, clause, hmap: False)
         for query in queries:
             got = []
             try:
@@ -49,6 +56,15 @@ def same_without_plans(src, queries, mode, budget=None) -> list:
     queries = [*queries, *queries]
     got = run(make_engine(src, mode), queries, budget)
     assert got == run(make_engine(src, mode), queries, budget, plans=False), (queries, src)
+    return got
+
+
+def same_without_joins(src, queries, mode, budget=None) -> list:
+    """As same_without_plans, against an engine whose fact joins all go to
+    the machine."""
+    queries = [*queries, *queries]
+    got = run(make_engine(src, mode), queries, budget)
+    assert got == run(make_engine(src, mode), queries, budget, joins=False), (queries, src)
     return got
 
 
@@ -256,3 +272,202 @@ def test_step_budget_runs_out_where_it_does_without_plans(src, query, mode):
               for out in same_without_plans(src, [query], mode, budget)[:2] for line in out):
         budget += 1
     assert budget >= 8
+
+
+@pytest.mark.parametrize("mode", list(Mode), ids=lambda m: m.value)
+def test_programs_join_as_the_machine_does(mode):
+    for src, queries in [*fixed_programs(mode), *random_programs()]:
+        same_without_joins(src, queries, mode)
+
+
+def machine_tails(monkeypatch) -> list:
+    """For each resumption from now on, whether it handed goals to the
+    machine."""
+    handed = []
+    real_resume = Engine._resume
+
+    def resume(self, m, stored, ans):
+        go_on = real_resume(self, m, stored, ans)
+        handed.append(go_on)
+        return go_on
+
+    monkeypatch.setattr(Engine, "_resume", resume)
+    return handed
+
+
+LEFT_RECURSIVE = """:- table path/2.
+e(1, 2).
+e(2, 3).
+e(3, 4).
+e(4, 2).
+path(X, Y) :- e(X, Y).
+path(X, Y) :- path(X, Z), e(Z, Y).
+"""
+
+# (program, query, its answers, how many resumptions hand goals to the
+# machine with joins and without, of how many)
+JOINS = {
+    "left_recursive": (LEFT_RECURSIVE, "path(A, B)",
+                       ["path(1, 2)", "path(2, 3)", "path(3, 4)", "path(4, 2)", "path(1, 3)",
+                        "path(2, 4)", "path(3, 2)", "path(4, 3)", "path(1, 4)", "path(2, 2)",
+                        "path(3, 3)", "path(4, 4)"], (0, 12), 12),
+    # the bridge h0's continuation goes on into e0(Y, Z), answer(Id, t0(X, Z))
+    "two_tables": (None, "t0(X, Y)", None, (0, 2), 15),
+    # p's answer binds W, a constant of the join; the fact binds the loose Y
+    "constant": (":- table t/2.\n:- table p/2.\np(1, 2).\np(2, 3).\ne(2, 5).\ne(3, 6).\n"
+                 "e(3, 7).\ne(4, 2).\nt(X, Y) :- p(X, W), e(W, Y).\n",
+                 "t(A, B)", ["t(1, 5)", "t(2, 6)", "t(2, 7)"], (0, 2), 2),
+    # both arguments of the join are bound, the first indexes e/2's facts
+    "bound": (":- table t/2.\n:- table p/2.\np(1, 2).\np(2, 3).\np(3, 1).\ne(2, 1).\ne(2, 4).\n"
+              "e(3, 1).\ne(1, 3).\nt(X, Y) :- p(X, Y), e(Y, X).\n",
+              "t(A, B)", ["t(1, 2)", "t(3, 1)"], (0, 3), 3),
+    # the join's second argument is a constant of the clause
+    "constant_second": (":- table t/2.\n:- table p/1.\np(1).\np(2).\ne(2, 1).\ne(3, 2).\n"
+                        "e(4, 1).\nt(X, Z) :- p(X), e(Z, 1).\n",
+                        "t(A, B)", ["t(1, 2)", "t(1, 4)", "t(2, 2)", "t(2, 4)"], (0, 2), 2),
+    # hand-written: B first occurs in the join, and the fact's value fills
+    # its slot, with no variable made for it
+    "new_variable": (":- table r/1.\n:- table p/1.\np(1).\np(2).\ne(1, a).\ne(2, b).\ne(1, c).\n"
+                     "r(B) :- slgcall(k(0, [], p(A), [])).\n"
+                     "k(Id, [], p(A), []) :- e(A, B), answer(Id, r(B)).\n",
+                     "r(B)", ["r(a)", "r(c)", "r(b)"], (0, 2), 2),
+    # hand-written: the loose B is bound by no goal, so each answer is
+    # frozen with a variable
+    "unbound_in_answer": (":- table r/2.\n:- table p/1.\np(1).\np(2).\ne(1, a).\ne(2, b).\n"
+                          "r(B, C) :- slgcall(k(0, [B], p(A), [])).\n"
+                          "k(Id, [B], p(A), []) :- e(A, C), answer(Id, r(B, C)).\n",
+                          "r(B, C)", ["r(_G, a)", "r(_G, b)"], (0, 2), 2),
+    # a non-ground answer takes the generic path, which runs the join too
+    "generic_path": (":- table t/2.\n:- table p/2.\np(f(V), 2).\np(g, 3).\ne(2, 5).\ne(3, 6).\n"
+                     "t(X, Y) :- p(X, W), e(W, Y).\n",
+                     "t(A, B)", ["t(f(_G), 5)", "t(g, 6)"], (0, 2), 2),
+    # hand-written: the machine counts a call of slg_e/2 as an SLG resolution
+    "slg_facts": (":- table r/1.\n:- table p/1.\np(1).\np(2).\nslg_e(1, a).\nslg_e(2, b).\n"
+                  "r(B) :- slgcall(k(0, [], p(A), [])).\n"
+                  "k(Id, [], p(A), []) :- slg_e(A, B), answer(Id, r(B)).\n",
+                  "r(B)", ["r(a)", "r(b)"], (0, 2), 2),
+    # the join e(W, W) repeats the loose W, unbound: the machine checks it
+    "repeated": (":- table t/1.\n:- table p/1.\np(1).\ne(3, 3).\ne(3, 4).\ne(5, 5).\n"
+                 "t(W) :- p(X), e(W, W).\n", "t(W)", ["t(3)", "t(5)"], (1, 1), 1),
+    # hand-written: X and Y both stand for the stored B, so both join
+    # arguments hold the same unbound variable
+    "aliased": (":- table r/2.\n:- table p/1.\np(1).\ne(3, 3).\ne(3, 4).\n"
+                "r(A, B) :- slgcall(k(0, [B, B], p(A), [])).\n"
+                "k(Id, [X, Y], p(A), []) :- e(X, Y), answer(Id, r(A, X)).\n",
+                "r(A, B)", ["r(1, 3)"], (1, 1), 1),
+    # hand-written: X and Y both stand for the stored B, and the join binds
+    # the variable X holds, which the answer reads through Y
+    "aliased_answer": (":- table r/2.\n:- table p/1.\np(1).\ne(1, 3).\ne(1, 4).\ne(2, 5).\n"
+                       "r(A, B) :- slgcall(k(0, [B, B], p(A), [])).\n"
+                       "k(Id, [X, Y], p(A), []) :- e(A, X), answer(Id, r(A, Y)).\n",
+                       "r(A, B)", ["r(1, 3)", "r(1, 4)"], (0, 1), 1),
+    # e(X, X) is not ground, so e/2 is not a predicate of ground facts
+    "nonground_fact": (":- table t/2.\n:- table p/2.\np(1, 2).\ne(2, 5).\ne(X, X).\n"
+                       "t(X, Y) :- p(X, W), e(W, Y).\n", "t(A, B)", ["t(1, 5)", "t(1, 2)"],
+                       (1, 1), 1),
+    # the join's argument f(W) is a compound
+    "compound_argument": (":- table t/2.\n:- table p/2.\np(1, 2).\ne(f(2), 5).\n"
+                          "t(X, Y) :- p(X, W), e(f(W), Y).\n", "t(A, B)", ["t(1, 5)"], (1, 1), 1),
+    # the answer binds W to the compound f(2)
+    "compound_value": (":- table t/2.\n:- table p/2.\np(1, f(2)).\np(3, 2).\ne(f(2), 5).\n"
+                       "e(2, 6).\nt(X, Y) :- p(X, W), e(W, Y).\n",
+                       "t(A, B)", ["t(1, 5)", "t(3, 6)"], (1, 2), 2),
+    # e/2 has a rule
+    "rule": (":- table t/2.\n:- table p/2.\np(1, 2).\ne(2, 5).\ne(X, Y) :- Y is X + 7.\n"
+             "t(X, Y) :- p(X, W), e(W, Y).\n", "t(A, B)", ["t(1, 5)", "t(1, 9)"], (1, 1), 1),
+    # flag/0 has arity 0
+    "arity_0": (":- table t/1.\n:- table p/1.\np(1).\np(2).\nflag.\nt(X) :- p(X), flag.\n",
+                "t(X)", ["t(1)", "t(2)"], (2, 2), 2),
+}
+
+
+@pytest.mark.parametrize("case", list(JOINS))
+def test_fact_joins(case, monkeypatch):
+    src, query, want, (machine, without), total = JOINS[case]
+    handed = machine_tails(monkeypatch)
+    got = same_without_joins(src or TWO_TABLES, [query], Mode.GENERAL)
+    assert want is None or got[0] == got[1] == want
+    # the engine with joins runs first, then the one without; a re-query
+    # reads the complete tables and resumes nothing
+    assert len(handed) == 2 * total
+    assert (handed[:total].count(True), handed[total:].count(True)) == (machine, without)
+
+
+def test_a_planned_join_unifies_nothing(monkeypatch):
+    # the same program as the planned case tail_fact, whose join runs in place
+    src, query, want, total = PLANNED["tail_fact"]
+    taken = generic_resumptions(monkeypatch)
+    handed = machine_tails(monkeypatch)
+    assert answers(make_engine(src), query) == want
+    assert taken == [False] * total and handed == [False] * total
+
+
+UNKNOWN = ":- table t/2.\n:- table p/2.\np(1, 2).\np(2, 3).\nt(X, Y) :- p(X, W), nope(W, Y).\n"
+
+
+@pytest.mark.parametrize("mode", list(Mode), ids=lambda m: m.value)
+@pytest.mark.parametrize("src, query", [
+    (LEFT_RECURSIVE, "path(X, Y)"),
+    (TWO_TABLES, "t0(X, Y)"),
+    (JOINS["constant"][0], "t(A, B)"),
+    (UNKNOWN, "t(A, B)"),
+    (JOINS["arity_0"][0], "t(X)"),
+], ids=["left_recursive", "two_tables", "constant", "unknown", "arity_0"])
+def test_step_budget_runs_out_where_it_does_without_joins(src, query, mode):
+    # every budget up to the first that answers the query or raises another
+    # error, which must do the same without joins
+    budget = 0
+    while any(line.startswith("ResourceLimitError")
+              for out in same_without_joins(src, [query], mode, budget)[:2] for line in out):
+        budget += 1
+    assert budget >= 8
+
+
+def test_an_unknown_predicate_in_a_tail_is_an_existence_error():
+    out = same_without_joins(UNKNOWN, ["t(A, B)"], Mode.GENERAL)
+    assert out[0] == ["ExistenceError: unknown predicate nope/2"]
+
+
+# (program, query, its answers, how many on_answer calls are told their
+# answer is ground with plans and without, of how many); the machine's calls
+# tell none of them, and with plans every resumption follows one
+GROUND = {
+    # g/2's `is` binds its loose [Y] to an integer
+    "is": PLANNED["bridge_is"][:3] + ((3, 3), 5),
+    # the join's fact binds the loose Y
+    "join": JOINS["constant"][:3] + ((3, 3), 5),
+    # the hand-written guard binds the loose B to an atom
+    "atom": (":- table r/2.\n:- table p/1.\np(1).\np(2).\n"
+             "r(A, B) :- slgcall(k(0, [B], p(A), [])).\n"
+             "k(Id, [B], p(A), []) :- B = c, answer(Id, r(A, B)).\n",
+             "r(A, B)", ["r(1, c)", "r(2, c)"], (2, 2), 4),
+    # p's answers hold the compounds f(c) and f(d): they are frozen
+    "answer_compound": (":- table r/2.\n:- table p/2.\np(1, f(c)).\np(2, f(d)).\n"
+                        "r(A, B) :- slgcall(k(0, [], p(A, B), [])).\n"
+                        "k(Id, [], p(A, B), []) :- answer(Id, r(A, B)).\n",
+                        "r(A, B)", ["r(1, f(c))", "r(2, f(d))"], (0, 0), 4),
+    # the hand-written guard binds the loose B to f(C), which holds a
+    # variable, so the answers are frozen
+    "bound_compound": (":- table r/2.\n:- table p/1.\np(1).\np(2).\n"
+                       "r(A, B) :- slgcall(k(0, [B], p(A), [])).\n"
+                       "k(Id, [B], p(A), []) :- B = f(C), answer(Id, r(A, B)).\n",
+                       "r(A, B)", ["r(1, f(_G))", "r(2, f(_G))"], (0, 0), 4),
+}
+
+
+@pytest.mark.parametrize("case", list(GROUND))
+def test_answers_ground_through_bound_variables(case, monkeypatch):
+    src, query, want, (ground, without), total = GROUND[case]
+    told = []
+    real = Engine.on_answer
+
+    def on_answer(self, machine, goal, rest, ground=False):
+        told.append(ground)
+        return real(self, machine, goal, rest, ground)
+
+    monkeypatch.setattr(Engine, "on_answer", on_answer)
+    got = same_without_plans(src, [query], Mode.GENERAL)
+    assert got[0] == got[1] == want
+    # the engine with plans runs first, then the one without
+    assert len(told) == 2 * total
+    assert (told[:total].count(True), told[total:].count(True)) == (ground, without)
