@@ -15,24 +15,23 @@ generator is done.  Resumption is a failure-driven loop over the table: a
 generator called by slg/1 owns its group's FIFO worklist of (continuation,
 answer) pairs, and its GeneratorCP resumes the next pair each time the
 machine backtracks into it.
-A resumption matches the stored continuation against its predicate's one
-clause and runs the clause's leading built-ins in place.  A final answer/2
-goes straight to on_answer; a final call(Cont) goes on, in place, into the
-one clause of the continuation Cont holds; a fact join F, answer/2, where F
-calls a predicate of ground facts, matches F against the facts the machine
-would select and records an answer per match; any other rest of a body is
-handed to the machine.  A stored continuation gets a resume plan at its
-first resumption when each clause it runs in place has a linear head whose
-variables the stored term fills one each.  A ground answer that is an
-instance of its pending call then fills each clause's head map, with no
-unification, from the answer's arguments, ground subterms and, for a
-variable no argument binds, the new variables unification would make
-(substitution factoring, as in Ramakrishnan et al., JLP 1999).  Guards,
-call(Cont) chains, fact joins and machine tails run from those maps as on
-the generic path, with its steps and counts.  On either path a guard's
-arguments and a final answer/2 are built from the head map; an answer
-whose variables hold atoms or integers is ground and reaches on_answer
-with the hash of its variant key, not to be frozen again.
+A stored continuation gets a resume plan at its first resumption when each
+clause it runs in place has a linear head whose variables the stored term
+fills one each.  A ground answer that is an instance of its pending call
+then resumes it in place: the answer's arguments, ground subterms and, for
+a variable no argument binds, the new variables unification would make fill
+each clause's head map, with no unification (substitution factoring, as in
+Ramakrishnan et al., JLP 1999).  The clause's leading built-ins (guards) run
+from the map.  A final answer/2 goes straight to on_answer; a final
+call(Cont) goes on, in place, into the one clause of the continuation Cont
+holds; a fact join F, answer/2, where F calls a predicate of ground facts,
+matches F against the facts the machine would select and records an answer
+per match; any other rest of a body is handed to the machine.  A guard's
+arguments and a final answer/2 are built from the head map; an answer whose
+variables hold atoms or integers is ground and reaches on_answer with the
+hash of its variant key, not to be frozen again.  Any other answer, or a
+continuation with no plan, is unified with the pending call, and the
+machine resolves the stored term against its predicate's one clause.
 
 Suspended continuations are frozen at capture time: copied with their
 bindings applied, except for ground subterms, which no binding reaches and
@@ -59,7 +58,7 @@ from .engine import (
     StoredIterCP,
     compile_index,
     instantiate,
-    unify,
+    unify,  # not called here; bench/tracing.py patches this name to count calls
     unify_stored,
 )
 from .errors import InstantiationError, ResourceLimitError, TablingError, TypeMismatchError
@@ -107,8 +106,7 @@ class StoredCont:
     term: Term  # NameCont(Id, Bindings, Pending, [Prev]) with vars 0..nvars-1
     nvars: int
     gen_id: int  # generator this continuation delivers answers to
-    steps: list = None  # per call(Cont) depth, Engine._step's (clause, plan, target); built as met
-    plan: tuple = None  # Engine._resume_plan's, built with steps; None when there is none
+    plan: tuple = None  # Engine._resume_plan's, built at the first resumption; False for none
 
 
 @dataclass
@@ -148,29 +146,6 @@ def head_plan(term, head) -> list | None:
         elif s != h:
             return None
     return plan
-
-
-def match_plan(plan, varmap, hmap, names, store) -> bool:
-    """Unify term through varmap with head through hmap by their head_plan, as
-    unify_stored(instantiate(term, varmap, store), head, hmap, names, store)
-    would, with the same new variables, names and trail entries; a subterm of
-    term is built only when a head variable takes it.  On failure the caller
-    resets the store."""
-    for s, h in plan:
-        if type(s) is Var:
-            x = varmap[s.id]
-            if x is None:
-                x = varmap[s.id] = store.new_var()
-            if not unify_stored(x, h, hmap, names, store):
-                return False
-            continue
-        x = instantiate(s, varmap, store) if type(s) is Struct else s
-        w = hmap[h.id]
-        if w is None:
-            hmap[h.id] = x
-        elif not unify(x, w, store):
-            return False
-    return True
 
 
 class TableSpace:
@@ -319,12 +294,11 @@ class _ContClause:
     variables and then tail's (see _build).  guards holds per guard (its
     built-in, the slots of its new variables, _build's steps for its
     compound arguments, the getter of its arguments).  For an answer/2,
-    build is _build's steps when the answer's variables each occur in the
-    head, a guard or F, and vslots holds the ids of the variables of its
-    answer."""
+    build is _build's steps, new the slots of the variables first met in
+    it, and vslots holds the ids of the variables of its answer."""
 
     __slots__ = ("head", "nvars", "names", "guards", "rest", "answer", "cont", "join", "linear",
-                 "tail", "build", "vslots")
+                 "tail", "build", "new", "vslots")
 
     def __init__(self, clause, index):
         self.head, body, self.nvars, self.names = clause
@@ -361,20 +335,21 @@ class _ContClause:
                 known.update(a.id for a in f.args if type(a) is Var)
         if rest == [("answer", 2)] or self.join:
             self.answer = body[-1]
-            self.build = _build(self.answer, self.nvars, known, self.tail)
+            new = []
+            self.build = _build(self.answer, self.nvars, known, self.tail, new)
+            self.new = tuple(new)
             self.vslots = tuple(v.id for v in vars_of(self.answer.args[1]))
 
 
-def _build(goal, nvars, known, tail, new=None):
-    """Steps that build the compound goal from a head map, or None when goal
-    has a variable whose id is not in known and new is None.  The map's
-    slots are the clause's variables and then tail's: goal's atoms and
-    integers, and one slot per compound, which holds it once built; they are
-    appended to tail.  Each step is (slot, functor, getter), getter taking
-    the map to the argument tuple (itemgetter over the argument slots); the
-    inner compounds come first, goal's own step last.  When new is a list,
-    each variable not in known is appended to it and to known at its first
-    occurrence, in the order instantiate makes their new variables."""
+def _build(goal, nvars, known, tail, new):
+    """Steps that build the compound goal from a head map.  The map's slots
+    are the clause's variables and then tail's: goal's atoms and integers,
+    and one slot per compound, which holds it once built; they are appended
+    to tail.  Each step is (slot, functor, getter), getter taking the map to
+    the argument tuple (itemgetter over the argument slots); the inner
+    compounds come first, goal's own step last.  Each variable not in known
+    is appended to new and to known at its first occurrence, in the order
+    instantiate makes their new variables."""
     steps: list = []
     stack = [(goal, [])]  # (compound, its argument slots so far) of the enclosing compounds
     while stack:
@@ -386,8 +361,6 @@ def _build(goal, nvars, known, tail, new=None):
                 continue
             if type(a) is Var:
                 if a.id not in known:
-                    if new is None:
-                        return None
                     new.append(a.id)
                     known.add(a.id)
                 slots.append(a.id)
@@ -655,33 +628,20 @@ class Engine:
             self._conts[key] = _ContClause(clauses[0], self.index) if len(clauses) == 1 else None
         return self._conts[key]
 
-    def _step(self, term, clause):
-        """(clause, plan, target): term's head_plan against the clause's head,
-        and the subterm of term that the clause's call(Cont) runs in place,
-        whose pair is left out of the plan.  target is None unless it names a
-        one-clause predicate that the machine would resolve."""
-        plan = head_plan(term, clause.head)
-        if plan is None or clause.cont is None:
-            return clause, plan, None
-        for k, (s, h) in enumerate(plan):
-            if type(h) is Var and h.id == clause.cont:
-                key = (s.functor, len(s.args)) if type(s) is Struct else None
-                if key and key not in ENGINE_PREDS and self._cont_clause(key):
-                    return clause, plan[:k] + plan[k + 1 :], s
-                break
-        return clause, plan, None
-
-    def _resume_plan(self, term, nvars, steps):
-        """The resume plan of a stored term with nvars variables and first
-        step steps[0], or None.  A plan needs no variable to be two arguments
-        of the pending call, and each clause that the resumption runs in
-        place to have a linear head and a head plan whose pairs each fill a
-        head variable of their own, from a variable of term or a ground
-        subterm.  Under a ground instance of the pending call no head plan
-        can then fail: each head variable takes an answer argument, a ground
-        subterm or, for a variable of term that is no argument of the
-        pending call (a loose one), what match_plan would give it.  Deeper
-        steps are appended to steps as met.
+    def _resume_plan(self, term, nvars):
+        """The resume plan of a stored term with nvars variables, or False
+        when there is none; a TablingError unless term's predicate has
+        exactly one clause.  A plan needs no variable to be two arguments of
+        the pending call, and each clause that the resumption runs in place
+        to have a linear head and a head plan whose pairs each fill a head
+        variable of their own, from a variable of term or a ground subterm.
+        Under a ground instance of the pending call no head plan can then
+        fail: each head variable takes an answer argument, a ground subterm
+        or, for a variable of term that is no argument of the pending call
+        (a loose one), the new variable unification would make.  A clause's
+        call(Cont) goes on in place when Cont holds a term of a one-clause
+        predicate that the machine would resolve; that term's pair is left
+        out of the head plan, and the term's clause is run a depth deeper.
 
         The plan is (functor, arity, check, values, nloose, depths).
         An answer is an instance of the pending call when it has its functor
@@ -692,11 +652,17 @@ class Engine:
         tail, or None when nothing reads or writes the map (no guard, no
         loose variable, and a call(Cont) goes on); (answer argument index,
         head slot) pairs; (loose index, head slot, name) triples, in the
-        order match_plan meets them; the clause; and whether a call(Cont)
+        order unification meets them; the clause; and whether a call(Cont)
         goes on to a deeper one.  nloose counts the loose variables."""
+        key = (term.functor, len(term.args))
+        clause = self._cont_clause(key)
+        if clause is None:
+            n = len(self.index.get(key, ((),))[0])
+            raise TablingError(f"continuation predicate {pred_of(term)} has {n} clauses; "
+                               "a resumption needs exactly one")
         pending = term.args[2]
         if type(pending) is not Struct:
-            return None
+            return False
         at = [None] * nvars  # variable id of term -> the index of the argument of pending it is
         checked: list = []  # the other arguments; one that holds a variable equals no ground one
         for i, a in enumerate(pending.args):
@@ -705,27 +671,34 @@ class Engine:
             elif at[a.id] is None:
                 at[a.id] = i
             else:
-                return None
+                return False
         loose: dict = {}  # variable id of term that no answer argument binds -> its index
         depths = []
-        depth = 0
         while True:
-            clause, plan, target = steps[depth]
+            plan = head_plan(term, clause.head)
             if plan is None or not clause.linear:
-                return None
+                return False
+            target = None
+            for k, (s, h) in enumerate(plan):
+                if type(h) is Var and h.id == clause.cont:
+                    key = (s.functor, len(s.args)) if type(s) is Struct else None
+                    if key and key not in ENGINE_PREDS and self._cont_clause(key):
+                        target = s
+                        del plan[k]
+                    break
             base = [None] * clause.nvars + clause.tail
             fills = []
             fresh = []
             for s, h in plan:
                 if type(h) is not Var:
-                    return None
+                    return False
                 if type(s) is Var:
                     if at[s.id] is None:
                         fresh.append((loose.setdefault(s.id, len(loose)), h.id, clause.names[h.id]))
                     else:
                         fills.append((at[s.id], h.id))
                 elif type(s) is Struct and vars_of(s):
-                    return None
+                    return False
                 else:
                     base[h.id] = s
             if target is not None and not clause.guards and not fresh:
@@ -735,9 +708,7 @@ class Engine:
             if target is None:
                 break
             term = target
-            depth += 1
-            if depth == len(steps):
-                steps.append(self._step(term, self._conts[(term.functor, len(term.args))]))
+            clause = self._conts[(term.functor, len(term.args))]
         check = itemgetter(*checked) if checked else None
         return (pending.functor, len(pending.args), check, check and check(pending.args),
                 len(loose), depths)
@@ -745,103 +716,60 @@ class Engine:
     def _resume(self, m, stored, ans) -> bool:
         """Resume a stored continuation with an answer on machine m.
 
-        With a resume plan and a ground answer that is an instance of the
-        pending call, the plan fills each clause's head map from the answer's
-        arguments and its own ground slots, and makes the new variables that
-        match_plan would for the loose ones.  Otherwise the answer is unified
-        with the pending call, and the stored term is matched against its
-        predicate's one clause through one varmap, so neither stored term is
-        copied beyond what the goals need.  Either way the clause's guards
-        run in place, their arguments built from the head map, and a
-        call(Cont) tail goes on into the clause Cont names.  An answer/2
-        tail goes to _put_answer and a fact join to _join; any other tail,
-        and a join that _join leaves, is handed to the machine.  Each goal
-        spends the step and counts the slg_resolutions the machine would, on
-        either path.  True when m.goals holds the rest of a body for m to
-        run; False when the resumption failed or ended here.
+        A ground answer that is an instance of the pending call follows the
+        resume plan: it fills each clause's head map from the answer's
+        arguments and the plan's ground slots, and makes the new variables
+        that unification would for the loose ones.  The clause's guards run
+        in place, their arguments built from the head map, and a call(Cont)
+        tail goes on into the clause Cont names.  An answer/2 tail goes to
+        _put_answer and a fact join to _join; any other tail, and a join
+        that _join leaves, is handed to the machine.  Each goal spends the
+        step and counts the slg_resolutions the machine would.  Any other
+        answer, or a continuation with no plan, is unified with the pending
+        call, and the machine resolves the stored term.  True when m.goals
+        holds goals for m to run; False when the resumption failed or ended
+        here.
         """
-        term = stored.term
-        steps = stored.steps
-        if steps is None:
-            key = (term.functor, len(term.args))
-            clause = self._cont_clause(key)
-            if clause is None:
-                n = len(self.index.get(key, ((),))[0])
-                raise TablingError(f"continuation predicate {pred_of(term)} has {n} clauses; "
-                                   "a resumption needs exactly one")
-            steps = stored.steps = [self._step(term, clause)]
-            stored.plan = self._resume_plan(term, stored.nvars, steps)
+        plan = stored.plan
+        if plan is None:
+            plan = stored.plan = self._resume_plan(stored.term, stored.nvars)
+        ans_term, ans_nvars = ans
+        if not plan or ans_nvars or type(ans_term) is not Struct:
+            return self._call_stored(m, stored, ans)
+        functor, arity, check, values, nloose, depths = plan
+        args = ans_term.args
+        if (ans_term.functor != functor or len(args) != arity
+                or check is not None and check(args) != values):
+            return self._call_stored(m, stored, ans)
         store = m.store
         spend = m.budget.spend
         counters = self.space.counters
-        ans_term, ans_nvars = ans
-        plan = stored.plan
-        depths = None
-        if plan is not None and not ans_nvars and type(ans_term) is Struct:
-            functor, arity, check, values, nloose, depths = plan
-            args = ans_term.args
-            if (ans_term.functor != functor or len(args) != arity
-                    or check is not None and check(args) != values):
-                depths = None
-        if depths is not None:
-            if nloose:
-                loose = [None] * nloose  # the new variable each loose one stands for
-                bindings = store.bindings
-                trail = store.trail
-            spend()  # as on the generic path below, in its order
-            for slg, base, fills, fresh, clause, more in depths:
-                counters.slg_resolutions += slg
-                if base is not None:
-                    hmap = base.copy()
-                    for i, slot in fills:
-                        hmap[slot] = args[i]
-                    for k, slot, name in fresh:  # match_plan's steps for a loose variable
-                        x = loose[k]
-                        if x is None:
-                            x = loose[k] = store.new_var()
-                        while type(x) is Var:
-                            b = bindings[x.id]
-                            if b is None:
-                                v = Var(len(bindings), name)
-                                bindings.append(None)
-                                bindings[x.id] = v
-                                trail.append(x.id)
-                                x = v
-                                break
-                            x = b
-                        hmap[slot] = x
-                    for fn, new, build, getter in clause.guards:
-                        spend()
-                        for slot in new:
-                            hmap[slot] = store.new_var(clause.names[slot])
-                        for slot, f, get in build:
-                            hmap[slot] = Struct(f, get(hmap))
-                        if not fn(getter(hmap), store):
-                            return False
-                if more:
-                    spend()
-                    spend()
-        else:
-            varmap = [None] * stored.nvars
-            pending = term.args[2]
-            if ans_nvars:
-                # the answer is the stored side here, so an unbound variable of the
-                # continuation is bound to the answer's fresh variable, not the reverse
-                ok = unify_stored(instantiate(pending, varmap, store), ans_term,
-                                  [None] * ans_nvars, None, store)
-            else:
-                ok = unify_stored(ans_term, pending, varmap, None, store)
-            if not ok:
-                return False
-            spend()  # resuming resolves one clause: one step, as any resolved goal spends
-            depth = 0
-            while True:
-                if term.functor.startswith("slg_"):
-                    counters.slg_resolutions += 1
-                clause, plan, target = steps[depth]
-                hmap = [None] * clause.nvars + clause.tail
-                if plan is None or not match_plan(plan, varmap, hmap, clause.names, store):
-                    return False
+        if nloose:
+            loose = [None] * nloose  # the new variable each loose one stands for
+            bindings = store.bindings
+            trail = store.trail
+        spend()  # resuming resolves one clause: one step, as any resolved goal spends
+        for slg, base, fills, fresh, clause, more in depths:
+            counters.slg_resolutions += slg
+            if base is not None:
+                hmap = base.copy()
+                for i, slot in fills:
+                    hmap[slot] = args[i]
+                for k, slot, name in fresh:  # instantiate's, then unify_stored's steps
+                    x = loose[k]
+                    if x is None:
+                        x = loose[k] = store.new_var()
+                    while type(x) is Var:
+                        b = bindings[x.id]
+                        if b is None:
+                            v = Var(len(bindings), name)
+                            bindings.append(None)
+                            bindings[x.id] = v
+                            trail.append(x.id)
+                            x = v
+                            break
+                        x = b
+                    hmap[slot] = x
                 for fn, new, build, getter in clause.guards:
                     spend()
                     for slot in new:
@@ -850,14 +778,9 @@ class Engine:
                         hmap[slot] = Struct(f, get(hmap))
                     if not fn(getter(hmap), store):
                         return False
-                if target is None:
-                    break
+            if more:
                 spend()  # call/1
                 spend()  # and the clause it resolves
-                term = target
-                depth += 1
-                if depth == len(steps):
-                    steps.append(self._step(term, self._conts[(term.functor, len(term.args))]))
         if clause.answer is not None:
             if clause.join is None:
                 self._put_answer(m, clause, hmap)
@@ -869,6 +792,25 @@ class Engine:
             goals = (instantiate(g, hmap, store, clause.names) if clause.nvars else g, goals)
         m.goals = goals
         return True
+
+    def _call_stored(self, m, stored, ans) -> bool:
+        """Unify the answer with stored's pending call and hand the stored
+        term to machine m, which resolves it against its one clause; False
+        when they do not unify."""
+        store = m.store
+        term = stored.term
+        ans_term, ans_nvars = ans
+        varmap = [None] * stored.nvars
+        if ans_nvars:
+            # the answer is the stored side here, so an unbound variable of the
+            # continuation is bound to the answer's fresh variable, not the reverse
+            ok = unify_stored(instantiate(term.args[2], varmap, store), ans_term,
+                              [None] * ans_nvars, None, store)
+        else:
+            ok = unify_stored(ans_term, term.args[2], varmap, None, store)
+        if ok:
+            m.goals = (instantiate(term, varmap, store), None)
+        return ok
 
     def _join(self, m, clause, hmap) -> bool:
         """Run clause's fact join F, answer(Id, A) in place from the head map
@@ -932,10 +874,9 @@ class Engine:
         frozen again, with the hash of its variant key when it has no
         compound argument."""
         m.budget.spend()
+        for slot in clause.new:  # a variable first met in the answer
+            hmap[slot] = m.store.new_var(clause.names[slot])
         build = clause.build
-        if build is None:
-            self.on_answer(m, instantiate(clause.answer, hmap, m.store, clause.names), None)
-            return
         for slot, f, getter in build:
             hmap[slot] = goal = Struct(f, getter(hmap))
         t = goal.args[1]

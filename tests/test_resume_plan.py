@@ -4,38 +4,62 @@ A stored continuation gets a resume plan at its first resumption when every
 clause it runs in place has a linear head that a ground instance of the
 pending call fills without unification.  Such an answer then follows the
 plan: it fills the head maps, and the guards, call(Cont) chains, answer/2
-goals and machine tails run from them.  Everything observable must equal
-what an engine with no plans gives, every resumption on the generic path:
-the printed solutions in order, the tables and all the counters, also when
-the step budget runs out partway.
+goals and machine tails run from them.  Any other resumption unifies the
+answer with the pending call and hands the stored term to the machine.
+Everything observable must equal what the reference, machine_resume, gives
+when it resumes every continuation that way: the printed solutions in
+order, the tables and all the counters, also when the step budget runs out
+partway.
 
 A continuation clause whose body ends in a fact join, a goal over ground
-facts and then answer/2, runs that join in place, on either path.  It must
-give what the machine gives when it runs those two goals.
+facts and then answer/2, runs that join in place when it follows a plan.
+It must give what the machine gives when it runs those two goals.
 """
 
 import dataclasses
+import importlib
 
 import pytest
 
 import cctab.tabling
 from cctab import Error, Mode, gen_fixture, parse_query, print_term
+from cctab.engine import instantiate, unify_stored
 from cctab.tabling import Engine
 
-from conftest import answers, make_engine, read_fixture
+from conftest import HERE, answers, make_engine, read_fixture
 from test_behaviour_digest import fixed_programs, random_programs
 from test_tabling import table_digest
 
 
+def machine_resume(self, m, stored, ans):
+    """The reference for Engine._resume: unify the answer with the pending
+    call, then hand the stored term to the machine, which resolves it
+    against its clause and runs that clause's body goal by goal."""
+    store = m.store
+    term = stored.term
+    ans_term, ans_nvars = ans
+    varmap = [None] * stored.nvars
+    if ans_nvars:
+        # the answer is the stored side, so a variable of the continuation
+        # is bound to the answer's new variable
+        ok = unify_stored(instantiate(term.args[2], varmap, store), ans_term,
+                          [None] * ans_nvars, None, store)
+    else:
+        ok = unify_stored(ans_term, term.args[2], varmap, None, store)
+    if ok:
+        m.goals = (instantiate(term, varmap, store), None)
+    return ok
+
+
 def run(eng, queries, budget=None, plans=True, joins=True) -> list:
     """Per query, its printed solutions in order, ended by the error it
-    raised, if any; then the tables and the counters.  Without plans, the
-    plan builder builds none; without joins, every fact join is handed to
-    the machine."""
+    raised, if any; then the tables and the counters.  Without plans, every
+    resumption is machine_resume's; without joins, every fact join is handed
+    to the machine."""
     out = []
     with pytest.MonkeyPatch.context() as mp:
         if not plans:
-            mp.setattr(Engine, "_resume_plan", lambda self, term, nvars, steps: None)
+            mp.setattr(Engine, "_resume", machine_resume)
         if not joins:
             mp.setattr(Engine, "_join", lambda self, m, clause, hmap: False)
         for query in queries:
@@ -52,7 +76,8 @@ def run(eng, queries, budget=None, plans=True, joins=True) -> list:
 
 def same_without_plans(src, queries, mode, budget=None) -> list:
     """Run the queries cold and then again, on an engine and on one with no
-    plans; assert equal results and return the engine's."""
+    plans, which resumes through machine_resume; assert equal results and
+    return the engine's."""
     queries = [*queries, *queries]
     got = run(make_engine(src, mode), queries, budget)
     assert got == run(make_engine(src, mode), queries, budget, plans=False), (queries, src)
@@ -80,9 +105,11 @@ def test_differential_corpus_resumes_as_without_plans(mode):
         same_without_plans(src, queries, mode)
 
 
-def generic_resumptions(monkeypatch) -> list:
-    """For each resumption from now on, whether it took the generic path:
-    whether it unified anything."""
+def unplanned_resumptions(monkeypatch) -> list:
+    """For each resumption of the engine from now on, whether it did not
+    follow a plan: whether it unified the answer with the pending call.  An
+    engine with no plans replaces Engine._resume, so its resumptions are not
+    recorded."""
     taken = []
     unified = [0]
     real_resume = Engine._resume
@@ -104,8 +131,8 @@ def generic_resumptions(monkeypatch) -> list:
     return taken
 
 
-# (program, query, its answers, how many of its resumptions take the generic
-# path, of how many); the generator ids in answer/2 follow the query's
+# (program, query, its answers, how many of its resumptions follow no plan,
+# of how many); the generator ids in answer/2 follow the query's
 NOT_PLANNED = {
     # p(f(X), X) is not ground; p(g(1), 2) follows the plan
     "nonground": (":- table r/2.\n:- table p/2.\np(f(X), X).\np(g(1), 2).\n"
@@ -137,19 +164,20 @@ NOT_PLANNED = {
     "nonlinear": (":- table r/1.\n:- table p/2.\np(1, 1).\np(1, 2).\np(2, 2).\n"
                   "r(A) :- slgcall(k(0, [], p(A, B), [])).\n"
                   "k(Id, [], p(A, A), []) :- answer(Id, r(A)).\n", "r(A)", ["r(1)", "r(2)"], 3, 3),
+    # hand-written: the pending call p is an atom
+    "atom_pending": (":- table r/1.\n:- table p/0.\np.\nr(X) :- slgcall(k(0, [], p, [])).\n"
+                     "k(Id, [], p, []) :- answer(Id, r(1)).\n", "r(X)", ["r(1)"], 1, 1),
 }
 
 
 @pytest.mark.parametrize("case", list(NOT_PLANNED))
 def test_cases_a_plan_does_not_cover(case, monkeypatch):
-    src, query, want, generic, total = NOT_PLANNED[case]
-    taken = generic_resumptions(monkeypatch)
+    src, query, want, unplanned, total = NOT_PLANNED[case]
+    taken = unplanned_resumptions(monkeypatch)
     got = same_without_plans(src, [query], Mode.GENERAL)
     assert got[0] == got[1] == want
-    # the engine with plans runs first, then the one without; a re-query
-    # reads the complete tables and resumes nothing
-    assert len(taken) == 2 * total and (taken[:total].count(True), taken[total:]) == (
-        generic, [True] * total)
+    # a re-query reads the complete tables and resumes nothing
+    assert len(taken) == total and taken.count(True) == unplanned
 
 
 # hop/2 is a bridge with no guard, so in general mode its continuation's
@@ -216,27 +244,37 @@ PLANNED = {
                   "r(B) :- slgcall(k(0, [], p(A), [])).\n"
                   "k(Id, [], p(A), []) :- B is A + 1, answer(Id, r(B)).\n",
                   "r(B)", ["r(2)", "r(3)"], 2),
+    # hand-written: C is first met in the answer, which gets a new variable
+    # for it each time
+    "answer_var": (":- table r/2.\n:- table p/1.\np(1).\np(2).\n"
+                   "r(A, C) :- slgcall(k(0, [], p(A), [])).\n"
+                   "k(Id, [], p(A), []) :- answer(Id, r(A, C)).\n",
+                   "r(A, B)", ["r(1, _G)", "r(2, _G)"], 2),
 }
 
 
 @pytest.mark.parametrize("case", list(PLANNED))
 def test_resumptions_through_plans_alone(case, monkeypatch):
     src, query, want, total = PLANNED[case]
-    taken = generic_resumptions(monkeypatch)
+    taken = unplanned_resumptions(monkeypatch)
     got = same_without_plans(src, [query], Mode.GENERAL)
     assert want is None or got[0] == got[1] == want
-    # the engine with plans runs first, then the one without
-    assert len(taken) == 2 * total and taken == [False] * total + [True] * total
+    assert taken == [False] * total
 
 
 @pytest.mark.parametrize("mode", list(Mode), ids=lambda m: m.value)
-def test_without_plans_every_resumption_is_generic(mode, monkeypatch):
-    # the reference the tests above compare with: were a plan left in it, they
-    # would compare plans with plans
-    taken = generic_resumptions(monkeypatch)
+def test_without_plans_nothing_runs_in_place(mode, monkeypatch):
+    # the reference the tests above compare with: were a plan, a join or an
+    # answer built in place left in it, they would compare it with itself
+    in_place = []
+    for name in ("_resume_plan", "_join", "_put_answer"):
+        monkeypatch.setattr(Engine, name, lambda *args, name=name: in_place.append(name))
+    resumptions = 0
     for src, queries in fixed_programs(mode):
-        run(make_engine(src, mode), queries, plans=False)
-    assert len(taken) > 100 and all(taken)
+        eng = make_engine(src, mode)
+        run(eng, queries, plans=False)
+        resumptions += eng.counters.resumptions
+    assert resumptions > 100 and in_place == []
 
 
 # two tables in the style of the mixed benchmark workload: t0 loops through
@@ -337,10 +375,10 @@ JOINS = {
                           "r(B, C) :- slgcall(k(0, [B], p(A), [])).\n"
                           "k(Id, [B], p(A), []) :- e(A, C), answer(Id, r(B, C)).\n",
                           "r(B, C)", ["r(_G, a)", "r(_G, b)"], (0, 2), 2),
-    # a non-ground answer takes the generic path, which runs the join too
-    "generic_path": (":- table t/2.\n:- table p/2.\np(f(V), 2).\np(g, 3).\ne(2, 5).\ne(3, 6).\n"
-                     "t(X, Y) :- p(X, W), e(W, Y).\n",
-                     "t(A, B)", ["t(f(_G), 5)", "t(g, 6)"], (0, 2), 2),
+    # a non-ground answer is unified, and the machine runs the join
+    "nonground_answer": (":- table t/2.\n:- table p/2.\np(f(V), 2).\np(g, 3).\ne(2, 5).\n"
+                         "e(3, 6).\nt(X, Y) :- p(X, W), e(W, Y).\n",
+                         "t(A, B)", ["t(f(_G), 5)", "t(g, 6)"], (1, 2), 2),
     # hand-written: the machine counts a call of slg_e/2 as an SLG resolution
     "slg_facts": (":- table r/1.\n:- table p/1.\np(1).\np(2).\nslg_e(1, a).\nslg_e(2, b).\n"
                   "r(B) :- slgcall(k(0, [], p(A), [])).\n"
@@ -396,7 +434,7 @@ def test_fact_joins(case, monkeypatch):
 def test_a_planned_join_unifies_nothing(monkeypatch):
     # the same program as the planned case tail_fact, whose join runs in place
     src, query, want, total = PLANNED["tail_fact"]
-    taken = generic_resumptions(monkeypatch)
+    taken = unplanned_resumptions(monkeypatch)
     handed = machine_tails(monkeypatch)
     assert answers(make_engine(src), query) == want
     assert taken == [False] * total and handed == [False] * total
@@ -433,14 +471,14 @@ def test_an_unknown_predicate_in_a_tail_is_an_existence_error():
 # tell none of them, and with plans every resumption follows one
 GROUND = {
     # g/2's `is` binds its loose [Y] to an integer
-    "is": PLANNED["bridge_is"][:3] + ((3, 3), 5),
+    "is": PLANNED["bridge_is"][:3] + ((3, 0), 5),
     # the join's fact binds the loose Y
-    "join": JOINS["constant"][:3] + ((3, 3), 5),
+    "join": JOINS["constant"][:3] + ((3, 0), 5),
     # the hand-written guard binds the loose B to an atom
     "atom": (":- table r/2.\n:- table p/1.\np(1).\np(2).\n"
              "r(A, B) :- slgcall(k(0, [B], p(A), [])).\n"
              "k(Id, [B], p(A), []) :- B = c, answer(Id, r(A, B)).\n",
-             "r(A, B)", ["r(1, c)", "r(2, c)"], (2, 2), 4),
+             "r(A, B)", ["r(1, c)", "r(2, c)"], (2, 0), 4),
     # p's answers hold the compounds f(c) and f(d): they are frozen
     "answer_compound": (":- table r/2.\n:- table p/2.\np(1, f(c)).\np(2, f(d)).\n"
                         "r(A, B) :- slgcall(k(0, [], p(A, B), [])).\n"
@@ -471,3 +509,22 @@ def test_answers_ground_through_bound_variables(case, monkeypatch):
     # the engine with plans runs first, then the one without
     assert len(told) == 2 * total
     assert (told[:total].count(True), told[total:].count(True)) == (ground, without)
+
+
+@pytest.mark.parametrize("workload, resumptions", [
+    ("chain", 2209), ("mixed", 2304), ("modules", 11536),
+])
+def test_bench_workloads_resume_through_plans_alone(workload, resumptions, monkeypatch):
+    # the machine resumes any continuation a plan does not cover; on the
+    # benchmark workloads at seed 1 (their counts are the ones CI pins) it
+    # must resume none, and no planned tail may reach it either
+    monkeypatch.syspath_prepend(HERE.parent / "bench")
+    wl = importlib.import_module("workloads").build(workload, 1)
+    taken = unplanned_resumptions(monkeypatch)
+    handed = machine_tails(monkeypatch)
+    eng = make_engine(wl.program)
+    for query in wl.queries:
+        for _ in eng.solve(parse_query(query)):
+            pass
+    assert eng.counters.resumptions == resumptions
+    assert taken == [False] * resumptions and handed == [False] * resumptions

@@ -28,7 +28,7 @@ from cctab import (
 from cctab.engine import Machine, solve as sld_solve
 from cctab.oracle import oracle_answers_for
 from cctab.terms import pred_of
-from cctab.tabling import COMPLETE, EVALUATING, StoredCont, TableSpace, complete
+from cctab.tabling import COMPLETE, DROPPED, EVALUATING, StoredCont, TableSpace, complete
 
 from conftest import (HERE, answers, make_engine, memory_error_at_answer, read_fixture,
                       run_limited)
@@ -446,6 +446,47 @@ def test_out_of_memory_is_a_resource_limit(mode, monkeypatch):
     eng.space.check()
 
 
+@pytest.mark.parametrize("query, error, text", [
+    ("slg(X)", InstantiationError, "slg/1: unbound call"),
+    ("slg(3)", TypeMismatchError, "slg/1: integer is not a callable term"),
+], ids=["unbound", "integer"])
+def test_slg_of_a_non_callable_errors(query, error, text):
+    eng = make_engine(":- table p/1.\np(1).\n")
+    with pytest.raises(error, match=f"^{re.escape(text)}$"):
+        answers(eng, query)
+    eng.space.check()
+
+
+# One corruption per invariant TableSpace.check() tests, made after a query
+# that leaves one complete table, p(A), with two answers; and the error it
+# must raise.
+CORRUPTIONS = {
+    "open_stack": (lambda space, entry: space.stack.append(entry.id),
+                   "check: stack [0], 0 open arenas"),
+    "not_indexed": (lambda space, entry: space.variant_index.clear(),
+                    "check: p(A) is not indexed to its entry"),
+    "evaluating": (lambda space, entry: setattr(entry, "status", EVALUATING),
+                   "check: p(A) is evaluating"),
+    "unindexed_answer": (lambda space, entry: entry.index.clear(),
+                         "check: p(A) has 2 answers, 0 indexed"),
+    "substs": (lambda space, entry: entry.substs.append(None),
+               "check: p(A) has 3 substitution slots for 2 answers"),
+    "dropped_indexed": (lambda space, entry: setattr(entry, "status", DROPPED),
+                        "check: variant_index holds an entry that is not complete"),
+}
+
+
+@pytest.mark.parametrize("case", list(CORRUPTIONS))
+def test_table_space_check_finds_each_corruption(case):
+    corrupt, text = CORRUPTIONS[case]
+    eng = make_engine(":- table p/1.\np(1).\np(2).\n")
+    assert answers(eng, "p(X)") == ["p(1)", "p(2)"]
+    eng.space.check()
+    corrupt(eng.space, eng.space.entries[0])
+    with pytest.raises(TablingError, match=f"^{re.escape(text)}$"):
+        eng.space.check()
+
+
 REQUERY_AFTER_CYCLIC_TERM = """
 import sys
 sys.path.insert(0, sys.argv[1])
@@ -748,8 +789,9 @@ def test_resumed_continuation_needs_exactly_one_clause(mode, clauses):
 
 
 def _resumption_depths(monkeypatch) -> list:
-    """For each resumption from now on, how many clauses it ran in place or
-    matched: its stored continuation's clause and one per call(Cont) descent."""
+    """For each resumption from now on, how many clauses its resume plan runs
+    in place: its stored continuation's clause and one per call(Cont)
+    descent; 0 when it has no plan."""
     depths = []
     resume = Engine._resume
 
@@ -757,7 +799,7 @@ def _resumption_depths(monkeypatch) -> list:
         try:
             return resume(self, m, stored, ans)
         finally:
-            depths.append(len(stored.steps))
+            depths.append(len(stored.plan[5]) if stored.plan else 0)
 
     monkeypatch.setattr(Engine, "_resume", recorded)
     return depths
