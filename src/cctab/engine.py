@@ -441,7 +441,12 @@ def _arith_op(t: Struct, a: int, b: int) -> int:
 
 
 def _bi_is(args, store):
-    return unify(args[0], Int(eval_arith(args[1], store.walk)), store)
+    value = eval_arith(args[1], store.walk)
+    x = store.walk(args[0])
+    if type(x) is Var:
+        store.bind(x, Int(value))
+        return True
+    return type(x) is Int and x.value == value
 
 
 def _bi_compare(op):
@@ -558,36 +563,26 @@ class ClauseCP:
 
 
 class StoredIterCP:
-    """Iterate stored (term, nvars) entries, unifying each against a live term.
+    """Iterate a table's answers, binding a live term to each in turn.
 
-    Reads the backing list length on every retry, so it works both for frozen
-    (completed) answer lists and for lists that grow during the iteration.
-
-    A list that no longer grows may come with substs, one slot per entry, and
-    live, the ids of the live term's unbound variables in the order its
-    variant numbers them.  Then entries are read by substitution: a slot is
-    filled when its entry is first unified, with the values the live
-    variables took (a ground entry binds each to its own subterm), and every
-    later read binds each live variable to its value, one binding and one
-    trail entry each, as unify_stored did.  A slot is False for an entry that
-    is not ground or did not unify (not an instance of the variant), which is
-    unified at every read.  When the live term's arguments are its unbound
-    variables, each once and in order, a slot holds the entry's own argument
-    tuple, which are those values, and no list is made for it.
+    table is the table's entry: its answers, (term, nvars) in insertion
+    order, and its call pattern (tabling.call_pattern) are read at every
+    retry, as legacy mode reads incomplete tables.  live holds the ids of
+    the live term's unbound variables, in the order its variant numbers
+    them.  While the table has a pattern, a ground answer binds each live
+    variable to the answer's argument at its place, one binding and one
+    trail entry each, as unify_stored would; any other answer is unified.
     """
 
-    __slots__ = ("target", "stored", "i", "mark", "rest", "substs", "live", "direct")
+    __slots__ = ("target", "table", "i", "mark", "rest", "live")
 
-    def __init__(self, target, stored, mark, rest, substs=None, live=None):
+    def __init__(self, target, table, mark, rest, live):
         self.target = target
-        self.stored = stored
+        self.table = table
         self.i = 0
         self.mark = mark
         self.rest = rest
-        self.substs = substs
         self.live = live
-        self.direct = (substs is not None and type(target) is Struct
-                       and [a.id if type(a) is Var else None for a in target.args] == list(live))
 
     def try_next(self, m: "Machine") -> bool:
         store = m.store
@@ -596,25 +591,19 @@ class StoredIterCP:
         mark = self.mark
         while len(trail) > mark:  # store.undo_to(mark), inline
             bindings[trail.pop()] = None
-        stored = self.stored
-        substs = self.substs
-        live = self.live
-        while self.i < len(stored):
-            i = self.i
-            self.i = i + 1
-            sub = False if substs is None else substs[i]
-            if sub is None or sub is False:
-                term, nvars = stored[i]
-                ok = unify_stored(self.target, term, [None] * nvars, None, store)
-                if sub is None:
-                    substs[i] = ((term.args if self.direct else [bindings[v] for v in live])
-                                 if ok and not nvars else False)
-                if not ok:
+        answers = self.table.answers
+        pattern = self.table.pattern  # no answer is stored while this retry runs
+        while self.i < len(answers):
+            term, nvars = answers[self.i]
+            self.i += 1
+            if nvars or pattern is None:
+                if not unify_stored(self.target, term, [None] * nvars, None, store):
                     continue
             else:
-                for v, value in zip(live, sub):
-                    bindings[v] = value
-                trail.extend(live)
+                args = term.args
+                for v, k in zip(self.live, pattern[4]):
+                    bindings[v] = args[k]
+                trail.extend(self.live)
             m.goals = self.rest
             return True
         return False

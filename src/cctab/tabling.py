@@ -15,23 +15,17 @@ generator is done.  Resumption is a failure-driven loop over the table: a
 generator called by slg/1 owns its group's FIFO worklist of (continuation,
 answer) pairs, and its GeneratorCP resumes the next pair each time the
 machine backtracks into it.
-A stored continuation gets a resume plan at its first resumption when each
-clause it runs in place has a linear head whose variables the stored term
-fills one each.  A ground answer that is an instance of its pending call
-then resumes it in place: the answer's arguments, ground subterms and, for
-a variable no argument binds, the new variables unification would make fill
-each clause's head map, with no unification (substitution factoring, as in
-Ramakrishnan et al., JLP 1999).  The clause's leading built-ins (guards) run
-from the map.  A final answer/2 goes straight to on_answer; a final
-call(Cont) goes on, in place, into the one clause of the continuation Cont
-holds; a fact join F, answer/2, where F calls a predicate of ground facts,
-matches F against the facts the machine would select and records an answer
-per match; any other rest of a body is handed to the machine.  A guard's
-arguments and a final answer/2 are built from the head map; an answer whose
-variables hold atoms or integers is ground and reaches on_answer with the
-hash of its variant key, not to be frozen again.  Any other answer, or a
-continuation with no plan, is unified with the pending call, and the
-machine resolves the stored term against its predicate's one clause.
+Each table decides substitution factoring (Ramakrishnan et al., JLP 1999)
+once: its call pattern says where the call's variables are, and on_answer
+tests each new ground answer against it.  While it holds, a read binds the
+live call's variables to an answer's arguments, and a resumption follows
+the resume plan its continuation gets at its first resumption: the answer's
+arguments, ground subterms and new variables fill the head map of each
+clause it runs in place, and its guards, call(Cont) chain, fact join and
+answer/2 run from the map, with no unification (see Engine._resume).  Any
+other answer, or a continuation with no plan, is unified with the live or
+pending call, and the machine resolves the stored term against its
+predicate's one clause.
 
 Suspended continuations are frozen at capture time: copied with their
 bindings applied, except for ground subterms, which no binding reaches and
@@ -99,13 +93,14 @@ class Counters:
         )
 
 
-@dataclass
+@dataclass(eq=False)
 class StoredCont:
     """A suspended consumer, dereferenced and copied into table storage."""
 
     term: Term  # NameCont(Id, Bindings, Pending, [Prev]) with vars 0..nvars-1
     nvars: int
     gen_id: int  # generator this continuation delivers answers to
+    table: "GeneratorEntry"  # the table of Pending's variant, whose answers resume it
     plan: tuple = None  # Engine._resume_plan's, built at the first resumption; False for none
 
 
@@ -121,9 +116,36 @@ class GeneratorEntry:
     pos: int = None  # completion stack index while EVALUATING
     deplink: int = None  # lowest stack position this generator depends on
     suspension_total: int = 0  # cumulative; survives completion
-    # from completion, one slot per answer: its substitution (the values the
-    # call's variables take in it), filled at its first read; see StoredIterCP
-    substs: list = None
+    pattern: tuple = None  # call_pattern(call); None once an answer is no instance of call
+
+
+def call_pattern(call: Term):
+    """(functor, arity, getter of the ground arguments or None, their values,
+    positions of the variables, in the order the call numbers them) of a
+    frozen call; None when it is not a compound, repeats a variable or holds
+    one inside a compound argument, and every answer is then unified."""
+    if type(call) is not Struct:
+        return None
+    args = call.args
+    places, fixed = [], []  # one loop: a table is made per new call
+    for i, a in enumerate(args):
+        if type(a) is Var:
+            places.append(i)
+        elif type(a) is Struct and vars_of(a):
+            return None
+        else:
+            fixed.append(i)
+    if len({args[i].id for i in places}) < len(places):
+        return None
+    ground = itemgetter(*fixed) if fixed else None
+    return call.functor, len(args), ground, ground and ground(args), tuple(places)
+
+
+def is_instance(pattern: tuple, answer: Term) -> bool:
+    """Whether a ground answer is an instance of the call with this pattern."""
+    functor, arity, ground, values, _places = pattern
+    return (type(answer) is Struct and answer.functor == functor and len(answer.args) == arity
+            and (ground is None or ground(answer.args) == values))
 
 
 def head_plan(term, head) -> list | None:
@@ -163,7 +185,7 @@ class TableSpace:
         return self.variant_index.get(call)
 
     def new_generator(self, call: Term, creator=None) -> GeneratorEntry:
-        entry = GeneratorEntry(id=len(self.entries), call=call)
+        entry = GeneratorEntry(id=len(self.entries), call=call, pattern=call_pattern(call))
         self.entries.append(entry)
         self.variant_index[call] = entry
         entry.pos = len(self.stack)
@@ -178,9 +200,9 @@ class TableSpace:
         """Raise TablingError unless the invariants that hold between queries
         do: no generator is evaluating and no arena is open, every entry is
         complete or dropped, variant_index maps each complete call to its
-        entry and nothing else, each table indexes every answer once, and a
-        substitution cache has one slot per answer.  For tests; no query
-        calls it."""
+        entry and nothing else, each table indexes every answer once, and
+        each ground answer of a table with a call pattern is an instance of
+        its call.  For tests; no query calls it."""
         if self.stack or self.arenas:
             raise TablingError(f"check: stack {self.stack}, {len(self.arenas)} open arenas")
         complete_entries = 0
@@ -195,9 +217,9 @@ class TableSpace:
             if len(entry.answers) != len(entry.index):
                 raise TablingError(f"check: {call} has {len(entry.answers)} answers, "
                                    f"{len(entry.index)} indexed")
-            if entry.substs is not None and len(entry.substs) != len(entry.answers):
-                raise TablingError(f"check: {call} has {len(entry.substs)} substitution slots "
-                                   f"for {len(entry.answers)} answers")
+            for t, nvars in entry.answers if entry.pattern else ():
+                if not nvars and not is_instance(entry.pattern, t):
+                    raise TablingError(f"check: {call} keeps its pattern but holds {print_term(t)}")
         if len(self.variant_index) != complete_entries:
             raise TablingError("check: variant_index holds an entry that is not complete")
 
@@ -220,7 +242,6 @@ def complete(space: TableSpace, leader: GeneratorEntry):
     for gid in space.stack[pos:]:
         entry = space.entries[gid]
         entry.status = COMPLETE
-        entry.substs = [None] * len(entry.answers)
         entry.continuations.clear()
         entry.cont_keys.clear()
         entry.pos = None
@@ -500,11 +521,9 @@ class Engine:
         if entry is None:
             return True
         if entry.status == COMPLETE or self.mode is Mode.LEGACY:
-            # In legacy mode, the original scheme: read whatever answers exist
-            # right now and fail past them; nothing is suspended, later answers
-            # are lost.  An incomplete entry has no substs, so it is unified.
-            machine.cps.append(StoredIterCP(call, entry.answers, store.mark(), rest,
-                                            entry.substs, live))
+            # In legacy mode, the original scheme: read the answers there are and
+            # fail past them; nothing is suspended, later answers are lost.
+            machine.cps.append(StoredIterCP(call, entry, store.mark(), rest, live))
             return False
         raise TablingError(
             f"tabled call {print_term(entry.call)} reached its own evaluation through "
@@ -537,9 +556,8 @@ class Engine:
         if entry is None:
             return True
         if entry.status == COMPLETE:
-            # each answer unified into the pending call resumes the continuation
-            machine.cps.append(StoredIterCP(pending, entry.answers, store.mark(), (cont, rest),
-                                            entry.substs, live))
+            # each answer bound into the pending call resumes the continuation
+            machine.cps.append(StoredIterCP(pending, entry, store.mark(), (cont, rest), live))
             return False
         self._suspend(machine, cont, id_t.value, entry)
         return False
@@ -557,7 +575,7 @@ class Engine:
             return  # a variant is stored already and gets every answer
         entry.cont_keys.add(term)
         arena = self._current_arena()  # raises outside any evaluation, before any count
-        stored = StoredCont(term, nvars, gen_id)
+        stored = StoredCont(term, nvars, gen_id, entry)
         counters = self.space.counters
         counters.suspensions += 1
         counters.e_cells += sizes[1]
@@ -573,7 +591,8 @@ class Engine:
         """Record the answer of goal, answer(Id, Answer), for generator Id.
         ground says that Answer is ground, as a resume plan can tell; it is
         then stored as it is, since freezing a ground term returns it, with
-        the hash the plan preset or one computed at its first lookup."""
+        the hash the plan preset or one computed at its first lookup.  A
+        ground answer that is no instance of the call clears its pattern."""
         store = machine.store
         id_t = store.walk(goal.args[0])
         if type(id_t) is not Int or not (0 <= id_t.value < len(self.space.entries)):
@@ -583,11 +602,13 @@ class Engine:
             raise TablingError(f"answer/2: generator {entry.id} is already complete")
         if entry.status == DROPPED:
             raise TablingError(f"answer/2: generator {entry.id} was dropped by a failed query")
-        stored_answer = (goal.args[1], 0) if ground else store.freeze(goal.args[1])
-        if stored_answer[0] in entry.index:
+        stored_answer = t, nvars = (goal.args[1], 0) if ground else store.freeze(goal.args[1])
+        if t in entry.index:
             return False
-        entry.index.add(stored_answer[0])
+        entry.index.add(t)
         entry.answers.append(stored_answer)
+        if entry.pattern and not nvars and not is_instance(entry.pattern, t):
+            entry.pattern = None
         self.space.counters.answers += 1
         if entry.continuations:
             arena = self._current_arena()
@@ -628,50 +649,41 @@ class Engine:
             self._conts[key] = _ContClause(clauses[0], self.index) if len(clauses) == 1 else None
         return self._conts[key]
 
-    def _resume_plan(self, term, nvars):
-        """The resume plan of a stored term with nvars variables, or False
-        when there is none; a TablingError unless term's predicate has
-        exactly one clause.  A plan needs no variable to be two arguments of
-        the pending call, and each clause that the resumption runs in place
-        to have a linear head and a head plan whose pairs each fill a head
-        variable of their own, from a variable of term or a ground subterm.
-        Under a ground instance of the pending call no head plan can then
-        fail: each head variable takes an answer argument, a ground subterm
-        or, for a variable of term that is no argument of the pending call
-        (a loose one), the new variable unification would make.  A clause's
+    def _resume_plan(self, stored):
+        """The resume plan of a stored continuation, or False when there is
+        none; a TablingError unless its term's predicate has exactly one
+        clause.  A plan needs the continuation's table to have a call
+        pattern, and each clause that the resumption runs in place to have a
+        linear head and a head plan whose pairs each fill a head variable of
+        their own, from a variable of the term or a ground subterm.  Under a
+        ground instance of the pending call no head plan can then fail: each
+        head variable takes an answer argument, a ground subterm or, for a
+        variable of the term that is no argument of the pending call (a
+        loose one), the new variable unification would make.  A clause's
         call(Cont) goes on in place when Cont holds a term of a one-clause
         predicate that the machine would resolve; that term's pair is left
         out of the head plan, and the term's clause is run a depth deeper.
 
-        The plan is (functor, arity, check, values, nloose, depths).
-        An answer is an instance of the pending call when it has its functor
-        and arity and check(args) == values, check taking the pending call's
-        other arguments.  depths holds, per clause run in place, (slg, base,
-        fills, fresh, clause, more): the slg_resolutions it counts; its head
-        map with the ground slots filled, followed by the clause's builder
-        tail, or None when nothing reads or writes the map (no guard, no
-        loose variable, and a call(Cont) goes on); (answer argument index,
-        head slot) pairs; (loose index, head slot, name) triples, in the
-        order unification meets them; the clause; and whether a call(Cont)
-        goes on to a deeper one.  nloose counts the loose variables."""
+        The plan is (nloose, depths).  depths holds, per clause run in
+        place, (slg, base, fills, fresh, clause, more): the slg_resolutions
+        it counts; its head map with the ground slots filled, followed by
+        the clause's builder tail, or None when nothing reads or writes the
+        map (no guard, no loose variable, and a call(Cont) goes on); (answer
+        argument index, head slot) pairs; (loose index, head slot, name)
+        triples, in the order unification meets them; the clause; and
+        whether a call(Cont) goes on to a deeper one.  nloose counts the
+        loose variables."""
+        term = stored.term
         key = (term.functor, len(term.args))
         clause = self._cont_clause(key)
         if clause is None:
             n = len(self.index.get(key, ((),))[0])
             raise TablingError(f"continuation predicate {pred_of(term)} has {n} clauses; "
                                "a resumption needs exactly one")
-        pending = term.args[2]
-        if type(pending) is not Struct:
+        if stored.table.pattern is None:
             return False
-        at = [None] * nvars  # variable id of term -> the index of the argument of pending it is
-        checked: list = []  # the other arguments; one that holds a variable equals no ground one
-        for i, a in enumerate(pending.args):
-            if type(a) is not Var:
-                checked.append(i)
-            elif at[a.id] is None:
-                at[a.id] = i
-            else:
-                return False
+        pending = term.args[2].args  # a variant of the table's call
+        arg_of = {pending[i].id: i for i in stored.table.pattern[4]}  # variable id -> argument
         loose: dict = {}  # variable id of term that no answer argument binds -> its index
         depths = []
         while True:
@@ -693,10 +705,10 @@ class Engine:
                 if type(h) is not Var:
                     return False
                 if type(s) is Var:
-                    if at[s.id] is None:
-                        fresh.append((loose.setdefault(s.id, len(loose)), h.id, clause.names[h.id]))
+                    if s.id in arg_of:
+                        fills.append((arg_of[s.id], h.id))
                     else:
-                        fills.append((at[s.id], h.id))
+                        fresh.append((loose.setdefault(s.id, len(loose)), h.id, clause.names[h.id]))
                 elif type(s) is Struct and vars_of(s):
                     return False
                 else:
@@ -709,38 +721,33 @@ class Engine:
                 break
             term = target
             clause = self._conts[(term.functor, len(term.args))]
-        check = itemgetter(*checked) if checked else None
-        return (pending.functor, len(pending.args), check, check and check(pending.args),
-                len(loose), depths)
+        return len(loose), depths
 
     def _resume(self, m, stored, ans) -> bool:
         """Resume a stored continuation with an answer on machine m.
 
-        A ground answer that is an instance of the pending call follows the
-        resume plan: it fills each clause's head map from the answer's
-        arguments and the plan's ground slots, and makes the new variables
-        that unification would for the loose ones.  The clause's guards run
-        in place, their arguments built from the head map, and a call(Cont)
-        tail goes on into the clause Cont names.  An answer/2 tail goes to
-        _put_answer and a fact join to _join; any other tail, and a join
-        that _join leaves, is handed to the machine.  Each goal spends the
-        step and counts the slg_resolutions the machine would.  Any other
-        answer, or a continuation with no plan, is unified with the pending
-        call, and the machine resolves the stored term.  True when m.goals
-        holds goals for m to run; False when the resumption failed or ended
-        here.
+        A ground answer of a table that keeps its call pattern (an instance
+        of the pending call) follows the resume plan: it fills each clause's
+        head map from the answer's arguments and the plan's ground slots,
+        and makes the new variables that unification would for the loose
+        ones.  The clause's guards run in place, their arguments built from
+        the head map, and a call(Cont) tail goes on into the clause Cont
+        names.  An answer/2 tail goes to _put_answer and a fact join to
+        _join; any other tail, and a join that _join leaves, is handed to
+        the machine.  Each goal spends the step and counts the
+        slg_resolutions the machine would.  Any other answer, or a
+        continuation with no plan, is unified with the pending call, and the
+        machine resolves the stored term.  True when m.goals holds goals for
+        m to run; False when the resumption failed or ended here.
         """
         plan = stored.plan
         if plan is None:
-            plan = stored.plan = self._resume_plan(stored.term, stored.nvars)
+            plan = stored.plan = self._resume_plan(stored)
         ans_term, ans_nvars = ans
-        if not plan or ans_nvars or type(ans_term) is not Struct:
+        if not plan or ans_nvars or stored.table.pattern is None:
             return self._call_stored(m, stored, ans)
-        functor, arity, check, values, nloose, depths = plan
+        nloose, depths = plan
         args = ans_term.args
-        if (ans_term.functor != functor or len(args) != arity
-                or check is not None and check(args) != values):
-            return self._call_stored(m, stored, ans)
         store = m.store
         spend = m.budget.spend
         counters = self.space.counters

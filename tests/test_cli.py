@@ -261,6 +261,19 @@ def test_non_ground_answer_resumes_a_consumer(capsys, tmp_path):
     assert lines[2].endswith(" answers=2")
 
 
+# errors only a hand-written tabling primitive can raise; p(_) is generator 0
+@pytest.mark.parametrize("clause, text", [
+    ("q :- answer(7, p(2)).", "answer/2: bad generator id"),
+    ("q :- p(_), answer(0, p(2)).", "answer/2: generator 0 is already complete"),
+    ("q :- slgcall(k(9, [], p(X), [])).", "malformed continuation term: bad generator id"),
+], ids=["answer-bad-id", "answer-complete", "slgcall-bad-id"])
+def test_hand_written_primitive_errors_exit_2(capsys, tmp_path, clause, text):
+    f = tmp_path / "hand.pl"
+    f.write_text(f":- table p/1.\np(1).\n{clause}\n")
+    code, out, err = run_cli(capsys, str(f), "--query", "q")
+    assert (code, out, err) == (2, "", f"error: {text}\n")
+
+
 @pytest.mark.parametrize("mode, prev", [("general", ", []"), ("legacy", "")],
                          ids=["general", "legacy"])
 def test_two_clause_continuation_exits_2(capsys, tmp_path, mode, prev):

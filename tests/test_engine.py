@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -20,7 +21,7 @@ from cctab import (
     translate,
     unify,
 )
-from cctab.engine import BUILTINS, BindingStore, solve
+from cctab.engine import BUILTINS, BindingStore, Machine, compile_index, solve
 from cctab.terms import walk_subterms
 
 
@@ -97,6 +98,28 @@ def test_is_unbound_operand_raises():
     a, x = store.new_var("A"), store.new_var("X")
     with pytest.raises(InstantiationError):
         BUILTINS[("is", 2)]((a, Struct("+", (x, Int(1)))), store)
+
+
+# `is` evaluates its right side first; then it binds an unbound left side,
+# reached through any chain of bindings, compares an integer by value and
+# fails on anything else
+@pytest.mark.parametrize("query, want", [
+    ("W is 1 + 2", ["3"]),
+    ("W = V, V is 1 + 2", ["3"]),
+    ("W = 3, W is 1 + 2", ["3"]),
+    ("W = 1, 3 is W + 2", ["1"]),
+    ("W = 4, W is 1 + 2", []),
+    ("W = a, W is 1", []),
+    ("W = f(V), W is 1", []),
+    ("W = a, W is V", InstantiationError),
+])
+def test_is_left_side(query, want):
+    solutions = solve(parse_query(query), parse_program("x."))
+    if want is InstantiationError:
+        with pytest.raises(InstantiationError, match="^unbound variable in arithmetic"):
+            list(solutions)
+    else:
+        assert [print_term(s["W"]) for s in solutions] == want
 
 
 def test_arithmetic_type_and_zero_divisor():
@@ -251,6 +274,18 @@ def test_meta_call():
 def test_call_unbound_raises():
     with pytest.raises(InstantiationError):
         list(solve(parse_query("call(G)"), parse_program("x.")))
+
+
+@pytest.mark.parametrize("goal, error, text", [
+    (None, InstantiationError, "unbound variable called as a goal"),
+    (Int(3), TypeMismatchError, "integer called as a goal: 3"),
+], ids=["unbound", "integer"])
+def test_machine_run_refuses_a_goal_that_is_not_callable(goal, error, text):
+    # a goal pushed through the library: an unbound variable or an integer
+    m = Machine(compile_index(parse_program("p(1).\n")))
+    m.push_goals([m.store.new_var("G") if goal is None else goal])
+    with pytest.raises(error, match=f"^{re.escape(text)}$"):
+        m.run()
 
 
 # -- clause selection by first argument ---------------------------------------------

@@ -155,10 +155,17 @@ NOT_PLANNED = {
                        "t(X, Y) :- X = f(Z), p(Z, Y).\n", "t(A, B)", ["t(f(1), 2)", "t(f(3), 4)"],
                        2, 2),
     # hand-written answers to p(1, Y), generator 1, that are not instances of
-    # it: a wrong constant, a wrong functor, a wrong arity; p(1, 2) is one
+    # it: a wrong constant, a wrong functor, a wrong arity; p(1, 2) is one,
+    # but the first clears the table's call pattern, so it is unified too
     "non_instance": (":- table r/1.\n:- table p/2.\np(1, Y) :- answer(1, p(2, 3)).\n"
                      "p(1, Y) :- answer(1, q(1, 3)).\np(1, Y) :- answer(1, p(1)).\n"
-                     "p(1, 2).\nr(Y) :- p(1, Y).\n", "r(Y)", ["r(2)"], 3, 4),
+                     "p(1, 2).\nr(Y) :- p(1, Y).\n", "r(Y)", ["r(2)"], 4, 4),
+    # the bridge h/1's continuation follows its plan for p(1, 2) and
+    # p(1, 3), whose resumption stores p(5, 5) and clears the pattern of
+    # p(1, Z): p(5, 5) and p(1, 4) are unified, though the plan is built
+    "cleared_after_plan": (":- table p/2.\np(1, 2).\np(1, Y) :- h(Z), q(Z, Y).\n"
+                           "h(Z) :- p(1, Z).\nq(2, 3).\nq(3, Y) :- answer(0, p(5, 5)).\n"
+                           "q(3, 4).\n", "p(1, Y)", ["p(1, 2)", "p(1, 3)", "p(1, 4)"], 2, 4),
     # the hand-written head k(Id, [], p(A, A), []) repeats a variable, so
     # only a unification can refuse the answer p(1, 2)
     "nonlinear": (":- table r/1.\n:- table p/2.\np(1, 1).\np(1, 2).\np(2, 2).\n"

@@ -205,7 +205,8 @@ def test_answer_into_completed_table_errors(mixed_loop_src):
 def test_complete_with_pending_work_errors():
     space = TableSpace()
     entry = space.new_generator(parse_term("t(_)"))
-    arena = [(StoredCont(parse_term("c(0, [], t(0), [])"), 0, entry.id), (parse_term("t(0)"), 0))]
+    stored = StoredCont(parse_term("c(0, [], t(0), [])"), 0, entry.id, entry)
+    arena = [(stored, (parse_term("t(0)"), 0))]
     space.arenas.append(arena)
     with pytest.raises(TablingError, match="pending"):
         complete(space, entry)
@@ -469,8 +470,8 @@ CORRUPTIONS = {
                    "check: p(A) is evaluating"),
     "unindexed_answer": (lambda space, entry: entry.index.clear(),
                          "check: p(A) has 2 answers, 0 indexed"),
-    "substs": (lambda space, entry: entry.substs.append(None),
-               "check: p(A) has 3 substitution slots for 2 answers"),
+    "non_instance": (lambda space, entry: entry.answers.__setitem__(1, (parse_term("q(2)"), 0)),
+                     "check: p(A) keeps its pattern but holds q(2)"),
     "dropped_indexed": (lambda space, entry: setattr(entry, "status", DROPPED),
                         "check: variant_index holds an entry that is not complete"),
 }
@@ -799,7 +800,7 @@ def _resumption_depths(monkeypatch) -> list:
         try:
             return resume(self, m, stored, ans)
         finally:
-            depths.append(len(stored.plan[5]) if stored.plan else 0)
+            depths.append(len(stored.plan[1]) if stored.plan else 0)
 
     monkeypatch.setattr(Engine, "_resume", recorded)
     return depths
