@@ -441,12 +441,7 @@ def _arith_op(t: Struct, a: int, b: int) -> int:
 
 
 def _bi_is(args, store):
-    value = eval_arith(args[1], store.walk)
-    x = store.walk(args[0])
-    if type(x) is Var:
-        store.bind(x, Int(value))
-        return True
-    return type(x) is Int and x.value == value
+    return unify(args[0], Int(eval_arith(args[1], store.walk)), store)
 
 
 def _bi_compare(op):
@@ -601,7 +596,7 @@ class StoredIterCP:
                     continue
             else:
                 args = term.args
-                for v, k in zip(self.live, pattern[4]):
+                for v, k in zip(self.live, pattern.places):
                     bindings[v] = args[k]
                 trail.extend(self.live)
             m.goals = self.rest

@@ -38,7 +38,7 @@ instruction or cell counts.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import deque, namedtuple
 from dataclasses import dataclass, field, replace
 from operator import itemgetter
 
@@ -116,14 +116,18 @@ class GeneratorEntry:
     pos: int = None  # completion stack index while EVALUATING
     deplink: int = None  # lowest stack position this generator depends on
     suspension_total: int = 0  # cumulative; survives completion
-    pattern: tuple = None  # call_pattern(call); None once an answer is no instance of call
+    pattern: CallPattern = None  # call_pattern(call); None once an answer is no instance of call
 
 
-def call_pattern(call: Term):
-    """(functor, arity, getter of the ground arguments or None, their values,
-    positions of the variables, in the order the call numbers them) of a
-    frozen call; None when it is not a compound, repeats a variable or holds
-    one inside a compound argument, and every answer is then unified."""
+CallPattern = namedtuple("CallPattern", "functor arity ground values places")
+
+
+def call_pattern(call: Term) -> CallPattern | None:
+    """A frozen call's functor and arity, a getter of its ground arguments
+    or None, their values, and the positions of its variables, in the order
+    the call numbers them; None when it is not a compound, repeats a
+    variable or holds one inside a compound argument, and every answer is
+    then unified."""
     if type(call) is not Struct:
         return None
     args = call.args
@@ -138,14 +142,15 @@ def call_pattern(call: Term):
     if len({args[i].id for i in places}) < len(places):
         return None
     ground = itemgetter(*fixed) if fixed else None
-    return call.functor, len(args), ground, ground and ground(args), tuple(places)
+    return CallPattern(call.functor, len(args), ground, ground and ground(args), tuple(places))
 
 
-def is_instance(pattern: tuple, answer: Term) -> bool:
+def is_instance(pattern: CallPattern, answer: Term) -> bool:
     """Whether a ground answer is an instance of the call with this pattern."""
-    functor, arity, ground, values, _places = pattern
-    return (type(answer) is Struct and answer.functor == functor and len(answer.args) == arity
-            and (ground is None or ground(answer.args) == values))
+    ground = pattern.ground
+    return (type(answer) is Struct and answer.functor == pattern.functor
+            and len(answer.args) == pattern.arity
+            and (ground is None or ground(answer.args) == pattern.values))
 
 
 def head_plan(term, head) -> list | None:
@@ -683,7 +688,7 @@ class Engine:
         if stored.table.pattern is None:
             return False
         pending = term.args[2].args  # a variant of the table's call
-        arg_of = {pending[i].id: i for i in stored.table.pattern[4]}  # variable id -> argument
+        arg_of = {pending[i].id: i for i in stored.table.pattern.places}  # variable id -> argument
         loose: dict = {}  # variable id of term that no answer argument binds -> its index
         depths = []
         while True:

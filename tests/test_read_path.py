@@ -159,7 +159,7 @@ def test_call_patterns(case):
         assert pattern is None
         return
     instances, others = answers
-    assert (pattern[0], pattern[1], pattern[4]) == want
+    assert (pattern.functor, pattern.arity, pattern.places) == want
     assert [is_instance(pattern, parse_term(a)) for a in instances + others] == (
         [True] * len(instances) + [False] * len(others))
 
