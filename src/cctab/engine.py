@@ -560,13 +560,15 @@ class ClauseCP:
 class StoredIterCP:
     """Iterate a table's answers, binding a live term to each in turn.
 
-    table is the table's entry: its answers, (term, nvars) in insertion
-    order, and its call pattern (tabling.call_pattern) are read at every
-    retry, as legacy mode reads incomplete tables.  live holds the ids of
-    the live term's unbound variables, in the order its variant numbers
-    them.  While the table has a pattern, a ground answer binds each live
-    variable to the answer's argument at its place, one binding and one
-    trail entry each, as unify_stored would; any other answer is unified.
+    table is the table's entry: its answers, in insertion order, and its
+    call pattern (tabling.call_pattern) are read at every retry, as legacy
+    mode reads incomplete tables.  live holds the ids of the live term's
+    unbound variables, in the order its variant numbers them.  While the
+    table has a pattern, its answers are ground instances of its call, and
+    each binds each live variable to the answer's argument at its place,
+    one binding and one trail entry each, as unify_stored would.  Without
+    one, each answer is unified, with as many new variables as its index
+    entry says it has.
     """
 
     __slots__ = ("target", "table", "i", "mark", "rest", "live")
@@ -589,10 +591,11 @@ class StoredIterCP:
         answers = self.table.answers
         pattern = self.table.pattern  # no answer is stored while this retry runs
         while self.i < len(answers):
-            term, nvars = answers[self.i]
+            term = answers[self.i]
             self.i += 1
-            if nvars or pattern is None:
-                if not unify_stored(self.target, term, [None] * nvars, None, store):
+            if pattern is None:
+                if not unify_stored(self.target, term, [None] * self.table.index[term], None,
+                                    store):
                     continue
             else:
                 args = term.args

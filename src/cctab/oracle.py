@@ -258,7 +258,7 @@ def compare_answer_sets(space, facts: dict, pred: PredId, call: Term = None):
                 )
             entries = general
         entry = entries[0]
-    engine_set = {t for (t, _n) in entry.answers}
+    engine_set = set(entry.answers)
     oracle_set = oracle_answers_for(facts, entry.call)
     missing = sorted(oracle_set - engine_set, key=print_term)
     extra = sorted(engine_set - oracle_set, key=print_term)

@@ -15,17 +15,20 @@ generator is done.  Resumption is a failure-driven loop over the table: a
 generator called by slg/1 owns its group's FIFO worklist of (continuation,
 answer) pairs, and its GeneratorCP resumes the next pair each time the
 machine backtracks into it.
-Each table decides substitution factoring (Ramakrishnan et al., JLP 1999)
-once: its call pattern says where the call's variables are, and on_answer
-tests each new ground answer against it.  While it holds, a read binds the
-live call's variables to an answer's arguments, and a resumption follows
-the resume plan its continuation gets at its first resumption: the answer's
-arguments, ground subterms and new variables fill the head map of each
-clause it runs in place, and its guards, call(Cont) chain, fact join and
-answer/2 run from the map, with no unification (see Engine._resume).  Any
-other answer, or a continuation with no plan, is unified with the live or
-pending call, and the machine resolves the stored term against its
-predicate's one clause.
+A table keeps one record per answer, its frozen term, listed in insertion
+order and mapped to its number of variables by the index, and one per
+continuation, its StoredCont, keyed by its frozen term.  It decides
+substitution factoring (Ramakrishnan et al., JLP 1999) once: its call
+pattern says where the call's variables are, and on_answer clears it at the
+first answer that is not a ground instance of the call.  While it holds, a
+read binds the live call's variables to an answer's arguments, and a
+resumption follows the resume plan its continuation gets at its first
+resumption: the answer's arguments, ground subterms and new variables fill
+the head map of each clause it runs in place, and its guards, call(Cont)
+chain, fact join and answer/2 run from the map, with no unification (see
+Engine._resume).  Once it is cleared, or for a continuation with no plan,
+each answer is unified with the live or pending call, and the machine
+resolves the stored term against its predicate's one clause.
 
 Suspended continuations are frozen at capture time: copied with their
 bindings applied, except for ground subterms, which no binding reaches and
@@ -38,6 +41,7 @@ instruction or cell counts.
 
 from __future__ import annotations
 
+import mmap
 from collections import deque, namedtuple
 from dataclasses import dataclass, field, replace
 from operator import itemgetter
@@ -68,6 +72,11 @@ CONT_ARITY = {Mode.GENERAL: 4, Mode.LEGACY: 3}  # of the continuation terms each
 # What lets a general-mode tabled call escape slgcall/1: bridges cannot cover it.
 UNINSTRUMENTED = ("a call the translation does not instrument (call/1 of a goal bound at "
                   "run time, or a hand-written slg/1)")
+# Address space that Engine.solve's out-of-memory handler unmaps before it
+# purges the tables, so that it has room to run: an anonymous mapping that
+# nothing touches, so it costs no resident memory.  One per process, whose
+# address space it stands for, shared by every engine.
+_reserve: list = []
 
 
 @dataclass
@@ -108,15 +117,14 @@ class StoredCont:
 class GeneratorEntry:
     id: int
     call: Term  # frozen call; its variant key
-    answers: list = field(default_factory=list)  # (term, nvars), insertion order
-    index: set = field(default_factory=set)  # the answer terms, as variant keys
-    continuations: list = field(default_factory=list)  # StoredCont
-    cont_keys: set = field(default_factory=set)  # the continuation terms, as variant keys
+    answers: list = field(default_factory=list)  # frozen answer terms, insertion order
+    index: dict = field(default_factory=dict)  # answer term, as variant key -> its nvars
+    continuations: dict = field(default_factory=dict)  # frozen term, as variant key -> StoredCont
     status: str = EVALUATING  # then COMPLETE, or DROPPED
     pos: int = None  # completion stack index while EVALUATING
     deplink: int = None  # lowest stack position this generator depends on
     suspension_total: int = 0  # cumulative; survives completion
-    pattern: CallPattern = None  # call_pattern(call); None once an answer is no instance of call
+    pattern: CallPattern = None  # call_pattern(call); None once an answer is no ground instance
 
 
 CallPattern = namedtuple("CallPattern", "functor arity ground values places")
@@ -153,28 +161,6 @@ def is_instance(pattern: CallPattern, answer: Term) -> bool:
             and (ground is None or ground(answer.args) == pattern.values))
 
 
-def head_plan(term, head) -> list | None:
-    """Pairs (subterm of term, subterm of head) with a variable on either side,
-    in the order unify_stored meets them; None when two non-variable subterms
-    differ.  It reads no varmap, so it serves every resumption of a term."""
-    plan = []
-    stack = [(term, head)]
-    while stack:
-        s, h = stack.pop()
-        ts = type(s)
-        if ts is Var or type(h) is Var:
-            plan.append((s, h))
-        elif ts is not type(h):
-            return None
-        elif ts is Struct:
-            if s.functor != h.functor or len(s.args) != len(h.args):
-                return None
-            stack.extend(zip(s.args, h.args))
-        elif s != h:
-            return None
-    return plan
-
-
 class TableSpace:
     """Call-variant table: generators, answers, continuations, completion stack."""
 
@@ -206,8 +192,8 @@ class TableSpace:
         do: no generator is evaluating and no arena is open, every entry is
         complete or dropped, variant_index maps each complete call to its
         entry and nothing else, each table indexes every answer once, and
-        each ground answer of a table with a call pattern is an instance of
-        its call.  For tests; no query calls it."""
+        while a table has a call pattern, every answer is a ground instance
+        of its call.  For tests; no query calls it."""
         if self.stack or self.arenas:
             raise TablingError(f"check: stack {self.stack}, {len(self.arenas)} open arenas")
         complete_entries = 0
@@ -222,8 +208,10 @@ class TableSpace:
             if len(entry.answers) != len(entry.index):
                 raise TablingError(f"check: {call} has {len(entry.answers)} answers, "
                                    f"{len(entry.index)} indexed")
-            for t, nvars in entry.answers if entry.pattern else ():
-                if not nvars and not is_instance(entry.pattern, t):
+            for t in entry.answers:
+                if t not in entry.index:
+                    raise TablingError(f"check: {call} does not index {print_term(t)}")
+                if entry.pattern and (entry.index[t] or not is_instance(entry.pattern, t)):
                     raise TablingError(f"check: {call} keeps its pattern but holds {print_term(t)}")
         if len(self.variant_index) != complete_entries:
             raise TablingError("check: variant_index holds an entry that is not complete")
@@ -248,7 +236,6 @@ def complete(space: TableSpace, leader: GeneratorEntry):
         entry = space.entries[gid]
         entry.status = COMPLETE
         entry.continuations.clear()
-        entry.cont_keys.clear()
         entry.pos = None
     del space.stack[pos:]
 
@@ -320,11 +307,11 @@ class _ContClause:
     variables and then tail's (see _build).  guards holds per guard (its
     built-in, the slots of its new variables, _build's steps for its
     compound arguments, the getter of its arguments).  For an answer/2,
-    build is _build's steps, new the slots of the variables first met in
-    it, and vslots holds the ids of the variables of its answer."""
+    build is _build's steps and new the slots of the variables first met in
+    it."""
 
     __slots__ = ("head", "nvars", "names", "guards", "rest", "answer", "cont", "join", "linear",
-                 "tail", "build", "new", "vslots")
+                 "tail", "build", "new")
 
     def __init__(self, clause, index):
         self.head, body, self.nvars, self.names = clause
@@ -364,7 +351,6 @@ class _ContClause:
             new = []
             self.build = _build(self.answer, self.nvars, known, self.tail, new)
             self.new = tuple(new)
-            self.vslots = tuple(v.id for v in vars_of(self.answer.args[1]))
 
 
 def _build(goal, nvars, known, tail, new):
@@ -449,6 +435,11 @@ class Engine:
         depth_budget resolution steps."""
         if not isinstance(goals, (list, tuple)):
             goals = [goals]
+        if not _reserve:  # at the first query, and at the first after each handler ran
+            try:
+                _reserve.append(mmap.mmap(-1, 8 << 20))
+            except (OSError, MemoryError):
+                pass  # no address space left: the handler does without
         machine = Machine(self.index, runtime=self, budget=Budget(depth_budget))
         named, live = machine.start(goals)
         bindings = machine.store.bindings
@@ -470,6 +461,8 @@ class Engine:
             # here could run at garbage collection, inside another query.
             raise
         except MemoryError:
+            while _reserve:
+                _reserve.pop().close()
             self._purge_incomplete()
             raise ResourceLimitError("out of memory") from None
         except BaseException:
@@ -481,7 +474,7 @@ class Engine:
         entry = self.space.lookup(canonical_variant(call))
         if entry is None:
             return []
-        return [t for (t, _n) in entry.answers]
+        return list(entry.answers)
 
     # -- tabling primitive hooks (called from Machine.run) --------------------
     #
@@ -576,28 +569,26 @@ class Engine:
         entry.deplink = low
         sizes: list = []  # cells of Id, Bindings, Pending and [Prev]
         term, nvars = machine.store.freeze(cont, sizes)
-        if term in entry.cont_keys:
+        if term in entry.continuations:
             return  # a variant is stored already and gets every answer
-        entry.cont_keys.add(term)
         arena = self._current_arena()  # raises outside any evaluation, before any count
-        stored = StoredCont(term, nvars, gen_id, entry)
+        stored = entry.continuations[term] = StoredCont(term, nvars, gen_id, entry)
         counters = self.space.counters
         counters.suspensions += 1
         counters.e_cells += sizes[1]
         counters.h_cells += sum(sizes[2:])
         # the trail made since the innermost open generator began
         counters.trail_at_suspend += len(machine.store.trail) - machine.gen_mark
-        entry.continuations.append(stored)
         entry.suspension_total += 1
-        for i in range(len(entry.answers)):
-            arena.append((stored, entry.answers[i]))
+        for t in entry.answers:
+            arena.append((stored, t))
 
     def on_answer(self, machine, goal, rest, ground=False):
         """Record the answer of goal, answer(Id, Answer), for generator Id.
         ground says that Answer is ground, as a resume plan can tell; it is
         then stored as it is, since freezing a ground term returns it, with
-        the hash the plan preset or one computed at its first lookup.  A
-        ground answer that is no instance of the call clears its pattern."""
+        the hash the plan preset or one computed at its first lookup.  An
+        answer that is no ground instance of the call clears its pattern."""
         store = machine.store
         id_t = store.walk(goal.args[0])
         if type(id_t) is not Int or not (0 <= id_t.value < len(self.space.entries)):
@@ -607,18 +598,18 @@ class Engine:
             raise TablingError(f"answer/2: generator {entry.id} is already complete")
         if entry.status == DROPPED:
             raise TablingError(f"answer/2: generator {entry.id} was dropped by a failed query")
-        stored_answer = t, nvars = (goal.args[1], 0) if ground else store.freeze(goal.args[1])
+        t, nvars = (goal.args[1], 0) if ground else store.freeze(goal.args[1])
         if t in entry.index:
             return False
-        entry.index.add(t)
-        entry.answers.append(stored_answer)
-        if entry.pattern and not nvars and not is_instance(entry.pattern, t):
+        entry.index[t] = nvars
+        entry.answers.append(t)
+        if entry.pattern and (nvars or not is_instance(entry.pattern, t)):
             entry.pattern = None
         self.space.counters.answers += 1
         if entry.continuations:
             arena = self._current_arena()
-            for stored in entry.continuations:
-                arena.append((stored, stored_answer))
+            for stored in entry.continuations.values():
+                arena.append((stored, t))
         return False
 
     # -- internals -------------------------------------------------------------
@@ -637,7 +628,6 @@ class Engine:
             space.variant_index.pop(entry.call, None)
             entry.status = DROPPED
             entry.continuations.clear()
-            entry.cont_keys.clear()
             entry.pos = None
         space.stack.clear()
         space.arenas.clear()
@@ -659,15 +649,15 @@ class Engine:
         none; a TablingError unless its term's predicate has exactly one
         clause.  A plan needs the continuation's table to have a call
         pattern, and each clause that the resumption runs in place to have a
-        linear head and a head plan whose pairs each fill a head variable of
-        their own, from a variable of the term or a ground subterm.  Under a
-        ground instance of the pending call no head plan can then fail: each
-        head variable takes an answer argument, a ground subterm or, for a
-        variable of the term that is no argument of the pending call (a
-        loose one), the new variable unification would make.  A clause's
-        call(Cont) goes on in place when Cont holds a term of a one-clause
-        predicate that the machine would resolve; that term's pair is left
-        out of the head plan, and the term's clause is run a depth deeper.
+        linear head that the term matches, one walk over both deciding it:
+        each head variable faces a variable of the term or a ground subterm.
+        Under a ground instance of the pending call no such match can then
+        fail: each head variable takes an answer argument, a ground subterm
+        or, for a variable of the term that is no argument of the pending
+        call (a loose one), the new variable unification would make.  A
+        clause's call(Cont) goes on in place when Cont holds a term of a
+        one-clause predicate that the machine would resolve; that term fills
+        no slot, and its clause is run a depth deeper.
 
         The plan is (nloose, depths).  depths holds, per clause run in
         place, (slg, base, fills, fresh, clause, more): the slg_resolutions
@@ -692,32 +682,39 @@ class Engine:
         loose: dict = {}  # variable id of term that no answer argument binds -> its index
         depths = []
         while True:
-            plan = head_plan(term, clause.head)
-            if plan is None or not clause.linear:
+            if not clause.linear:
                 return False
-            target = None
-            for k, (s, h) in enumerate(plan):
-                if type(h) is Var and h.id == clause.cont:
-                    key = (s.functor, len(s.args)) if type(s) is Struct else None
-                    if key and key not in ENGINE_PREDS and self._cont_clause(key):
-                        target = s
-                        del plan[k]
-                    break
             base = [None] * clause.nvars + clause.tail
             fills = []
             fresh = []
-            for s, h in plan:
-                if type(h) is not Var:
-                    return False
-                if type(s) is Var:
-                    if s.id in arg_of:
-                        fills.append((arg_of[s.id], h.id))
+            target = None
+            stack = [(term, clause.head)]  # popped in the order unify_stored meets them
+            while stack:
+                s, h = stack.pop()
+                ts = type(s)
+                if type(h) is Var:
+                    key = (s.functor, len(s.args)) if ts is Struct else None
+                    if ts is Var:
+                        if s.id in arg_of:
+                            fills.append((arg_of[s.id], h.id))
+                        else:
+                            k = loose.setdefault(s.id, len(loose))
+                            fresh.append((k, h.id, clause.names[h.id]))
+                    elif (key and h.id == clause.cont and key not in ENGINE_PREDS
+                          and self._cont_clause(key)):
+                        target = s  # its clause runs a depth deeper
+                    elif key and vars_of(s):
+                        return False
                     else:
-                        fresh.append((loose.setdefault(s.id, len(loose)), h.id, clause.names[h.id]))
-                elif type(s) is Struct and vars_of(s):
+                        base[h.id] = s
+                elif ts is not type(h):
                     return False
-                else:
-                    base[h.id] = s
+                elif ts is Struct:
+                    if s.functor != h.functor or len(s.args) != len(h.args):
+                        return False
+                    stack.extend(zip(s.args, h.args))
+                elif s != h:
+                    return False
             if target is not None and not clause.guards and not fresh:
                 base = None  # nothing reads or writes this head map
             depths.append((term.functor.startswith("slg_"), base, tuple(fills), tuple(fresh),
@@ -731,28 +728,28 @@ class Engine:
     def _resume(self, m, stored, ans) -> bool:
         """Resume a stored continuation with an answer on machine m.
 
-        A ground answer of a table that keeps its call pattern (an instance
-        of the pending call) follows the resume plan: it fills each clause's
-        head map from the answer's arguments and the plan's ground slots,
-        and makes the new variables that unification would for the loose
-        ones.  The clause's guards run in place, their arguments built from
-        the head map, and a call(Cont) tail goes on into the clause Cont
-        names.  An answer/2 tail goes to _put_answer and a fact join to
-        _join; any other tail, and a join that _join leaves, is handed to
-        the machine.  Each goal spends the step and counts the
-        slg_resolutions the machine would.  Any other answer, or a
-        continuation with no plan, is unified with the pending call, and the
-        machine resolves the stored term.  True when m.goals holds goals for
-        m to run; False when the resumption failed or ended here.
+        While the continuation's table keeps its call pattern, every answer is
+        a ground instance of the pending call and follows the resume plan: it
+        fills each clause's head map from the answer's arguments and the
+        plan's ground slots, and makes the new variables that unification
+        would for the loose ones.  The clause's guards run in place, their
+        arguments built from the head map, and a call(Cont) tail goes on into
+        the clause Cont names.  An answer/2 tail goes to _put_answer and a
+        fact join to _join; any other tail, and a join that _join leaves, is
+        handed to the machine.  Each goal spends the step and counts the
+        slg_resolutions the machine would.  Once the pattern is cleared, or
+        for a continuation with no plan, the answer is unified with the
+        pending call, and the machine resolves the stored term.  True when
+        m.goals holds goals for m to run; False when the resumption failed or
+        ended here.
         """
         plan = stored.plan
         if plan is None:
             plan = stored.plan = self._resume_plan(stored)
-        ans_term, ans_nvars = ans
-        if not plan or ans_nvars or stored.table.pattern is None:
+        if not plan or stored.table.pattern is None:
             return self._call_stored(m, stored, ans)
         nloose, depths = plan
-        args = ans_term.args
+        args = ans.args
         store = m.store
         spend = m.budget.spend
         counters = self.space.counters
@@ -806,20 +803,21 @@ class Engine:
         return True
 
     def _call_stored(self, m, stored, ans) -> bool:
-        """Unify the answer with stored's pending call and hand the stored
-        term to machine m, which resolves it against its one clause; False
-        when they do not unify."""
+        """Unify the answer, with the number of variables its table's index
+        holds for it, with stored's pending call and hand the stored term to
+        machine m, which resolves it against its one clause; False when they
+        do not unify."""
         store = m.store
         term = stored.term
-        ans_term, ans_nvars = ans
+        ans_nvars = stored.table.index[ans]
         varmap = [None] * stored.nvars
         if ans_nvars:
             # the answer is the stored side here, so an unbound variable of the
             # continuation is bound to the answer's fresh variable, not the reverse
-            ok = unify_stored(instantiate(term.args[2], varmap, store), ans_term,
+            ok = unify_stored(instantiate(term.args[2], varmap, store), ans,
                               [None] * ans_nvars, None, store)
         else:
-            ok = unify_stored(ans_term, term.args[2], varmap, None, store)
+            ok = unify_stored(ans, term.args[2], varmap, None, store)
         if ok:
             m.goals = (instantiate(term, varmap, store), None)
         return ok
@@ -881,15 +879,13 @@ class Engine:
 
     def _put_answer(self, m, clause, hmap):
         """Spend answer/2's step and record clause's answer from the head map
-        hmap, built by the clause's build.  An answer whose variables each
-        hold an atom or an integer is ground: it is stored as it is, not
-        frozen again, with the hash of its variant key when it has no
-        compound argument."""
+        hmap, built by the clause's build.  An answer whose arguments are
+        each an atom or an integer is ground: it is stored as it is, not
+        frozen again, with the hash of its variant key."""
         m.budget.spend()
         for slot in clause.new:  # a variable first met in the answer
             hmap[slot] = m.store.new_var(clause.names[slot])
-        build = clause.build
-        for slot, f, getter in build:
+        for slot, f, getter in clause.build:
             hmap[slot] = goal = Struct(f, getter(hmap))
         t = goal.args[1]
         if type(t) is Struct:
@@ -906,14 +902,7 @@ class Engine:
                 t._hash = hash(tuple(toks))
                 self.on_answer(m, goal, None, True)
                 return
-        # a variable or a compound in the answer: its variables' values decide
-        ground = True
-        for slot in clause.vslots:
-            a = hmap[slot] = m.store.walk(hmap[slot])
-            ground = ground and (type(a) is Int or type(a) is Atom)
-        for slot, f, getter in build:
-            hmap[slot] = goal = Struct(f, getter(hmap))
-        self.on_answer(m, goal, None, ground)
+        self.on_answer(m, goal, None)  # which freezes it
 
     def _finish_group(self, entry):
         space = self.space

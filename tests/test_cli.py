@@ -266,7 +266,9 @@ def test_non_ground_answer_resumes_a_consumer(capsys, tmp_path):
     ("q :- answer(7, p(2)).", "answer/2: bad generator id"),
     ("q :- p(_), answer(0, p(2)).", "answer/2: generator 0 is already complete"),
     ("q :- slgcall(k(9, [], p(X), [])).", "malformed continuation term: bad generator id"),
-], ids=["answer-bad-id", "answer-complete", "slgcall-bad-id"])
+    ("p(X) :- slgcall(k(0, [], 5, [])).\nq :- p(_).",
+     "malformed continuation term: pending call is not callable"),
+], ids=["answer-bad-id", "answer-complete", "slgcall-bad-id", "slgcall-not-callable"])
 def test_hand_written_primitive_errors_exit_2(capsys, tmp_path, clause, text):
     f = tmp_path / "hand.pl"
     f.write_text(f":- table p/1.\np(1).\n{clause}\n")

@@ -31,7 +31,8 @@ class UnifyingReader(StoredIterCP):
     __slots__ = ()
 
     def __init__(self, target, table, mark, rest, live):
-        table = SimpleNamespace(answers=table.answers, pattern=None)  # the same, growing list
+        # the same, growing list and index
+        table = SimpleNamespace(answers=table.answers, index=table.index, pattern=None)
         super().__init__(target, table, mark, rest, live)
 
 
@@ -116,8 +117,9 @@ def test_read_edge_cases(case, mode):
 
 
 def test_edge_case_substitutions():
-    # p(Z, Y) keeps its pattern; p(X, X) and q(f(Z), Y) never have one, and
-    # p(1, Y) loses its own to the answer p(2, 3) or p(5, 5)
+    # p(X, X) and q(f(Z), Y) never have a pattern; p(Z, Y) loses its own to
+    # the non-ground answer p(a, _G), and p(1, Y) to the answer p(2, 3) or
+    # p(5, 5)
     kept = []
     for case in EDGE_CASES:
         src, query, _ = EDGE_CASES[case]
@@ -126,7 +128,7 @@ def test_edge_case_substitutions():
         (entry,) = eng.space.entries
         assert (call_pattern(entry.call) is None) == (case in ("repeated", "compound"))
         kept.append(entry.pattern is not None)
-    assert kept == [False, False, True, False, False]
+    assert kept == [False, False, False, False, False]
 
 
 # call -> its pattern as (functor, arity, positions of the variables), or
@@ -166,15 +168,18 @@ def test_call_patterns(case):
 
 def test_an_open_call_keeps_each_answers_arguments_as_its_substitution():
     # p(Z, Y) has its variables as arguments, so a read binds them to the
-    # ground answer p(b, c)'s own arguments, cold and again
-    src, query, _ = EDGE_CASES["nonground"]
-    eng = make_engine(src)
-    for _ in range(2):
-        sols = list(eng.solve(parse_query(query)))
-        (entry,) = eng.space.entries
-        (t, nvars), s = entry.answers[1], sols[1]
-        assert nvars == 0 and print_term(t) == "p(b, c)"
-        assert s.bindings["Z"] is t.args[0] and s.bindings["Y"] is t.args[1]
+    # ground answer p(b, c)'s own arguments, cold and again: by pattern while
+    # every answer is ground, by unification once p(a, _G) has cleared it
+    for src, kept in [(":- table p/2.\np(a, d).\np(b, c).\n", True),
+                      (EDGE_CASES["nonground"][0], False)]:
+        eng = make_engine(src)
+        for _ in range(2):
+            sols = list(eng.solve(parse_query("p(Z, Y)")))
+            (entry,) = eng.space.entries
+            t, s = entry.answers[1], sols[1]
+            assert entry.index[t] == 0 and print_term(t) == "p(b, c)"
+            assert (entry.pattern is not None) == kept
+            assert s.bindings["Z"] is t.args[0] and s.bindings["Y"] is t.args[1]
 
 
 def test_nonground_answer_binds_fresh_variables():

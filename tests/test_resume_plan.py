@@ -37,15 +37,15 @@ def machine_resume(self, m, stored, ans):
     against its clause and runs that clause's body goal by goal."""
     store = m.store
     term = stored.term
-    ans_term, ans_nvars = ans
+    ans_nvars = stored.table.index[ans]
     varmap = [None] * stored.nvars
     if ans_nvars:
         # the answer is the stored side, so a variable of the continuation
         # is bound to the answer's new variable
-        ok = unify_stored(instantiate(term.args[2], varmap, store), ans_term,
+        ok = unify_stored(instantiate(term.args[2], varmap, store), ans,
                           [None] * ans_nvars, None, store)
     else:
-        ok = unify_stored(ans_term, term.args[2], varmap, None, store)
+        ok = unify_stored(ans, term.args[2], varmap, None, store)
     if ok:
         m.goals = (instantiate(term, varmap, store), None)
     return ok
@@ -134,9 +134,10 @@ def unplanned_resumptions(monkeypatch) -> list:
 # (program, query, its answers, how many of its resumptions follow no plan,
 # of how many); the generator ids in answer/2 follow the query's
 NOT_PLANNED = {
-    # p(f(X), X) is not ground; p(g(1), 2) follows the plan
+    # p(f(X), X) is not ground, so it clears the table's call pattern, and
+    # p(g(1), 2) is unified too
     "nonground": (":- table r/2.\n:- table p/2.\np(f(X), X).\np(g(1), 2).\n"
-                  "r(A, B) :- p(A, B).\n", "r(A, B)", ["r(f(_G), _G)", "r(g(1), 2)"], 1, 2),
+                  "r(A, B) :- p(A, B).\n", "r(A, B)", ["r(f(_G), _G)", "r(g(1), 2)"], 2, 2),
     # the pending call p(X, X) repeats a variable, and the hand-written head
     # of k does not, so only a unification can refuse the answer p(1, 2)
     "repeated": (":- table r/2.\n:- table p/2.\np(1, 1).\np(X, X) :- answer(1, p(1, 2)).\n"
@@ -251,6 +252,15 @@ PLANNED = {
                   "r(B) :- slgcall(k(0, [], p(A), [])).\n"
                   "k(Id, [], p(A), []) :- B is A + 1, answer(Id, r(B)).\n",
                   "r(B)", ["r(2)", "r(3)"], 2),
+    # hand-written: the atom guard true succeeds, and fail refuses every answer
+    "atom_guard": (":- table r/1.\n:- table p/1.\np(1).\np(2).\n"
+                   "r(A) :- slgcall(k(0, [], p(A), [])).\n"
+                   "k(Id, [], p(A), []) :- true, answer(Id, r(A)).\n",
+                   "r(A)", ["r(1)", "r(2)"], 2),
+    "atom_guard_fails": (":- table r/1.\n:- table p/1.\np(1).\np(2).\n"
+                         "r(A) :- slgcall(k(0, [], p(A), [])).\n"
+                         "k(Id, [], p(A), []) :- fail, answer(Id, r(A)).\n",
+                         "r(A)", [], 2),
     # hand-written: C is first met in the answer, which gets a new variable
     # for it each time
     "answer_var": (":- table r/2.\n:- table p/1.\np(1).\np(2).\n"
@@ -382,10 +392,11 @@ JOINS = {
                           "r(B, C) :- slgcall(k(0, [B], p(A), [])).\n"
                           "k(Id, [B], p(A), []) :- e(A, C), answer(Id, r(B, C)).\n",
                           "r(B, C)", ["r(_G, a)", "r(_G, b)"], (0, 2), 2),
-    # a non-ground answer is unified, and the machine runs the join
+    # a non-ground answer clears the table's call pattern: both answers are
+    # unified, and the machine runs the join
     "nonground_answer": (":- table t/2.\n:- table p/2.\np(f(V), 2).\np(g, 3).\ne(2, 5).\n"
                          "e(3, 6).\nt(X, Y) :- p(X, W), e(W, Y).\n",
-                         "t(A, B)", ["t(f(_G), 5)", "t(g, 6)"], (1, 2), 2),
+                         "t(A, B)", ["t(f(_G), 5)", "t(g, 6)"], (2, 2), 2),
     # hand-written: the machine counts a call of slg_e/2 as an SLG resolution
     "slg_facts": (":- table r/1.\n:- table p/1.\np(1).\np(2).\nslg_e(1, a).\nslg_e(2, b).\n"
                   "r(B) :- slgcall(k(0, [], p(A), [])).\n"
@@ -481,11 +492,12 @@ GROUND = {
     "is": PLANNED["bridge_is"][:3] + ((3, 0), 5),
     # the join's fact binds the loose Y
     "join": JOINS["constant"][:3] + ((3, 0), 5),
-    # the hand-written guard binds the loose B to an atom
+    # the hand-written guard binds the loose B to an atom, but the answer
+    # holds B's variable, so it is frozen
     "atom": (":- table r/2.\n:- table p/1.\np(1).\np(2).\n"
              "r(A, B) :- slgcall(k(0, [B], p(A), [])).\n"
              "k(Id, [B], p(A), []) :- B = c, answer(Id, r(A, B)).\n",
-             "r(A, B)", ["r(1, c)", "r(2, c)"], (2, 0), 4),
+             "r(A, B)", ["r(1, c)", "r(2, c)"], (0, 0), 4),
     # p's answers hold the compounds f(c) and f(d): they are frozen
     "answer_compound": (":- table r/2.\n:- table p/2.\np(1, f(c)).\np(2, f(d)).\n"
                         "r(A, B) :- slgcall(k(0, [], p(A, B), [])).\n"

@@ -4,6 +4,7 @@ import re
 
 import pytest
 
+import cctab.tabling
 from cctab import (
     Engine,
     InstantiationError,
@@ -16,6 +17,7 @@ from cctab import (
     TypeMismatchError,
     Var,
     bottom_up_eval,
+    canonical_variant,
     compare_answer_sets,
     find_bridges,
     gen_fixture,
@@ -91,7 +93,7 @@ def test_completion_empties_continuations(mixed_loop_src):
     list(eng.solve(parse_query("t(A)")))
     for entry in eng.space.entries:
         assert entry.status == COMPLETE
-        assert entry.continuations == []
+        assert entry.continuations == {}
     assert eng.space.stack == []
 
 
@@ -121,7 +123,7 @@ q(X) :- p(X).
     # q's variant was evaluated in the same group and is complete too
     q_entries = [e for e in eng.space.entries if e.call.functor == "q"]
     assert q_entries and all(e.status == COMPLETE for e in q_entries)
-    assert sorted(print_term(t) for (t, _) in q_entries[0].answers) == [
+    assert sorted(print_term(t) for t in q_entries[0].answers) == [
         "q(0)",
         "q(1)",
         "q(2)",
@@ -178,7 +180,7 @@ h(X) :- t(Y), X is Y * 10, X < 100.
 
     def spy(self, machine, cont, gen_id, entry):
         r = orig_suspend(self, machine, cont, gen_id, entry)
-        stored = entry.continuations[-1]
+        stored = list(entry.continuations.values())[-1]
         captured[id(stored)] = (stored, print_term(stored.term))
         return r
 
@@ -206,7 +208,7 @@ def test_complete_with_pending_work_errors():
     space = TableSpace()
     entry = space.new_generator(parse_term("t(_)"))
     stored = StoredCont(parse_term("c(0, [], t(0), [])"), 0, entry.id, entry)
-    arena = [(stored, (parse_term("t(0)"), 0))]
+    arena = [(stored, parse_term("t(0)"))]
     space.arenas.append(arena)
     with pytest.raises(TablingError, match="pending"):
         complete(space, entry)
@@ -265,8 +267,6 @@ def test_variant_specific_tables():
     assert answers(eng, "path(2, X)") == ["path(2, 3)", "path(2, 4)"]
     assert answers(eng, "path(X, 4)") == ["path(3, 4)", "path(2, 4)", "path(1, 4)"]
     # the two queries built distinct generators
-    from cctab import canonical_variant
-
     calls = {canonical_variant(e.call) for e in eng.space.entries}
     assert canonical_variant(parse_term("path(2, X)")) in calls
     assert canonical_variant(parse_term("path(X, 4)")) in calls
@@ -408,8 +408,6 @@ def test_non_ground_tabled_answer_prints_fresh_variable():
 
 
 def test_interrupted_query_leaves_table_space_consistent(monkeypatch):
-    import cctab.tabling
-
     class InterruptAt500(cctab.tabling.Budget):
         def __init__(self, steps):
             super().__init__(steps)
@@ -447,6 +445,23 @@ def test_out_of_memory_is_a_resource_limit(mode, monkeypatch):
     eng.space.check()
 
 
+def test_a_second_out_of_memory_is_a_resource_limit(monkeypatch):
+    # the handler unmaps the address space held back for it, and the next
+    # query maps it again, for the next failure
+    src = gen_fixture("chain", 12)
+    eng, fresh = make_engine(src), make_engine(src)
+    for query in ("path(X, Y)", "path(2, Y)"):
+        memory_error_at_answer(monkeypatch, 5)
+        with pytest.raises(ResourceLimitError, match="^out of memory$"):
+            answers(eng, query)
+        monkeypatch.undo()
+        assert cctab.tabling._reserve == []
+        eng.space.check()
+        assert answers(eng, "path(9, Y)") == answers(fresh, "path(9, Y)")
+        assert len(cctab.tabling._reserve) == 1
+    assert answers(eng, "path(X, Y)") == answers(fresh, "path(X, Y)")
+
+
 @pytest.mark.parametrize("query, error, text", [
     ("slg(X)", InstantiationError, "slg/1: unbound call"),
     ("slg(3)", TypeMismatchError, "slg/1: integer is not a callable term"),
@@ -456,6 +471,15 @@ def test_slg_of_a_non_callable_errors(query, error, text):
     with pytest.raises(error, match=f"^{re.escape(text)}$"):
         answers(eng, query)
     eng.space.check()
+
+
+def replace_answer(entry, text, nvars):
+    """Store the term text, with nvars variables, in place of entry's second
+    answer."""
+    t = canonical_variant(parse_term(text))
+    del entry.index[entry.answers[1]]
+    entry.index[t] = nvars
+    entry.answers[1] = t
 
 
 # One corruption per invariant TableSpace.check() tests, made after a query
@@ -470,8 +494,12 @@ CORRUPTIONS = {
                    "check: p(A) is evaluating"),
     "unindexed_answer": (lambda space, entry: entry.index.clear(),
                          "check: p(A) has 2 answers, 0 indexed"),
-    "non_instance": (lambda space, entry: entry.answers.__setitem__(1, (parse_term("q(2)"), 0)),
+    "unindexed_term": (lambda space, entry: entry.answers.__setitem__(1, parse_term("q(2)")),
+                       "check: p(A) does not index q(2)"),
+    "non_instance": (lambda space, entry: replace_answer(entry, "q(2)", 0),
                      "check: p(A) keeps its pattern but holds q(2)"),
+    "nonground": (lambda space, entry: replace_answer(entry, "p(X)", 1),
+                  "check: p(A) keeps its pattern but holds p(_0)"),
     "dropped_indexed": (lambda space, entry: setattr(entry, "status", DROPPED),
                         "check: variant_index holds an entry that is not complete"),
 }
@@ -598,7 +626,7 @@ def test_duplicate_continuations_are_stored_once(mode, suspensions, resumptions)
     assert len(answers(eng, "t1(X, Y)")) == 16
     assert (eng.counters.suspensions, eng.counters.resumptions) == (suspensions, resumptions)
     assert eng.counters.suspensions == sum(e.suspension_total for e in eng.space.entries)
-    assert all(not e.continuations and not e.cont_keys for e in eng.space.entries)
+    assert all(not e.continuations for e in eng.space.entries)
     facts = bottom_up_eval(parse_program(DUPLICATE_CONTINUATIONS))
     assert compare_answer_sets(eng.space, facts, PredId("t1", 2), parse_term("t1(X, Y)"))[0]
 
@@ -941,8 +969,6 @@ def test_interleaved_queries_with_one_closed_early(mode):
     (lambda: read_fixture("mixed_loop.pl"), "t(A)", 1),
 ], ids=["chain48", "mixed_loop"])
 def test_one_machine_per_query(mode, make_src, query, generators, monkeypatch):
-    import cctab.tabling
-
     built = []
 
     class Counted(Machine):
