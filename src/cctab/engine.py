@@ -92,13 +92,13 @@ class BindingStore:
         the copy is also the term's variant key, and its hash is computed in
         the same pass (see Struct.__hash__).  A ground subterm that reaches no
         bound variable is kept, not copied.  copy_term with the variable
-        policy inlined, as in instantiate; a bound variable met again inside
-        its own compound value is a cyclic term, a TypeMismatchError.  When
-        sizes is a list and the copy is a compound, the cells (term_size) of
-        each of its arguments are appended to it, counted in the same pass.
-        When ids is a dict, it receives each unbound variable's id, mapped to
-        its renumbered Var, in the order of the renumbering.  A compound with
-        no compound argument is copied in one loop, as instantiate does.
+        policy inlined, walking the arguments as vars_of does; a bound
+        variable met again inside its own compound value is a cyclic term, a
+        TypeMismatchError.  When sizes is a list and the copy is a compound,
+        the cells (term_size) of each of its arguments are appended to it,
+        counted in the same pass.  When ids is a dict, it receives each
+        unbound variable's id, mapped to its renumbered Var, in the order of
+        the renumbering.
         """
         bindings = self.bindings
         if ids is None:
@@ -113,49 +113,12 @@ class BindingStore:
         if sizes is not None:
             first = len(sizes)
             sizes.extend([1] * len(t.args))
-        built: list = []
-        same = True
-        for a in t.args:
-            ta = type(a)
-            if ta is Var:
-                x = a
-                while type(x) is Var:
-                    b = bindings[x.id]
-                    if b is None:
-                        break
-                    x = b
-                ta = type(x)
-                if ta is Struct:
-                    break
-                same = False
-                if ta is Var:
-                    w = ids.get(x.id)
-                    if w is None:
-                        w = ids[x.id] = Var(len(ids), x.name)
-                    built.append(w)
-                    toks.append(w)
-                    continue
-                a = x
-            elif ta is Struct:
-                break
-            built.append(a)
-            toks.append(a.value if ta is Int else a.name)
-        else:  # no compound argument: built in one loop
-            if not same:
-                t = Struct(t.functor, tuple(built))
-            t._hash = hash(tuple(toks))
-            return t, len(ids)
-        # the stack loop goes on from the first compound argument, args[len(built)]
         structs = 1  # compounds met so far: the cells met are len(toks) - structs
         active: set = set()  # ids of the bound variables whose compound value is being copied
-        stack: list = []  # (term, built, next index, unchanged, via) of the enclosing compounds
-        s, i, via = t, len(built), None
+        stack: list = []  # (term, built, unchanged, via, arguments) of the enclosing compounds
+        s, built, same, via, it = t, [], True, None, iter(t.args)
         while True:
-            args = s.args
-            n = len(args)
-            while i < n:
-                a = args[i]
-                i += 1
+            for a in it:
                 ta = type(a)
                 through = None  # the bound variable a compound argument is reached through
                 if ta is Var:
@@ -183,28 +146,27 @@ class BindingStore:
                     if sizes is not None and not stack:
                         cells = len(toks) - structs  # before this argument of the copy
                     structs += 1
-                    stack.append((s, built, i, same, via))
-                    s, built, i, same, via = a, [], 0, True, through
-                    args = a.args
-                    n = len(args)
+                    stack.append((s, built, same, via, it))
+                    s, built, same, via, it = a, [], True, through, iter(a.args)
                     toks.append(a.functor)
-                    toks.append(n)
-                    continue
+                    toks.append(len(a.args))
+                    break
                 built.append(a)
                 toks.append(a.value if ta is Int else a.name)
-            if not same:
-                s = Struct(s.functor, tuple(built))
-            if via is not None:
-                active.discard(via)
-            if not stack:
-                s._hash = hash(tuple(toks))
-                return s, len(ids)
-            done, kept = s, same
-            s, built, i, same, via = stack.pop()
-            if sizes is not None and not stack:
-                sizes[first + i - 1] = len(toks) - structs - cells
-            built.append(done)
-            same = same and kept
+            else:
+                if not same:
+                    s = Struct(s.functor, tuple(built))
+                if via is not None:
+                    active.discard(via)
+                if not stack:
+                    s._hash = hash(tuple(toks))
+                    return s, len(ids)
+                done, kept = s, same
+                s, built, same, via, it = stack.pop()
+                built.append(done)
+                same = same and kept
+                if sizes is not None and not stack:
+                    sizes[first + len(built) - 1] = len(toks) - structs - cells
 
 
 def unify(a: Term, b: Term, store: BindingStore) -> bool:
@@ -323,9 +285,11 @@ def instantiate(term: Term, varmap: list, store: BindingStore = None, names=None
     when names is None); slots already filled are shared, never copied.
     Iterative: compound arguments are descended through an explicit stack,
     which is set up only at the first compound argument; a compound with
-    none is built in one loop.  This is copy_term with the variable policy
-    inlined: it copies every clause body, resumed continuation and solution,
-    and a call per variable there costs measurable solve time.
+    none, as most solutions of a re-read are, is built in one loop (freeze
+    has no such loop: it did not pay there).  This is copy_term with the
+    variable policy inlined: it copies every clause body, resumed
+    continuation and solution, and a call per variable there costs
+    measurable solve time.
     """
     if type(term) is Var:
         v = varmap[term.id]

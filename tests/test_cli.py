@@ -1,5 +1,7 @@
 import pytest
 
+import cctab.cli
+from cctab import parse_term
 from cctab.cli import main
 from cctab.fixtures import gen_fixture
 
@@ -36,6 +38,15 @@ def test_oracle_check_mismatch_exits_1(capsys):
     code, out, _ = run_cli(capsys, MIXED, "--query", "t(A)", "--mode", "legacy", "--oracle-check")
     assert code == 1
     assert "missing: t(1)" in out.splitlines()
+
+
+def test_oracle_check_reports_extra_answers(capsys, monkeypatch):
+    # the oracle agrees with the engine on every program the tests have, so
+    # its verdict is replaced by one with an answer only the engine has
+    monkeypatch.setattr(cctab.cli, "compare_answer_sets",
+                        lambda *args, **kwargs: (False, [], [parse_term("t(9)")]))
+    code, out, _ = run_cli(capsys, MIXED, "--query", "t(A)", "--oracle-check")
+    assert (code, out.splitlines()[-1]) == (1, "extra: t(9)")
 
 
 def test_show_bridges(capsys):
@@ -241,11 +252,14 @@ def test_arithmetic_error_prints_the_term(capsys, tmp_path):
     assert (code, out, err) == (2, "", "error: not an integer expression: a\n")
 
 
-@pytest.mark.parametrize("spec", ["circle:3", "chain:0"])
+@pytest.mark.parametrize("spec", ["circle:3", "chain:0", "chain"])
 def test_bad_gen_fixture_exits_2(capsys, spec):
     code, out, err = run_cli(capsys, "--gen", spec, "--query", "path(X, Y)")
     assert (code, out) == (2, "")
-    assert err.startswith("error: --gen: ")
+    if ":" in spec:
+        assert err.startswith("error: --gen: ")
+    else:
+        assert err == f"error: --gen expects KIND:SIZE, got {spec!r}\n"
 
 
 def test_non_ground_answer_resumes_a_consumer(capsys, tmp_path):
@@ -268,7 +282,11 @@ def test_non_ground_answer_resumes_a_consumer(capsys, tmp_path):
     ("q :- slgcall(k(9, [], p(X), [])).", "malformed continuation term: bad generator id"),
     ("p(X) :- slgcall(k(0, [], 5, [])).\nq :- p(_).",
      "malformed continuation term: pending call is not callable"),
-], ids=["answer-bad-id", "answer-complete", "slgcall-bad-id", "slgcall-not-callable"])
+    # r(_) is generator 1; its continuation names the completed generator 0
+    (":- table r/1.\nr(X) :- slgcall(k(0, [], r(X), [])).\nq :- p(X), r(Y).",
+     "continuation captured for a completed generator"),
+], ids=["answer-bad-id", "answer-complete", "slgcall-bad-id", "slgcall-not-callable",
+        "slgcall-complete"])
 def test_hand_written_primitive_errors_exit_2(capsys, tmp_path, clause, text):
     f = tmp_path / "hand.pl"
     f.write_text(f":- table p/1.\np(1).\n{clause}\n")

@@ -22,7 +22,7 @@ from cctab import (
     unify,
 )
 from cctab.engine import BUILTINS, BindingStore, Machine, compile_index, solve
-from cctab.terms import walk_subterms
+from cctab.terms import term_size, walk_subterms
 
 
 def fresh_store_terms(text):
@@ -77,6 +77,14 @@ def test_unify_shared_variable():
     assert not unify(Struct("g", (x,)), Struct("g", (Atom("b"),)), store)
 
 
+def test_unify_a_variable_with_itself_binds_nothing():
+    # two Var objects with one id are one variable: a binding to itself would loop walk
+    store = BindingStore()
+    x = store.new_var("X")
+    assert unify(Struct("f", (x,)), Struct("f", (Var(x.id, "X"),)), store)
+    assert store.trail == [] and store.walk(x) is x
+
+
 # -- built-ins ---------------------------------------------------------------------
 
 
@@ -126,8 +134,9 @@ def test_arithmetic_type_and_zero_divisor():
     store = BindingStore()
     with pytest.raises(TypeMismatchError):
         BUILTINS[("is", 2)]((store.new_var("A"), Atom("a")), store)
-    with pytest.raises(TypeMismatchError):
-        BUILTINS[("is", 2)]((store.new_var("B"), Struct("//", (Int(1), Int(0)))), store)
+    for op in ("//", "mod"):
+        with pytest.raises(TypeMismatchError, match="^zero divisor$"):
+            BUILTINS[("is", 2)]((store.new_var("B"), Struct(op, (Int(1), Int(0)))), store)
 
 
 def test_arith_operators():
@@ -452,17 +461,26 @@ def test_frozen_copy_is_the_variant_key():
         a, b = _hide(rng, store, a), _hide(rng, store, b)
         variants = _are_variants(_deref(store, a), _deref(store, b))
         outcomes.add((kind, variants))
-        (fa, na), (fb, nb) = store.freeze(a), store.freeze(b)
+        sizes, ids = ([-1], [-1]), ({}, {})  # a frozen compound's sizes go after the -1
+        (fa, na), (fb, nb) = store.freeze(a, sizes[0], ids[0]), store.freeze(b, sizes[1], ids[1])
+        # hashed while copied: the hash is set before anything hashes the copy
+        assert all(type(f) is not Struct or f._hash is not None for f in (fa, fb))
         assert (fa == fb) is variants
         assert (canonical_variant(store.resolve(a)) == canonical_variant(store.resolve(b))) is variants
         if variants:
             assert hash(fa) == hash(fb) and na == nb
-        for t, frozen, n in ((a, fa, na), (b, fb, nb)):
+        for t, frozen, n, got_sizes, got_ids in zip((a, b), (fa, fb), (na, nb), sizes, ids):
             assert _first_occurrence_ids(frozen) == list(range(n))
+            resolved = store.resolve(t)
+            args = resolved.args if type(resolved) is Struct else ()
+            assert got_sizes == [-1, *(term_size(x) for x in args)]
+            unbound = {x.id: x for x in walk_subterms(resolved) if type(x) is Var}
+            assert list(got_ids) == _first_occurrence_ids(resolved)  # in renumbering order
+            assert [(w.id, w.name) for w in got_ids.values()] == [
+                (k, unbound[i].name) for k, i in enumerate(got_ids)]
             assert _deref(store, frozen) == frozen  # no store variable left behind
             fresh = canonical_variant(store.resolve(t))
             assert frozen == fresh and hash(frozen) == hash(fresh)
-            assert type(frozen) is not Struct or frozen._hash is not None  # hashed while copied
             variables = [x for x in walk_subterms(t) if type(x) is Var]
             if not variables:
                 assert frozen is t  # ground: kept, not copied
@@ -471,6 +489,25 @@ def test_frozen_copy_is_the_variant_key():
                 assert frozen is not t
                 outcomes.add("copied")
     assert {(0, True), (1, True), (1, False), (2, False), "kept", "copied"} <= outcomes
+
+
+# X is bound to the second argument, which holds X; the third is copied or evaluated
+@pytest.mark.parametrize("text, run", [
+    ("t(X, f(X), X)", "freeze"),
+    ("t(X, f(g(a, X)), p(b, X))", "freeze"),
+    ("t(X, f(g(a, X)), p(b, X))", "resolve"),
+    ("t(X, X + 1, X)", "is"),
+    ("t(X, 1 + (2 * X), 3 - X)", "is"),
+], ids=["freeze", "freeze-nested", "resolve-nested", "is", "is-nested"])
+def test_cyclic_term_is_an_error(text, run):
+    store, t = fresh_store_terms(text)
+    store.bind(t.args[0], t.args[1])
+    with pytest.raises(TypeMismatchError,
+                       match="^cyclic term: X is bound to a term that contains it$"):
+        if run == "is":
+            BUILTINS[("is", 2)]((store.new_var("Y"), t.args[2]), store)
+        else:
+            getattr(store, run)(t.args[2])
 
 
 def test_shared_bound_subterms_are_not_cyclic():

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from cctab import (
@@ -6,6 +8,7 @@ from cctab import (
     RangeRestrictionError,
     ResourceLimitError,
     bottom_up_eval,
+    canonical_variant,
     compare_answer_sets,
     gen_fixture,
     parse_program,
@@ -13,7 +16,7 @@ from cctab import (
     parse_term,
     print_term,
 )
-from cctab.oracle import oracle_answers_for
+from cctab.oracle import _eval_builtin_goal, oracle_answers_for
 
 from conftest import make_engine, read_fixture
 
@@ -108,12 +111,49 @@ double(Y) :- val(X), Y is X * 2.
     assert names(facts, PredId("double", 1)) == ["double(2)", "double(8)"]
 
 
+def test_ground_enough_builtins_in_bodies():
+    src = """val(1).
+val(4).
+yes(X) :- val(X), true.
+no(X) :- val(X), fail.
+four(X) :- val(X), X is 2 + 2.
+copy(X) :- val(Y), X = Y.
+back(Y) :- val(X), X = Y.
+"""
+    facts = bottom_up_eval(parse_program(src))
+    assert names(facts, PredId("yes", 1)) == ["yes(1)", "yes(4)"]
+    assert names(facts, PredId("no", 1)) == []
+    assert names(facts, PredId("four", 1)) == ["four(4)"]  # is/2 with a bound left side
+    assert names(facts, PredId("copy", 1)) == ["copy(1)", "copy(4)"]  # only the right side ground
+    assert names(facts, PredId("back", 1)) == ["back(1)", "back(4)"]  # only the left side ground
+
+
+@pytest.mark.parametrize("src, message", [
+    ("p(X) :- X = Y.\n", r"\(=/2 with both sides unbound\): p\(X\) :- X = Y\.$"),
+    ("p(X) :- q(X), X \\= Y.\nq(1).\n", r"\(\\=/2 on unbound operands\): p\(X\) :- "),
+], ids=["unify", "not_unify"])
+def test_builtin_on_unbound_operands_rejected(src, message):
+    with pytest.raises(RangeRestrictionError, match=message):
+        bottom_up_eval(parse_program(src))
+
+
+def test_unsupported_builtin_goal_rejected():
+    # bottom_up_eval passes only engine built-ins here; a goal outside them is refused
+    clause = parse_program("p :- foo.\n").clauses[0]
+    message = r"^unsupported goal foo in clause: p :- foo\.$"
+    with pytest.raises(RangeRestrictionError, match=message):
+        list(_eval_builtin_goal(parse_term("foo"), {}, clause))
+
+
 def test_oracle_answers_for_variant_filter():
     facts = bottom_up_eval(parse_program(gen_fixture("chain", 3)))
     subset = oracle_answers_for(facts, parse_term("path(2, X)"))
     assert sorted(print_term(t) for t in subset) == ["path(2, 3)", "path(2, 4)"]
     shared = oracle_answers_for(facts, parse_term("path(X, X)"))
     assert shared == set()
+    # a fact of another type, functor or arity at an argument does not match
+    facts = bottom_up_eval(parse_program("q(f(1)).\nq(g(1)).\nq(f(1, 2)).\nq(1).\nq(a).\n"))
+    assert oracle_answers_for(facts, parse_term("q(f(X))")) == {parse_term("q(f(1))")}
 
 
 # -- engine comparison --------------------------------------------------------------
@@ -160,6 +200,38 @@ def test_grid_fixture_agrees_with_oracle():
     equal, missing, extra = compare_answer_sets(eng.space, facts, PredId("path", 2), call=q)
     assert equal, (missing, extra)
     assert count == len(facts[PredId("path", 2)]) > 0
+
+
+SEVERAL = ":- table p/2.\n:- table q/0.\np(a, b).\np(b, b).\nq.\n"
+
+
+def test_compare_picks_the_most_general_entry():
+    eng = make_engine(SEVERAL)
+    facts = bottom_up_eval(parse_program(SEVERAL))
+    for query in ("p(a, X)", "p(X, X)", "p(X, Y)"):
+        list(eng.solve(parse_query(query)))
+    general = eng.space.lookup(canonical_variant(parse_term("p(X, Y)")))
+    general.answers.append(parse_term("p(z, z)"))  # only this entry reports it
+    assert compare_answer_sets(eng.space, facts, PredId("p", 2)) == (
+        False, [], [parse_term("p(z, z)")])
+
+
+@pytest.mark.parametrize("queries, pred, twice", [
+    (["p(a, X)", "p(X, X)"], PredId("p", 2), None),
+    (["p(a, X)", "p(X, Y)"], PredId("p", 2), "p(X, Y)"),
+    (["q"], PredId("q", 0), "q"),
+], ids=["none", "two", "two-atoms"])
+def test_compare_without_a_unique_most_general_entry_errors(queries, pred, twice):
+    eng = make_engine(SEVERAL)
+    facts = bottom_up_eval(parse_program(SEVERAL))
+    for query in queries:
+        list(eng.solve(parse_query(query)))
+    if twice is not None:  # a second complete entry of the same call, made by hand
+        entry = eng.space.lookup(canonical_variant(parse_term(twice)))
+        eng.space.entries.append(dataclasses.replace(entry, id=len(eng.space.entries)))
+    with pytest.raises(RangeRestrictionError,
+                       match=f"^no unique completed table entry for {pred}; pass the call$"):
+        compare_answer_sets(eng.space, facts, pred)
 
 
 def test_compare_requires_completed_entry(mixed_loop_src):

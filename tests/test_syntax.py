@@ -114,6 +114,8 @@ def test_query_parsing():
     assert len(goals) == 2
     with pytest.raises(ParseError):
         parse_query("X")
+    with pytest.raises(ParseError, match="^1:7: trailing input after query: 'q'$"):
+        parse_query("p(X). q")
 
 
 # -- canonical variants -----------------------------------------------------------
@@ -159,6 +161,12 @@ def test_round_trip_fixture(name):
 def test_round_trip_mixed_loop_mentions_directive():
     p = parse_program(read_fixture("mixed_loop.pl"))
     assert ":- table t/1." in print_program(p)
+
+
+def test_round_trip_keeps_a_bridge_directive():
+    p = parse_program(":- table t/1.\n:- bridge h/1.\nt(X) :- h(X).\nh(1).\n")
+    assert ":- bridge h/1." in print_program(p)
+    _same_program(parse_program(print_program(p)), p)
 
 
 def test_empty_program_prints_empty():

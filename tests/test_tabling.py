@@ -29,7 +29,7 @@ from cctab import (
 )
 from cctab.engine import Machine, solve as sld_solve
 from cctab.oracle import oracle_answers_for
-from cctab.terms import pred_of
+from cctab.terms import NIL, pred_of
 from cctab.tabling import COMPLETE, DROPPED, EVALUATING, StoredCont, TableSpace, complete
 
 from conftest import (HERE, answers, make_engine, memory_error_at_answer, read_fixture,
@@ -212,6 +212,26 @@ def test_complete_with_pending_work_errors():
     space.arenas.append(arena)
     with pytest.raises(TablingError, match="pending"):
         complete(space, entry)
+
+
+def test_complete_of_a_complete_leader_errors():
+    space = TableSpace()
+    entry = space.new_generator(parse_term("t(_)"))
+    complete(space, entry)
+    assert (entry.status, space.stack) == (COMPLETE, [])
+    with pytest.raises(TablingError, match="^complete: leader is not an evaluating generator$"):
+        complete(space, entry)
+
+
+def test_suspension_outside_any_evaluation_errors():
+    # a hand-made evaluating generator, with no arena open to resume into
+    eng = make_engine(":- table t/1.\nt(0).\n")
+    eng.space.new_generator(parse_term("t(_)"))
+    m = Machine(eng.index, runtime=eng)
+    x = m.store.new_var("X")
+    goal = Struct("slgcall", (Struct("k", (Int(0), NIL, Struct("t", (x,)), NIL)),))
+    with pytest.raises(TablingError, match="^suspension outside any tabled evaluation$"):
+        eng.on_slgcall(m, goal, None)
 
 
 def test_malformed_continuation_arity():
@@ -460,6 +480,17 @@ def test_a_second_out_of_memory_is_a_resource_limit(monkeypatch):
         assert answers(eng, "path(9, Y)") == answers(fresh, "path(9, Y)")
         assert len(cctab.tabling._reserve) == 1
     assert answers(eng, "path(X, Y)") == answers(fresh, "path(X, Y)")
+
+
+def test_a_query_runs_without_the_reserve_when_no_address_space_is_left(monkeypatch):
+    def no_space(*args):
+        raise OSError("no address space")
+
+    monkeypatch.setattr(cctab.tabling, "_reserve", [])
+    monkeypatch.setattr(cctab.tabling.mmap, "mmap", no_space)
+    eng = make_engine(gen_fixture("chain", 3))
+    assert answers(eng, "path(2, Y)") == ["path(2, 3)", "path(2, 4)"]
+    assert cctab.tabling._reserve == []
 
 
 @pytest.mark.parametrize("query, error, text", [

@@ -128,6 +128,17 @@ def test_lbinds_excludes_pivot_vars():
     assert "slg_p0(Id, [], t(B), []) :- lt(B), answer(Id, p(B))." in out
 
 
+# a generated name skips a source predicate's (slg_p0) or a clause variable's (Id)
+@pytest.mark.parametrize("clauses, want", [
+    ("p(B) :- t(B), lt(B).\nslg_p0(x).\n",
+     "slg_p(p(B), Id) :- slgcall(slg_p1(Id, [], t(B), []))."),
+    ("p(Id) :- t(Id), lt(Id).\n",
+     "slg_p(p(Id), Id0) :- slgcall(slg_p0(Id0, [], t(Id), []))."),
+], ids=["predicate", "variable"])
+def test_generated_names_avoid_source_names(clauses, want):
+    assert want in chain(":- table p/1.\n:- table t/1.\n" + clauses)
+
+
 def test_lbinds_first_occurrence_order():
     out = chain(":- table h/2.\n:- table t/1.\nh(U, W) :- a(W, V), t(Z), g(V, U, W).\n")
     assert "slg_h(h(U, W), Id) :- a(W, V), slgcall(slg_h0(Id, [U, W, V], t(Z), []))." in out
@@ -275,9 +286,13 @@ def test_higher_order_tabled_call_rejected():
 
 
 def test_generated_name_collision_rejected():
-    src = ":- table t/1.\nt(0).\nslg_t(9).\n"
-    with pytest.raises(TranslateError, match="collides"):
-        translate(parse_program(src), Mode.GENERAL)
+    for src, name in [
+        (":- table t/1.\nt(0).\nslg_t(9).\n", "slg_t"),
+        (":- table t/1.\n:- bridge h/1.\nt(X) :- h(X).\nh(1).\nh_bridge(9).\n", "h_bridge"),
+    ]:
+        with pytest.raises(TranslateError,
+                           match=f"^generated name {name} collides with a source predicate$"):
+            translate(parse_program(src), Mode.GENERAL)
 
 
 # -- mode coincidence -----------------------------------------------------------------
