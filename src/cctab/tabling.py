@@ -28,7 +28,9 @@ the head map of each clause it runs in place, and its guards, call(Cont)
 chain, fact join and answer/2 run from the map, with no unification (see
 Engine._resume).  Once it is cleared, or for a continuation with no plan,
 each answer is unified with the live or pending call, and the machine
-resolves the stored term against its predicate's one clause.
+resolves the stored term against its predicate's one clause.  When a read
+of a complete table that keeps its pattern ends the query, its remaining
+answers become solutions straight from the table (see Engine.solve).
 
 Suspended continuations are frozen at capture time: copied with their
 bindings applied, except for ground subterms, which no binding reaches and
@@ -432,7 +434,13 @@ class Engine:
     def solve(self, goals, depth_budget: int = DEFAULT_BUDGET):
         """Enumerate solutions of a goal or goal list; local scheduling.  One
         machine runs the query and every generator it opens, within
-        depth_budget resolution steps."""
+        depth_budget resolution steps.
+
+        When a solution's newest choice point reads a complete table that
+        keeps its call pattern, with no goal after the read, the table's
+        further answers become solutions straight from their arguments, and
+        the machine resumes once they are given.  A query variable whose
+        value is a compound leaves them to the machine."""
         if not isinstance(goals, (list, tuple)):
             goals = [goals]
         if not _reserve:  # at the first query, and at the first after each handler ran
@@ -444,6 +452,7 @@ class Engine:
         named, live = machine.start(goals)
         bindings = machine.store.bindings
         resolve = machine.store.resolve
+        cps = machine.cps
         try:
             while machine.run() == SOLUTION:
                 values = []  # of each query variable, by id
@@ -456,6 +465,39 @@ class Engine:
                     values.append(resolve(t) if type(t) is Struct else t)
                 # positional: a keyword call costs measurably more per solution
                 yield Solution([instantiate(g, values) for g in goals], values, named)
+                cp = cps[-1] if cps else None
+                if type(cp) is not StoredIterCP or cp.rest is not None:
+                    continue
+                table = cp.table
+                if table.pattern is None or table.status != COMPLETE:
+                    continue
+                # The read ends the query.  A query variable whose binding
+                # chain ends at one of its live variables takes the answer's
+                # argument at that variable's place; any other keeps its value.
+                place = dict(zip(cp.live, table.pattern.places))
+                fill = []  # (query variable id, argument place)
+                for i, t in enumerate(live):
+                    k = None
+                    while type(t) is Var:
+                        k = place.get(t.id)
+                        b = bindings[t.id]
+                        if b is None:
+                            break
+                        t = b
+                    if k is not None:
+                        fill.append((i, k))
+                    elif type(t) is Struct:
+                        break  # the machine builds it from each answer
+                else:
+                    answers = table.answers
+                    for n in range(cp.i, len(answers)):
+                        cp.i = n + 1
+                        args = answers[n].args
+                        values = values[:]
+                        for i, k in fill:
+                            values[i] = args[k]
+                        yield Solution([instantiate(g, values) for g in goals], values, named)
+                    # the machine's retry of cp now fails, and pops it
         except GeneratorExit:
             # Closed at a yield, where no evaluation is in progress; a purge
             # here could run at garbage collection, inside another query.

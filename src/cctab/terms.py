@@ -102,8 +102,6 @@ class Struct:
             elif ta is Int:
                 if a.value != b.value:
                     return False
-            elif a != b:
-                return False
         return True
 
     def __hash__(self):

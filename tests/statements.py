@@ -6,7 +6,7 @@ directory on the import path:
     PYTHONPATH=src:tests python -m pytest -p statements -q -W error
 
 It records every line run in src/cctab/ through sys.settrace and
-threading.settrace.  At the end of the session it lists each statement that
+threading.settrace, except while a test listed in UNTRACED runs.  At the end of the session it lists each statement that
 no test ran: an AST statement that is not a definition, an import or a
 docstring.  It fails the session when there are more than MISSED_AT_MOST of
 them.  A statement that runs only in a child process, as in the CLI tests
@@ -25,10 +25,14 @@ import pytest
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.realpath(__file__))), "src", "cctab")
 
 # two statements run only in the CLI tests' child processes: cli.py's error
-# for a file that is not UTF-8 and its `__main__` exit; three run in no
-# test: _finish_group's internal check and Struct.__eq__'s fallback for
-# arguments that are not terms
-MISSED_AT_MOST = 5
+# for a file that is not UTF-8 and its `__main__` exit; one runs in no test:
+# _finish_group's internal check
+MISSED_AT_MOST = 3
+
+# tests run without the tracer: the chain-512 acceptance test gates its own
+# wall time, which tracing would more than triple, and runs no statement
+# that other tests do not
+UNTRACED = ("tests/test_acceptance.py::test_criterion_9_chain_benchmark",)
 
 # definitions and imports: not counted
 NOT_COUNTED = (ast.FunctionDef, ast.ClassDef, ast.Import, ast.ImportFrom)
@@ -86,6 +90,17 @@ def pytest_load_initial_conftests():
     # before any conftest imports cctab, so that module-level statements count
     threading.settrace(_call)
     sys.settrace(_call)
+
+
+@pytest.hookimpl(wrapper=True)
+def pytest_runtest_call(item):
+    if item.nodeid not in UNTRACED:
+        return (yield)
+    sys.settrace(None)
+    try:
+        return (yield)
+    finally:
+        sys.settrace(_call)
 
 
 @pytest.hookimpl(tryfirst=True)

@@ -21,7 +21,7 @@ from cctab import (
     translate,
     unify,
 )
-from cctab.engine import BUILTINS, BindingStore, Machine, compile_index, solve
+from cctab.engine import BUILTINS, SOLUTION, BindingStore, ClauseCP, Machine, compile_index, solve
 from cctab.terms import term_size, walk_subterms
 
 
@@ -120,6 +120,9 @@ def test_is_unbound_operand_raises():
     ("W = a, W is 1", []),
     ("W = f(V), W is 1", []),
     ("W = a, W is V", InstantiationError),
+    # a bound compound operand, once and twice over: no cycle
+    ("X = 1 + 2, W is X * 3", ["9"]),
+    ("X = 1 + 2, Y = X * X, W is Y - X", ["6"]),
 ])
 def test_is_left_side(query, want):
     solutions = solve(parse_query(query), parse_program("x."))
@@ -338,6 +341,20 @@ def test_first_argument_nil_and_cons():
     assert _sols(p, "s([a], X)", "X") == ["cons"]
     assert _sols(p, "s(L, X)", "X") == ["nil", "cons"]
     assert _sols(p, "len([a, b, c], N)", "N") == ["3"]
+
+
+def test_first_argument_index_picks_the_clauses_tried():
+    # the machine's choice point holds only the clauses whose first argument
+    # can match the call's, in source order
+    index = compile_index(parse_program("p(1, a).\np(X, c).\np(2, b).\n"))
+    one, var, two = index[("p", 2)][0]
+    for query, want in [("p(2, Y)", [var, two]), ("p(Z, Y)", [one, var, two]),
+                        ("p(f(1), Y)", [var])]:
+        m = Machine(index)
+        m.start(parse_query(query))
+        assert m.run() == SOLUTION
+        (cp,) = m.cps
+        assert type(cp) is ClauseCP and cp.clauses == want, query
 
 
 def test_first_argument_bound_through_a_variable():

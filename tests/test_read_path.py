@@ -4,11 +4,14 @@ Each table has a call pattern, made with it: where its call's variables
 are, or None when the call repeats a variable or holds one inside a
 compound argument.  A read of a ground answer from a table that keeps its
 pattern binds the live call's variables straight from the answer's
-arguments.  Every observable result must equal what a reader that unifies
-each whole answer against the call gives: solutions, their order, their
-binding names and the counters.  TableSpace.check() runs after every query.
+arguments.  When such a read of a complete table ends the query, its
+further answers become solutions straight from the table.  Every
+observable result must equal what a reader that unifies each whole answer
+against the call gives: solutions, their order, their binding names and
+the counters.  TableSpace.check() runs after every query.
 """
 
+from itertools import islice
 from types import SimpleNamespace
 
 import pytest
@@ -16,7 +19,7 @@ import pytest
 import cctab.engine
 import cctab.tabling
 from cctab import Error, Mode, gen_fixture, parse_query, parse_term, print_term
-from cctab.engine import StoredIterCP
+from cctab.engine import DEFAULT_BUDGET, StoredIterCP
 from cctab.tabling import COMPLETE, EVALUATING, call_pattern, is_instance
 from cctab.terms import canonical_variant
 
@@ -36,7 +39,7 @@ class UnifyingReader(StoredIterCP):
         super().__init__(target, table, mark, rest, live)
 
 
-def transcript(eng, goals, unifying=False) -> list:
+def transcript(eng, goals, unifying=False, depth_budget=DEFAULT_BUDGET) -> list:
     """The solutions of goals, each as its bindings (name, value) and goals,
     or the error the query raised; then the --stats line.  With unifying,
     every table read unifies whole answers."""
@@ -45,7 +48,7 @@ def transcript(eng, goals, unifying=False) -> list:
         if unifying:
             mp.setattr(cctab.tabling, "StoredIterCP", UnifyingReader)
         try:
-            for s in eng.solve(goals):
+            for s in eng.solve(goals, depth_budget):
                 out.append(([(n, print_term(v)) for n, v in s.bindings.items()],
                             [print_term(g) for g in s.goals]))
         except Error as e:
@@ -259,3 +262,108 @@ def test_rereading_a_complete_table_unifies_nothing(monkeypatch):
         assert transcript(eng, parse_query("path(A, B)"))[:-1] == [
             ([("A", x), ("B", y)], goals) for [(_, x), (_, y)], goals in first[:-1]]
     assert unified == []
+
+
+# -- reads that end the query ----------------------------------------------------
+#
+# Once a read of a complete table that keeps its pattern has given a
+# solution with no goal after it, Engine.solve makes the table's further
+# answers solutions itself; the read's choice point binds only the first.
+
+CHAIN, CYCLE = gen_fixture("chain", 4), gen_fixture("cycle", 3)
+
+# query -> its program, and how many answers the table reads of a re-query bind:
+# the first of each non-empty read when the rest are read directly, else all
+ENDING_READS = {
+    "path(X, Y)": (CHAIN, 1),
+    "path(1, Y)": (CHAIN, 1),
+    "Y = 3, path(X, Y)": (CHAIN, 1),  # Y keeps its value, 3
+    "W = V, path(X, Y)": (CHAIN, 1),  # W and V keep an unbound variable
+    "Z = f(X), path(X, Y)": (CHAIN, 10),  # Z's value is a compound: the machine builds it
+    "path(X, Y), true": (CHAIN, 10),  # a goal runs after the read
+    "path(X, X)": (CYCLE, 4),  # the table has no pattern
+    # three non-empty reads and path(5, Y)'s empty one, above edge/2's choice point
+    "edge(A, B), path(B, Y)": (CHAIN, 3),
+}
+
+
+def read_binds(monkeypatch) -> list:
+    """The number of StoredIterCP retries from now on that bind an answer,
+    as a one-element list."""
+    binds = [0]
+    real_try_next = StoredIterCP.try_next
+
+    def try_next(self, m):
+        bound = real_try_next(self, m)
+        binds[0] += bound
+        return bound
+
+    monkeypatch.setattr(StoredIterCP, "try_next", try_next)
+    return binds
+
+
+@pytest.mark.parametrize("mode", list(Mode), ids=lambda m: m.value)
+@pytest.mark.parametrize("query", list(ENDING_READS))
+def test_reads_that_end_the_query(query, mode, monkeypatch):
+    src, want_binds = ENDING_READS[query]
+    got = same_as_unifying_reader(src, [query, query], mode)
+    eng = make_engine(src, mode)
+    goals = parse_query(query)
+    assert transcript(eng, goals) == got[0]
+    binds = read_binds(monkeypatch)
+    assert transcript(eng, goals) == got[1]
+    assert binds[0] == want_binds
+
+
+def test_a_legacy_read_of_an_incomplete_table_binds_every_answer(monkeypatch):
+    # a read of an incomplete table ends a query only in legacy mode, and
+    # only in the middle of an evaluation, which gives no solution; its
+    # status is set by hand to show the machine read it to the end
+    eng = make_engine(CHAIN, Mode.LEGACY)
+    goals = parse_query("path(X, Y)")
+    want = transcript(eng, goals)
+    (entry,) = [e for e in eng.space.entries if e.call == canonical_variant(goals[0])]
+    binds = read_binds(monkeypatch)
+    entry.status = EVALUATING
+    try:
+        got = [([(n, print_term(v)) for n, v in s.bindings.items()],
+                [print_term(g) for g in s.goals]) for s in eng.solve(goals)]
+    finally:
+        entry.status = COMPLETE
+    assert got == want[:-1] and binds[0] == 10
+    assert transcript(eng, goals) == want
+
+
+@pytest.mark.parametrize("query", ["path(X, Y)", "edge(A, B), path(B, Y)"])
+def test_a_step_budget_runs_out_where_the_unifying_reader_runs_out(query):
+    # at every budget, cold and again, up to one that lets the query finish
+    goals = parse_query(query)
+    for requery in (False, True):
+        budget = 0
+        while True:
+            eng, ref = make_engine(CHAIN), make_engine(CHAIN)
+            if requery:
+                assert transcript(eng, goals) == transcript(ref, goals, unifying=True)
+            got = transcript(eng, goals, depth_budget=budget)
+            assert got == transcript(ref, goals, unifying=True, depth_budget=budget), budget
+            if not str(got[-2]).startswith("ResourceLimitError"):
+                break
+            budget += 1
+        assert budget > 0
+
+
+@pytest.mark.parametrize("mode", list(Mode), ids=lambda m: m.value)
+def test_a_query_closed_partway_then_run_again(mode):
+    goals = parse_query("path(X, Y)")
+    for k in range(11):
+        eng, ref = make_engine(CHAIN, mode), make_engine(CHAIN, mode)
+        with pytest.MonkeyPatch.context() as mp:
+            run = eng.solve(goals)
+            assert len(list(islice(run, k))) == k
+            run.close()
+            mp.setattr(cctab.tabling, "StoredIterCP", UnifyingReader)
+            run = ref.solve(goals)
+            assert len(list(islice(run, k))) == k
+            run.close()
+        eng.space.check()
+        assert transcript(eng, goals) == transcript(ref, goals, unifying=True), k
