@@ -43,7 +43,7 @@ print("declarative truth (bottom-up fixpoint):",
 
 for mode in (Mode.LEGACY, Mode.GENERAL):
     # general mode marks p/1 as a bridge itself; legacy mode ignores bridges
-    engine = Engine(translate(program, mode), mode=mode)
+    engine = Engine(translate(program, mode))
     got = [print_term(s.goals[0]) for s in engine.solve(parse_query("t(A)"))]
     equal, missing, _ = compare_answer_sets(engine.space, facts, PredId("t", 1))
     verdict = "complete" if equal else f"missing {[print_term(t) for t in missing]}"

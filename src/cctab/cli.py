@@ -114,7 +114,7 @@ def run(args) -> int:
     goals = parse_query(args.query)
     if args.oracle_check and len(goals) != 1:
         raise Error("--oracle-check needs a single-goal query")
-    engine = Engine(translated, mode=mode)
+    engine = Engine(translated)
     for solution in engine.solve(goals, depth_budget=args.depth):
         print(", ".join(print_term(g) for g in solution.goals))
     if args.stats:

@@ -6,7 +6,8 @@ copying its continuation into table-owned storage, once per variant and
 generator; answer/2 records answers and schedules resumptions; completion is
 detected with a generator stack and dependency links, and uses local
 scheduling: no answer escapes a generator before its whole dependency group
-is complete.
+is complete.  The program's reads_incomplete, set by the legacy translation,
+is its one policy: a tabled call may then read an incomplete table.
 
 One machine runs each query.  A new generator is evaluated on the machine of
 its caller, as in Ramesh and Chen's runtime: a GeneratorCP below its clauses
@@ -70,7 +71,6 @@ from .translate import Mode
 EVALUATING = "evaluating"
 COMPLETE = "complete"
 DROPPED = "dropped"  # by a failed query, whose evaluation was left half done
-CONT_ARITY = {Mode.GENERAL: 4, Mode.LEGACY: 3}  # of the continuation terms each mode makes
 # What lets a general-mode tabled call escape slgcall/1: bridges cannot cover it.
 UNINSTRUMENTED = ("a call the translation does not instrument (call/1 of a goal bound at "
                   "run time, or a hand-written slg/1)")
@@ -416,12 +416,17 @@ class Engine:
     """Tabled-execution engine over a translated program.
 
     One engine owns one TableSpace; tables persist across queries, so a
-    completed variant is answered by pure table reads on re-query.
+    completed variant is answered by pure table reads on re-query.  Its policy
+    is the program's; mode, if given, only checks it, a check that goes once
+    bench/run.py stops passing it.
     """
 
-    def __init__(self, program: Program, mode: Mode = Mode.GENERAL):
+    def __init__(self, program: Program, mode: Mode | None = None):
+        if mode is not None and (mode is Mode.LEGACY) != program.reads_incomplete:
+            made = "legacy" if program.reads_incomplete else "general"
+            raise TablingError(f"a {made} translation cannot run in {mode.value} mode")
         self.index = compile_index(program)
-        self.mode = mode
+        self.reads_incomplete = program.reads_incomplete
         self.space = TableSpace()
         self._conts: dict = {}  # (name, arity) -> its _ContClause, or None; built as resumed
 
@@ -560,9 +565,9 @@ class Engine:
         entry = self._variant(machine, call, goal, rest, None, live)
         if entry is None:
             return True
-        if entry.status == COMPLETE or self.mode is Mode.LEGACY:
-            # In legacy mode, the original scheme: read the answers there are and
-            # fail past them; nothing is suspended, later answers are lost.
+        if entry.status == COMPLETE or self.reads_incomplete:
+            # The original scheme reads the answers there are and fails past
+            # them; nothing is suspended, later answers are lost.
             machine.cps.append(StoredIterCP(call, entry, store.mark(), rest, live))
             return False
         raise TablingError(
@@ -573,15 +578,8 @@ class Engine:
     def on_slgcall(self, machine, goal, rest):
         store = machine.store
         cont = store.walk(goal.args[0])
-        want = CONT_ARITY[self.mode]
-        if type(cont) is not Struct or len(cont.args) != want:
-            n = len(cont.args) if type(cont) is Struct else None
-            made_by = [m for m, arity in CONT_ARITY.items() if arity == n]
-            hint = (f"; arity {n} comes from the {made_by[0].value} translation, so translate and "
-                    "run in the same mode") if made_by else ""
-            raise TablingError(
-                f"malformed continuation term (arity {want} expected{hint}): {print_term(cont)}"
-            )
+        if type(cont) is not Struct or len(cont.args) < 3:  # Id, Bindings, Pending[, Prev]
+            raise TablingError(f"malformed continuation term: {print_term(cont)}")
         id_t = store.walk(cont.args[0])
         if type(id_t) is not Int or not (0 <= id_t.value < len(self.space.entries)):
             raise TablingError("malformed continuation term: bad generator id")
@@ -955,7 +953,7 @@ class Engine:
         if low == entry.pos:
             complete(space, entry)
             return
-        if self.mode is Mode.GENERAL:
+        if not self.reads_incomplete:
             blocker = next(e for e in segment if e.deplink == low)
             outer = space.entries[space.stack[low]]
             raise TablingError(
@@ -963,5 +961,4 @@ class Engine:
                 f"so it cannot complete: {print_term(blocker.call)} depends on the open "
                 f"evaluation of {print_term(outer.call)}"
             )
-        # Legacy mode tolerates this: the generator stays evaluating and its
-        # answers-so-far are read by whoever asked (answers may be lost).
+        # The original scheme leaves it evaluating; its answers so far may be lost.

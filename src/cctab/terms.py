@@ -184,6 +184,7 @@ class Program:
     clauses: tuple  # tuple of Clause, source order
     tabled: frozenset  # frozenset of PredId
     bridges: frozenset  # frozenset of PredId
+    reads_incomplete: bool = False  # the original scheme's read policy; set by translate
 
     def __post_init__(self):
         both = self.tabled & self.bridges
@@ -192,9 +193,6 @@ class Program:
 
             names = ", ".join(str(p) for p in sorted(both))
             raise LoadError(f"{names} declared both table and bridge")
-
-    def clauses_for(self, pred: PredId) -> list[Clause]:
-        return [c for c in self.clauses if c.pred() == pred]
 
 
 def walk_subterms(t: Term) -> Iterator[Term]:

@@ -14,6 +14,9 @@ Two modes:
   every tabled call occurs directly inside a tabled clause body; kept as a
   contrast mode for the regression fixtures.
 
+The output records the read policy the runtime takes from it: reads_incomplete
+is True in legacy mode, whose tabled calls read incomplete tables.
+
 The clauses a source clause becomes keep its variable ids, with Id and Cont
 above them: their ids are below nvars, but a cut may leave some unused.
 """
@@ -119,15 +122,16 @@ def translate(program: Program, mode: Mode) -> Program:
     """Translate a program for tabled execution.
 
     Non-tabled, non-bridge predicates pass through unchanged; with no
-    declarations at all the program is returned as-is.  The bridges are
-    effective_bridges(program, mode), and none in legacy mode.  The output
-    carries no directives: it is ordinary source over slg/1, slgcall/1,
-    answer/2 and call/1.
+    declarations at all the program is returned with its read policy set.
+    The bridges are effective_bridges(program, mode), and none in legacy
+    mode.  The output carries no directives: it is ordinary source over
+    slg/1, slgcall/1, answer/2 and call/1, with reads_incomplete set in legacy.
     """
+    legacy = mode is Mode.LEGACY
     tabled = program.tabled
-    bridges = effective_bridges(program, mode) if mode is Mode.GENERAL else frozenset()
+    bridges = frozenset() if legacy else effective_bridges(program, mode)
     if not tabled and not bridges:
-        return program
+        return Program(program.clauses, tabled, program.bridges, legacy)
 
     _check_higher_order(program, tabled | bridges)
     by_key: dict = {}  # (name, arity) -> its clauses; keys in first-definition order
@@ -151,7 +155,7 @@ def translate(program: Program, mode: Mode) -> Program:
             out.extend(clauses)
             continue
         if key in tabled_keys:
-            cont_base = f"slg_{name}" if mode is Mode.GENERAL else f"{name}_cont"
+            cont_base = f"{name}_cont" if legacy else f"slg_{name}"
             out.append(_interface_clause(*key))
         else:
             cont_base = f"{name}_bridge"
@@ -186,7 +190,7 @@ def translate(program: Program, mode: Mode) -> Program:
                 lbinds = [v for k, (first, last, v) in spans.items()
                           if first < i < last and k not in in_call]
                 args = (id_var, mk_list(lbinds), goal, cont_prev)  # legacy: no PrevCont
-                cont = Struct(namer.next(cont_base), args if mode is Mode.GENERAL else args[:3])
+                cont = Struct(namer.next(cont_base), args[:3] if legacy else args)
                 if p in tabled_keys:
                     goals.append(Struct("slgcall", (cont,)))
                 else:
@@ -199,4 +203,4 @@ def translate(program: Program, mode: Mode) -> Program:
             conts.extend(chain[1:])
         out.extend(mains)
         out.extend(conts)
-    return Program(tuple(out), frozenset(), frozenset())
+    return Program(tuple(out), frozenset(), frozenset(), legacy)

@@ -33,7 +33,7 @@ def run_limited(*argv, timeout=30) -> subprocess.CompletedProcess:
 
 
 def make_engine(source: str, mode: Mode = Mode.GENERAL) -> Engine:
-    return Engine(translate(parse_program(source), mode), mode=mode)
+    return Engine(translate(parse_program(source), mode))
 
 
 def answers(engine: Engine, query: str) -> list:

@@ -25,9 +25,8 @@ import pytest
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.realpath(__file__))), "src", "cctab")
 
 # two statements run only in the CLI tests' child processes: cli.py's error
-# for a file that is not UTF-8 and its `__main__` exit; one runs in no test:
-# _finish_group's internal check
-MISSED_AT_MOST = 3
+# for a file that is not UTF-8 and its `__main__` exit
+MISSED_AT_MOST = 2
 
 # tests run without the tracer: the chain-512 acceptance test gates its own
 # wall time, which tracing would more than triple, and runs no statement

@@ -17,14 +17,20 @@ Properties checked for the queries tI(X, Y), tI(1, Y) and tI(X, 2):
   * general-mode answers equal the oracle's (compare_answer_sets);
   * a re-query gives the same answers with no new slg_ resolutions;
   * legacy-mode answers are a subset of the general-mode ones;
+  * the general translation run under the original scheme's read policy
+    (reads_incomplete) gives the same solutions, in the same order, and the
+    same counters as under its own, after every query and re-query: the
+    complete translation needs only the original scheme's runtime support;
   * no query raises: find_bridges marks every helper that a tabled
     predicate reaches and that reaches a tabled predicate, so general and
     legacy mode both answer every query.
 """
 
 import random
+from dataclasses import replace
 
 from cctab import (
+    Engine,
     Mode,
     bottom_up_eval,
     compare_answer_sets,
@@ -32,6 +38,7 @@ from cctab import (
     parse_program,
     parse_query,
     print_term,
+    translate,
 )
 from cctab.oracle import oracle_answers_for
 from cctab.terms import pred_of
@@ -98,6 +105,7 @@ def check_program(src: str) -> None:
     facts = bottom_up_eval(program)
     general = make_engine(src)
     legacy = make_engine(src, Mode.LEGACY)
+    original = Engine(replace(translate(program, Mode.GENERAL), reads_incomplete=True))
     for t in sorted(p.name for p in program.tabled):
         for query in (f"{t}(X, Y)", f"{t}(1, Y)", f"{t}(X, 2)"):
             (goal,) = parse_query(query)
@@ -106,9 +114,13 @@ def check_program(src: str) -> None:
             assert equal, f"{query}: missing {missing}, extra {extra}\n{src}"
             want = sorted(print_term(f) for f in oracle_answers_for(facts, goal))
             assert sorted(got) == want, f"{query}: solutions differ from the table\n{src}"
+            assert printed(original, goal) == got, f"{query}: original scheme differs\n{src}"
+            assert original.counters == general.counters, f"{query}: original scheme\n{src}"
             before = general.counters.slg_resolutions
             assert printed(general, goal) == got, f"{query}: re-query differs\n{src}"
             assert general.counters.slg_resolutions == before, f"{query}: re-query resolved\n{src}"
+            assert printed(original, goal) == got, f"{query}: original re-query differs\n{src}"
+            assert original.counters == general.counters, f"{query}: original re-query\n{src}"
             lost = set(printed(legacy, goal)) - set(got)
             assert not lost, f"legacy {query}: answers beyond general mode {lost}\n{src}"
 

@@ -67,7 +67,7 @@ def same_as_reference(src, queries, mode) -> list:
     """Run each query twice, cold then from the tables, on an engine and on a
     ReferenceEngine; assert equal solutions, printed and as terms."""
     program = translate(parse_program(src), mode)
-    eng, ref = Engine(program, mode=mode), ReferenceEngine(program, mode=mode)
+    eng, ref = Engine(program), ReferenceEngine(program)
     runs = []
     for goals in [parse_query(q) for q in queries for _ in range(2)]:
         got, want = solutions(eng, goals), solutions(ref, goals, reference=True)

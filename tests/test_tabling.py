@@ -223,6 +223,18 @@ def test_complete_of_a_complete_leader_errors():
         complete(space, entry)
 
 
+def test_finishing_a_completed_group_errors(mixed_loop_src):
+    # a generator's choice point finishes its group once; its entry is then complete
+    eng = make_engine(mixed_loop_src)
+    list(eng.solve(parse_query("t(A)")))
+    entry = eng.space.entries[0]
+    assert entry.status == COMPLETE
+    with pytest.raises(TablingError) as info:
+        eng._finish_group(entry)
+    assert str(info.value) == "internal: generator completed while its choice point was live"
+    eng.space.check()
+
+
 def test_suspension_outside_any_evaluation_errors():
     # a hand-made evaluating generator, with no arena open to resume into
     eng = make_engine(":- table t/1.\nt(0).\n")
@@ -235,26 +247,28 @@ def test_suspension_outside_any_evaluation_errors():
 
 
 def test_malformed_continuation_arity():
+    # a continuation needs Id, Bindings and Pending: both translations' arities pass
     eng = make_engine(":- table t/1.\nt(0).\n")
     m = Machine(eng.index, runtime=eng)
-    bad = Struct("slgcall", (parse_term("k(1, [], t(X))"),))  # arity 3 in general mode
-    with pytest.raises(TablingError, match=r"malformed continuation .*: k\(1, \[\], t\(X\)\)$"):
-        eng.on_slgcall(m, bad, None)
+    for cont in ("5", "k(1, [])"):
+        bad = Struct("slgcall", (parse_term(cont),))
+        with pytest.raises(TablingError) as info:
+            eng.on_slgcall(m, bad, None)
+        assert str(info.value) == f"malformed continuation term: {cont}"
 
 
-@pytest.mark.parametrize("translated, run, want, made, met", [
-    (Mode.LEGACY, Mode.GENERAL, 4, 3, "path_cont0(0, [1], path(Y, Z))"),
-    (Mode.GENERAL, Mode.LEGACY, 3, 4, "slg_path0(0, [1], path(Y, Z), [])"),
+@pytest.mark.parametrize("translated, run", [
+    (Mode.LEGACY, Mode.GENERAL),
+    (Mode.GENERAL, Mode.LEGACY),
 ], ids=["legacy-translation-general-engine", "general-translation-legacy-engine"])
-def test_mode_mismatch_names_the_translation_mode(translated, run, want, made, met):
-    # the continuation's arity tells which translation made it
-    eng = Engine(translate(parse_program(gen_fixture("chain", 2)), translated), mode=run)
+def test_mode_mismatch_names_the_translation_mode(translated, run):
+    # the program records its translation's read policy; a contradicting mode
+    # is refused before any query
+    program = translate(parse_program(gen_fixture("chain", 2)), translated)
     with pytest.raises(TablingError) as info:
-        list(eng.solve(parse_query("path(1, Y)")))
-    assert str(info.value) == (
-        f"malformed continuation term (arity {want} expected; arity {made} comes from the "
-        f"{translated.value} translation, so translate and run in the same mode): {met}"
-    )
+        Engine(program, mode=run)
+    assert str(info.value) == f"a {translated.value} translation cannot run in {run.value} mode"
+    assert Engine(program, mode=translated).reads_incomplete is (translated is Mode.LEGACY)
 
 
 def test_legacy_mode_sound_on_bridge_free_programs():
@@ -1025,7 +1039,7 @@ slg_q(q(X), Id).
 @pytest.mark.parametrize("query, generators", [("slg(q(X))", 1), ("slg(p(X))", 2)],
                          ids=["slg", "slgcall"])
 def test_succeeding_generator_clause_is_an_internal_error(mode, query, generators):
-    eng = Engine(parse_program(hand_written(SUCCEEDING_GENERATOR, mode)), mode=mode)
+    eng = Engine(parse_program(hand_written(SUCCEEDING_GENERATOR, mode)))
     with pytest.raises(TablingError, match="^internal: translated clause body succeeded$"):
         list(eng.solve(parse_query(query)))
     assert eng.space.stack == [] and eng.space.arenas == []
