@@ -152,7 +152,7 @@ class BindingStore:
                     toks.append(len(a.args))
                     break
                 built.append(a)
-                toks.append(a.value if ta is Int else a.name)
+                toks.append(a)
             else:
                 if not same:
                     s = Struct(s.functor, tuple(built))
@@ -196,15 +196,7 @@ def unify(a: Term, b: Term, store: BindingStore) -> bool:
         if tx is not ty:
             store.undo_to(mark)
             return False
-        if tx is Atom:
-            if x.name != y.name:
-                store.undo_to(mark)
-                return False
-        elif tx is Int:
-            if x.value != y.value:
-                store.undo_to(mark)
-                return False
-        else:
+        if tx is Struct:
             if x.functor != y.functor or len(x.args) != len(y.args):
                 store.undo_to(mark)
                 return False
@@ -212,6 +204,9 @@ def unify(a: Term, b: Term, store: BindingStore) -> bool:
             if pair not in met:
                 met.add(pair)
                 stack.extend(zip(x.args, y.args))
+        elif x != y:  # atoms or integers
+            store.undo_to(mark)
+            return False
     return True
 
 
@@ -262,16 +257,12 @@ def unify_stored(live: Term, stored: Term, varmap: list, names, store: BindingSt
             continue
         if tx is not ty:
             break
-        if tx is Atom:
-            if x.name != y.name:
-                break
-        elif tx is Int:
-            if x.value != y.value:
-                break
-        else:
+        if tx is Struct:
             if x.functor != y.functor or len(x.args) != len(y.args):
                 break
             stack.extend(zip(x.args, y.args))
+        elif x != y:  # atoms or integers
+            break
     else:
         return True
     store.undo_to(mark)
@@ -349,12 +340,12 @@ def eval_arith(t: Term, walk) -> int:
     TypeMismatchError, as in BindingStore.freeze."""
     t = walk(t)
     if type(t) is Int:
-        return t.value
+        return t
     if type(t) is Struct and len(t.args) == 2:
         a = walk(t.args[0])
         b = walk(t.args[1])
         if type(a) is Int and type(b) is Int:
-            return _arith_op(t, a.value, b.value)
+            return _arith_op(t, a, b)
     values: list = []
     active: set = set()  # ids of the bound variables whose compound value is being evaluated
     todo: list = [(t, False, None)]  # (term, its operands are evaluated, variable it came through)
@@ -368,7 +359,7 @@ def eval_arith(t: Term, walk) -> int:
         v = x
         x = walk(x)
         if type(x) is Int:
-            values.append(x.value)
+            values.append(x)
         elif type(x) is Var:
             raise InstantiationError("unbound variable in arithmetic expression")
         elif type(x) is Struct and len(x.args) == 2:
@@ -393,10 +384,10 @@ def _arith_op(t: Struct, a: int, b: int) -> int:
         return a - b
     if op == "*":
         return a * b
-    if op == "//":
+    if op == "//":  # truncates toward zero
         if b == 0:
             raise TypeMismatchError("zero divisor")
-        return a // b
+        return a // b if (a < 0) == (b < 0) else -(-a // b)
     if op == "mod":
         if b == 0:
             raise TypeMismatchError("zero divisor")
@@ -644,9 +635,9 @@ class Machine:
             if tg is Var:
                 raise InstantiationError("unbound variable called as a goal")
             if tg is Int:
-                raise TypeMismatchError(f"integer called as a goal: {goal.value}")
+                raise TypeMismatchError(f"integer called as a goal: {goal}")
             if tg is Atom:
-                key = (goal.name, 0)
+                key = (goal, 0)
                 args = ()
             else:
                 key = (goal.functor, len(goal.args))

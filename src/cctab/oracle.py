@@ -57,16 +57,12 @@ def _match(pattern: Term, fact: Term, env: dict):
             p = bound
         if type(p) is not type(f):
             return None
-        if type(p) is Atom:
-            if p.name != f.name:
-                return None
-        elif type(p) is Int:
-            if p.value != f.value:
-                return None
-        else:
+        if type(p) is Struct:
             if p.functor != f.functor or len(p.args) != len(f.args):
                 return None
             stack.extend(zip(p.args, f.args))
+        elif p != f:  # atoms or integers
+            return None
     return out
 
 

@@ -325,14 +325,10 @@ def print_term(t: Term) -> str:
     todo: list = [t]
     while todo:
         x = todo.pop()
-        if type(x) is str:
-            out.append(x)
-        elif isinstance(x, (Var, Atom)):
-            out.append(x.name)
-        elif isinstance(x, Int):
-            out.append(str(x.value))
-        else:
+        if type(x) is Struct:
             todo.extend(reversed(_print_parts(x)))
+        else:  # a string, an atom or an integer prints as str() does
+            out.append(x.name if type(x) is Var else str(x))
     return "".join(out)
 
 

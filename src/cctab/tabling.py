@@ -581,9 +581,9 @@ class Engine:
         if type(cont) is not Struct or len(cont.args) < 3:  # Id, Bindings, Pending[, Prev]
             raise TablingError(f"malformed continuation term: {print_term(cont)}")
         id_t = store.walk(cont.args[0])
-        if type(id_t) is not Int or not (0 <= id_t.value < len(self.space.entries)):
+        if type(id_t) is not Int or not (0 <= id_t < len(self.space.entries)):
             raise TablingError("malformed continuation term: bad generator id")
-        owner = self.space.entries[id_t.value]
+        owner = self.space.entries[id_t]
         if owner.status == DROPPED:
             raise TablingError(f"slgcall/1: generator {owner.id} was dropped by a failed query")
         pending = store.walk(cont.args[2])
@@ -597,7 +597,7 @@ class Engine:
             # each answer bound into the pending call resumes the continuation
             machine.cps.append(StoredIterCP(pending, entry, store.mark(), (cont, rest), live))
             return False
-        self._suspend(machine, cont, id_t.value, entry)
+        self._suspend(machine, cont, id_t, entry)
         return False
 
     def _suspend(self, machine, cont, gen_id, entry):
@@ -631,9 +631,9 @@ class Engine:
         answer that is no ground instance of the call clears its pattern."""
         store = machine.store
         id_t = store.walk(goal.args[0])
-        if type(id_t) is not Int or not (0 <= id_t.value < len(self.space.entries)):
+        if type(id_t) is not Int or not (0 <= id_t < len(self.space.entries)):
             raise TablingError("answer/2: bad generator id")
-        entry = self.space.entries[id_t.value]
+        entry = self.space.entries[id_t]
         if entry.status == COMPLETE:
             raise TablingError(f"answer/2: generator {entry.id} is already complete")
         if entry.status == DROPPED:
@@ -929,17 +929,11 @@ class Engine:
             hmap[slot] = goal = Struct(f, getter(hmap))
         t = goal.args[1]
         if type(t) is Struct:
-            toks = [t.functor, len(t.args)]  # Struct.__hash__'s tokens, in its order
             for a in t.args:
-                ta = type(a)
-                if ta is Int:
-                    toks.append(a.value)
-                elif ta is Atom:
-                    toks.append(a.name)
-                else:
+                if type(a) is Var or type(a) is Struct:
                     break
-            else:
-                t._hash = hash(tuple(toks))
+            else:  # Struct.__hash__'s tokens, in its order
+                t._hash = hash((t.functor, len(t.args), *t.args))
                 self.on_answer(m, goal, None, True)
                 return
         self.on_answer(m, goal, None)  # which freezes it

@@ -2,7 +2,10 @@
 
 Terms are slots classes treated as immutable. Variables carry a clause-local
 integer id; the printable name is kept only for output and never takes part
-in equality.
+in equality. Atoms and integers are str and int subclasses, so they compare
+and hash as their text and value do (Int(1) == 1, Atom("a") == "a"): only
+Var and Struct define their own equality and hashing, and code that tells
+leaves apart tests exact types, never isinstance(x, int).
 """
 
 from __future__ import annotations
@@ -32,33 +35,23 @@ class Var:
         return f"Var(id={self.id!r}, name={self.name!r})"
 
 
-class Atom:
-    __slots__ = ("name",)
+class Atom(str):
+    """Atom: a str, its name, so Atom("a") == "a"."""
 
-    def __init__(self, name: str):
-        self.name = name
-
-    def __eq__(self, other):
-        return self.name == other.name if type(other) is Atom else NotImplemented
-
-    def __hash__(self):
-        return hash((self.name,))
+    __slots__ = ()
+    name = property(str.__str__)  # the name as a plain str
 
     def __repr__(self):
         return f"Atom(name={self.name!r})"
 
 
-class Int:
-    __slots__ = ("value",)
+class Int(int):
+    """Integer: an int, so Int(1) == 1; type(x) is Int tells it from bool
+    and from the plain ints that stand for slots and ids."""
 
-    def __init__(self, value: int):
-        self.value = value
-
-    def __eq__(self, other):
-        return self.value == other.value if type(other) is Int else NotImplemented
-
-    def __hash__(self):
-        return hash((self.value,))
+    __slots__ = ()
+    value = property(int.__int__)  # the value as a plain int
+    __str__ = int.__repr__  # else str() would fall back on __repr__
 
     def __repr__(self):
         return f"Int(value={self.value!r})"
@@ -96,19 +89,15 @@ class Struct:
             elif ta is Var:
                 if a.id != b.id:
                     return False
-            elif ta is Atom:
-                if a.name != b.name:
-                    return False
-            elif ta is Int:
-                if a.value != b.value:
-                    return False
+            elif a != b:  # an atom or an integer: str or int equality
+                return False
         return True
 
     def __hash__(self):
         # the hash of the preorder tokens, left to right: functor and arity of
-        # a compound, the name of an atom, the value of an integer, a variable
-        # itself (the bare strings and ints hash without a Python-level call);
-        # BindingStore.freeze presets _hash on its copies from the same tokens
+        # a compound, any other term itself (an atom or integer hashes as its
+        # str or int, without a Python-level call); BindingStore.freeze and
+        # Engine._put_answer preset _hash from the same tokens
         h = self._hash
         if h is None:
             toks = []
@@ -120,10 +109,6 @@ class Struct:
                     toks.append(x.functor)
                     toks.append(len(x.args))
                     stack.extend(reversed(x.args))
-                elif tx is Int:
-                    toks.append(x.value)
-                elif tx is Atom:
-                    toks.append(x.name)
                 else:
                     toks.append(x)
             h = hash(tuple(toks))

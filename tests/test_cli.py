@@ -294,6 +294,17 @@ def test_hand_written_primitive_errors_exit_2(capsys, tmp_path, clause, text):
     assert (code, out, err) == (2, "", f"error: {text}\n")
 
 
+# a query may name a generated predicate, whose generator id the runtime
+# then checks: the program's checks at load time do not reach a query
+@pytest.mark.parametrize("query, text", [
+    ("slg_path(path(1, X), 7)", "malformed continuation term: bad generator id"),
+    ("path(1, X), slg_path(path(1, Y), 0)", "answer/2: generator 0 is already complete"),
+], ids=["bad-id", "complete"])
+def test_query_naming_a_generated_predicate_exits_2(capsys, query, text):
+    code, out, err = run_cli(capsys, "--gen", "chain:3", "--query", query)
+    assert (code, out, err) == (2, "", f"error: {text}\n")
+
+
 @pytest.mark.parametrize("mode, prev", [("general", ", []"), ("legacy", "")],
                          ids=["general", "legacy"])
 def test_two_clause_continuation_exits_2(capsys, tmp_path, mode, prev):

@@ -144,7 +144,9 @@ def test_arithmetic_type_and_zero_divisor():
 
 def test_arith_operators():
     store = BindingStore()
-    for text, value in [("7 // 2", 3), ("7 mod 2", 1), ("2 * 3 - 1", 5)]:
+    # // truncates toward zero; mod takes the divisor's sign
+    for text, value in [("7 // 2", 3), ("7 mod 2", 1), ("2 * 3 - 1", 5), ("-7 // 2", -3),
+                        ("7 // -2", -3), ("-7 mod 2", 1), ("7 mod -2", -1)]:
         v = store.new_var("V")
         assert BUILTINS[("is", 2)]((v, parse_term(text)), store)
         assert store.walk(v) == Int(value)

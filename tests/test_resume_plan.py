@@ -22,7 +22,7 @@ import importlib
 import pytest
 
 import cctab.tabling
-from cctab import Error, Mode, gen_fixture, parse_query, print_term
+from cctab import Error, Mode, Struct, gen_fixture, parse_query, print_term
 from cctab.engine import instantiate, unify_stored
 from cctab.tabling import Engine
 
@@ -528,6 +528,30 @@ def test_answers_ground_through_bound_variables(case, monkeypatch):
     # the engine with plans runs first, then the one without
     assert len(told) == 2 * total
     assert (told[:total].count(True), told[total:].count(True)) == (ground, without)
+
+
+def test_preset_answer_hashes_equal_fresh_ones(monkeypatch):
+    # freeze and _put_answer preset a stored term's hash from Struct.__hash__'s
+    # tokens, a leaf being its own token: answers that mix atoms, negative
+    # integers and a compound must hash as a fresh copy of the same term does
+    src = (":- table t/2.\n:- table p/2.\np(1, 2).\np(b, 3).\np(-1, 2).\n"
+           "e(2, a).\ne(3, -4).\ne(2, f(b)).\nt(X, Y) :- p(X, W), e(W, Y).\n")
+    put = []
+    real = Engine._put_answer
+
+    def _put_answer(self, m, clause, hmap):
+        put.append(clause)
+        return real(self, m, clause, hmap)
+
+    monkeypatch.setattr(Engine, "_put_answer", _put_answer)
+    eng = make_engine(src)
+    assert answers(eng, "t(X, Y)") == ["t(1, a)", "t(1, f(b))", "t(b, -4)", "t(-1, a)",
+                                       "t(-1, f(b))"]
+    assert len(put) == 5
+    stored = [t for e in eng.space.entries for t in e.answers]
+    assert len(stored) == 8  # t's 5 answers and p's 3
+    for t in stored:
+        assert hash(t) == hash(Struct(t.functor, t.args))
 
 
 @pytest.mark.parametrize("workload, resumptions", [

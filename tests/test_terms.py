@@ -14,11 +14,16 @@ def test_var_equality_and_hash_ignore_the_name():
 
 
 def test_leaf_hashes_and_reprs():
-    assert hash(Atom("a")) == hash(("a",))
-    assert hash(Int(5)) == hash((5,))
+    # atoms and integers hash as their str and int, and print as them
+    assert hash(Atom("a")) == hash("a")
+    assert hash(Int(5)) == hash(5)
     assert repr(Var(0, "X")) == "Var(id=0, name='X')"
     assert repr(Atom("a")) == "Atom(name='a')"
     assert repr(Int(-1)) == "Int(value=-1)"
+    assert str(Int(-1)) == f"{Int(-1)}" == "-1"
+    assert str(Atom("a")) == "a"
+    assert type(Int(-1).value) is int and Int(-1).value == -1
+    assert type(Atom("a").name) is str and Atom("a").name == "a"
 
 
 def test_leaves_of_different_kinds_are_unequal():
@@ -27,8 +32,10 @@ def test_leaves_of_different_kinds_are_unequal():
         assert a != b
         assert not a == b
         assert Struct("f", (a,)) != Struct("f", (b,))
-    for leaf, plain in zip(leaves, [1, "1", 1]):
-        assert leaf != plain and plain != leaf
+    # an atom or integer equals its str or int; a variable equals no int
+    assert Int(1) == 1 and 1 == Int(1)
+    assert Atom("1") == "1" and "1" == Atom("1")
+    assert Var(1) != 1 and 1 != Var(1)
     assert len(set(leaves)) == 3
 
 
