@@ -25,10 +25,9 @@ class CallGraph:
     edges: tuple  # (caller: PredId, callee: PredId), sorted
 
 
-def build_call_graph(program: Program) -> CallGraph:
-    # Predicates are (name, arity) tuples while scanning, which sort as PredId
-    # does; each node becomes one PredId at the end, shared by its edges.  The
-    # predicates the engine resolves itself are no nodes.
+def _scan(program: Program):
+    """The program's predicates and its call edges, as (name, arity) keys; the
+    predicates the engine resolves itself are no nodes."""
     nodes = set()
     edges = set()
     for clause in program.clauses:
@@ -40,6 +39,13 @@ def build_call_graph(program: Program) -> CallGraph:
                 continue
             nodes.add(callee)
             edges.add((caller, callee))
+    return nodes, edges
+
+
+def build_call_graph(program: Program) -> CallGraph:
+    # (name, arity) keys sort as PredId does; each node becomes one PredId,
+    # shared by its edges
+    nodes, edges = _scan(program)
     ids = {key: PredId(*key) for key in sorted(nodes)}
     return CallGraph(tuple(ids.values()), tuple((ids[a], ids[b]) for a, b in sorted(edges)))
 
@@ -67,8 +73,7 @@ def find_bridges(program: Program) -> set:
     # the walks run over (name, arity) keys: a PredId hashes through a Python call
     succ: dict = {}
     pred: dict = {}
-    for a, b in build_call_graph(program).edges:
-        a, b = (a.name, a.arity), (b.name, b.arity)
+    for a, b in _scan(program)[1]:
         succ.setdefault(a, []).append(b)
         pred.setdefault(b, []).append(a)
     tabled = {(p.name, p.arity) for p in program.tabled}

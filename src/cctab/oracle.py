@@ -214,46 +214,24 @@ def bottom_up_eval(program: Program, cap: int = DEFAULT_CAP) -> dict:
 
 def oracle_answers_for(facts: dict, call: Term) -> set:
     """Oracle facts matching a call pattern (the queried variant)."""
-    pred = pred_of(call)
-    out = set()
-    for fact in facts.get(pred, ()):
-        if _match(call, fact, {}) is not None:
-            out.add(fact)
-    return out
-
-
-def _is_most_general(call: Term, pred: PredId) -> bool:
-    if type(call) is Atom:
-        return pred.arity == 0
-    args = call.args
-    return all(type(a) is Var for a in args) and len({a.id for a in args}) == len(args)
+    return {fact for fact in facts.get(pred_of(call), ()) if _match(call, fact, {}) is not None}
 
 
 def compare_answer_sets(space, facts: dict, pred: PredId, call: Term = None):
-    """Compare a completed generator's answers in the TableSpace space
-    against the oracle's.
+    """Compare the answers of call's completed table in the TableSpace space
+    against the oracle's; with no call, of pred's most general call.
 
     Returns (equal, missing, extra); missing/extra are sorted lists of terms
     the engine lacks / has beyond the oracle's set for the queried variant.
     """
     from .tabling import COMPLETE
 
-    if call is not None:
-        entry = space.lookup(canonical_variant(call))
-        if entry is None or entry.status != COMPLETE:
-            raise RangeRestrictionError(f"no completed table entry for {print_term(call)}")
-    else:
-        entries = [
-            e for e in space.entries if pred_of(e.call) == pred and e.status == COMPLETE
-        ]
-        if len(entries) != 1:
-            general = [e for e in entries if _is_most_general(e.call, pred)]
-            if len(general) != 1:
-                raise RangeRestrictionError(
-                    f"no unique completed table entry for {pred}; pass the call"
-                )
-            entries = general
-        entry = entries[0]
+    if call is None:
+        args = tuple(Var(i, f"_{i}") for i in range(pred.arity))
+        call = Struct(pred.name, args) if args else Atom(pred.name)
+    entry = space.lookup(canonical_variant(call))
+    if entry is None or entry.status != COMPLETE:
+        raise RangeRestrictionError(f"no completed table entry for {print_term(call)}")
     engine_set = set(entry.answers)
     oracle_set = oracle_answers_for(facts, entry.call)
     missing = sorted(oracle_set - engine_set, key=print_term)

@@ -6,8 +6,10 @@ copying its continuation into table-owned storage, once per variant and
 generator; answer/2 records answers and schedules resumptions; completion is
 detected with a generator stack and dependency links, and uses local
 scheduling: no answer escapes a generator before its whole dependency group
-is complete.  The program's reads_incomplete, set by the legacy translation,
-is its one policy: a tabled call may then read an incomplete table.
+is complete.  Engine._generator alone reads the generator Id that slgcall/1
+and answer/2 carry; past it, stack and continuations hold GeneratorEntries.
+The program's reads_incomplete, set by the legacy translation, is its one
+policy: a tabled call may then read an incomplete table.
 
 One machine runs each query.  A new generator is evaluated on the machine of
 its caller, as in Ramesh and Chen's runtime: a GeneratorCP below its clauses
@@ -110,7 +112,7 @@ class StoredCont:
 
     term: Term  # NameCont(Id, Bindings, Pending, [Prev]) with vars 0..nvars-1
     nvars: int
-    gen_id: int  # generator this continuation delivers answers to
+    owner: "GeneratorEntry"  # the generator this continuation delivers answers to
     table: "GeneratorEntry"  # the table of Pending's variant, whose answers resume it
     plan: tuple = None  # Engine._resume_plan's, built at the first resumption; False for none
 
@@ -164,12 +166,13 @@ def is_instance(pattern: CallPattern, answer: Term) -> bool:
 
 
 class TableSpace:
-    """Call-variant table: generators, answers, continuations, completion stack."""
+    """Call-variant table: generators, answers, continuations, completion stack.
+    While the stack holds an entry, an arena is open."""
 
     def __init__(self):
         self.entries: list = []
         self.variant_index: dict = {}  # frozen call -> its GeneratorEntry
-        self.stack: list = []  # ids of EVALUATING generators, oldest first
+        self.stack: list = []  # the EVALUATING generators' entries, oldest first
         self.arenas: list = []  # active resumption worklists, innermost last
         self.counters = Counters()
 
@@ -181,10 +184,9 @@ class TableSpace:
         entry = GeneratorEntry(id=len(self.entries), call=call, pattern=call_pattern(call))
         self.entries.append(entry)
         self.variant_index[call] = entry
-        entry.pos = len(self.stack)
-        self.stack.append(entry.id)
-        entry.deplink = entry.pos
-        if creator is not None and creator.status == EVALUATING:
+        entry.pos = entry.deplink = len(self.stack)
+        self.stack.append(entry)
+        if creator is not None:  # evaluating, as Engine._generator found it
             entry.deplink = min(entry.deplink, creator.deplink)
         self.counters.generators += 1
         return entry
@@ -197,7 +199,8 @@ class TableSpace:
         while a table has a call pattern, every answer is a ground instance
         of its call.  For tests; no query calls it."""
         if self.stack or self.arenas:
-            raise TablingError(f"check: stack {self.stack}, {len(self.arenas)} open arenas")
+            raise TablingError(f"check: stack {[e.id for e in self.stack]}, "
+                               f"{len(self.arenas)} open arenas")
         complete_entries = 0
         for entry in self.entries:
             call = print_term(entry.call)
@@ -218,28 +221,20 @@ class TableSpace:
         if len(self.variant_index) != complete_entries:
             raise TablingError("check: variant_index holds an entry that is not complete")
 
-    def pending_for_segment(self, pos: int) -> bool:
+    def complete(self, leader: GeneratorEntry):
+        """Mark the evaluating leader's whole group complete and erase its
+        continuations; a TablingError while an arena holds a resumption for
+        the group."""
+        pos = leader.pos  # the loop clears it
         for arena in self.arenas:
-            for cont, _ans in arena:
-                owner = self.entries[cont.gen_id]
-                if owner.pos is not None and owner.pos >= pos:
-                    return True
-        return False
-
-
-def complete(space: TableSpace, leader: GeneratorEntry):
-    """Mark the leader's whole group complete and erase its continuations."""
-    if leader.status != EVALUATING or leader.pos is None:
-        raise TablingError("complete: leader is not an evaluating generator")
-    pos = leader.pos  # the loop clears it
-    if space.pending_for_segment(pos):
-        raise TablingError("complete: called with pending resumption work")
-    for gid in space.stack[pos:]:
-        entry = space.entries[gid]
-        entry.status = COMPLETE
-        entry.continuations.clear()
-        entry.pos = None
-    del space.stack[pos:]
+            for stored, _ans in arena:
+                if stored.owner.pos is not None and stored.owner.pos >= pos:
+                    raise TablingError("complete: called with pending resumption work")
+        for entry in self.stack[pos:]:
+            entry.status = COMPLETE
+            entry.continuations.clear()
+            entry.pos = None
+        del self.stack[pos:]
 
 
 class GeneratorCP:
@@ -580,12 +575,7 @@ class Engine:
         cont = store.walk(goal.args[0])
         if type(cont) is not Struct or len(cont.args) < 3:  # Id, Bindings, Pending[, Prev]
             raise TablingError(f"malformed continuation term: {print_term(cont)}")
-        id_t = store.walk(cont.args[0])
-        if type(id_t) is not Int or not (0 <= id_t < len(self.space.entries)):
-            raise TablingError("malformed continuation term: bad generator id")
-        owner = self.space.entries[id_t]
-        if owner.status == DROPPED:
-            raise TablingError(f"slgcall/1: generator {owner.id} was dropped by a failed query")
+        owner = self._generator(store.walk(cont.args[0]), "slgcall/1")
         pending = store.walk(cont.args[2])
         if type(pending) not in (Atom, Struct):
             raise TablingError("malformed continuation term: pending call is not callable")
@@ -597,22 +587,29 @@ class Engine:
             # each answer bound into the pending call resumes the continuation
             machine.cps.append(StoredIterCP(pending, entry, store.mark(), (cont, rest), live))
             return False
-        self._suspend(machine, cont, id_t, entry)
+        self._suspend(machine, cont, owner, entry)
         return False
 
-    def _suspend(self, machine, cont, gen_id, entry):
-        owner = self.space.entries[gen_id]
-        if owner.status != EVALUATING:
-            raise TablingError("continuation captured for a completed generator")
-        low = min(owner.deplink, entry.deplink)
-        owner.deplink = low
-        entry.deplink = low
+    def _generator(self, id_t, prim):
+        """The evaluating generator that the Id term id_t names, as a goal of
+        the primitive prim carries it; a TablingError when there is none."""
+        entries = self.space.entries
+        if type(id_t) is not Int or not 0 <= id_t < len(entries):
+            raise TablingError(f"{prim}: bad generator id")
+        entry = entries[id_t]
+        if entry.status == EVALUATING:
+            return entry
+        why = "is already complete" if entry.status == COMPLETE else "was dropped by a failed query"
+        raise TablingError(f"{prim}: generator {entry.id} {why}")
+
+    def _suspend(self, machine, cont, owner, entry):
+        owner.deplink = entry.deplink = min(owner.deplink, entry.deplink)
         sizes: list = []  # cells of Id, Bindings, Pending and [Prev]
         term, nvars = machine.store.freeze(cont, sizes)
         if term in entry.continuations:
             return  # a variant is stored already and gets every answer
-        arena = self._current_arena()  # raises outside any evaluation, before any count
-        stored = entry.continuations[term] = StoredCont(term, nvars, gen_id, entry)
+        arena = self.space.arenas[-1]  # open: the owner is evaluating
+        stored = entry.continuations[term] = StoredCont(term, nvars, owner, entry)
         counters = self.space.counters
         counters.suspensions += 1
         counters.e_cells += sizes[1]
@@ -630,14 +627,7 @@ class Engine:
         the hash the plan preset or one computed at its first lookup.  An
         answer that is no ground instance of the call clears its pattern."""
         store = machine.store
-        id_t = store.walk(goal.args[0])
-        if type(id_t) is not Int or not (0 <= id_t < len(self.space.entries)):
-            raise TablingError("answer/2: bad generator id")
-        entry = self.space.entries[id_t]
-        if entry.status == COMPLETE:
-            raise TablingError(f"answer/2: generator {entry.id} is already complete")
-        if entry.status == DROPPED:
-            raise TablingError(f"answer/2: generator {entry.id} was dropped by a failed query")
+        entry = self._generator(store.walk(goal.args[0]), "answer/2")
         t, nvars = (goal.args[1], 0) if ground else store.freeze(goal.args[1])
         if t in entry.index:
             return False
@@ -647,7 +637,7 @@ class Engine:
             entry.pattern = None
         self.space.counters.answers += 1
         if entry.continuations:
-            arena = self._current_arena()
+            arena = self.space.arenas[-1]
             for stored in entry.continuations.values():
                 arena.append((stored, t))
         return False
@@ -663,19 +653,13 @@ class Engine:
         that names one is refused.
         """
         space = self.space
-        for gid in space.stack:
-            entry = space.entries[gid]
+        for entry in space.stack:
             space.variant_index.pop(entry.call, None)
             entry.status = DROPPED
             entry.continuations.clear()
             entry.pos = None
         space.stack.clear()
         space.arenas.clear()
-
-    def _current_arena(self):
-        if not self.space.arenas:
-            raise TablingError("suspension outside any tabled evaluation")
-        return self.space.arenas[-1]
 
     def _cont_clause(self, key):
         """The _ContClause of a predicate with exactly one clause, else None."""
@@ -942,14 +926,14 @@ class Engine:
         space = self.space
         if entry.status != EVALUATING:
             raise TablingError("internal: generator completed while its choice point was live")
-        segment = [space.entries[g] for g in space.stack[entry.pos :]]
+        segment = space.stack[entry.pos :]
         low = min(e.deplink for e in segment)
         if low == entry.pos:
-            complete(space, entry)
+            space.complete(entry)
             return
         if not self.reads_incomplete:
             blocker = next(e for e in segment if e.deplink == low)
-            outer = space.entries[space.stack[low]]
+            outer = space.stack[low]
             raise TablingError(
                 f"tabled call {print_term(entry.call)} was reached through {UNINSTRUMENTED}, "
                 f"so it cannot complete: {print_term(blocker.call)} depends on the open "

@@ -1,5 +1,6 @@
 import pathlib
 import resource
+import signal
 import subprocess
 import sys
 
@@ -10,6 +11,25 @@ from cctab import Engine, Mode, parse_program, parse_query, print_term, translat
 HERE = pathlib.Path(__file__).parent
 FIXTURES = HERE / "fixtures"
 GOLDEN = HERE / "golden"
+
+# a test that runs longer than this has hung: it fails with a traceback of
+# where it was, instead of running on until the CI job is killed
+TEST_LIMIT_S = 300
+
+
+def _expire(signum, frame):
+    raise TimeoutError(f"the test ran longer than {TEST_LIMIT_S} s")
+
+
+@pytest.hookimpl(wrapper=True)
+def pytest_runtest_call(item):
+    previous = signal.signal(signal.SIGALRM, _expire)
+    signal.alarm(TEST_LIMIT_S)
+    try:
+        return (yield)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def read_fixture(name: str) -> str:

@@ -279,12 +279,12 @@ def test_non_ground_answer_resumes_a_consumer(capsys, tmp_path):
 @pytest.mark.parametrize("clause, text", [
     ("q :- answer(7, p(2)).", "answer/2: bad generator id"),
     ("q :- p(_), answer(0, p(2)).", "answer/2: generator 0 is already complete"),
-    ("q :- slgcall(k(9, [], p(X), [])).", "malformed continuation term: bad generator id"),
+    ("q :- slgcall(k(9, [], p(X), [])).", "slgcall/1: bad generator id"),
     ("p(X) :- slgcall(k(0, [], 5, [])).\nq :- p(_).",
      "malformed continuation term: pending call is not callable"),
     # r(_) is generator 1; its continuation names the completed generator 0
     (":- table r/1.\nr(X) :- slgcall(k(0, [], r(X), [])).\nq :- p(X), r(Y).",
-     "continuation captured for a completed generator"),
+     "slgcall/1: generator 0 is already complete"),
 ], ids=["answer-bad-id", "answer-complete", "slgcall-bad-id", "slgcall-not-callable",
         "slgcall-complete"])
 def test_hand_written_primitive_errors_exit_2(capsys, tmp_path, clause, text):
@@ -297,8 +297,8 @@ def test_hand_written_primitive_errors_exit_2(capsys, tmp_path, clause, text):
 # a query may name a generated predicate, whose generator id the runtime
 # then checks: the program's checks at load time do not reach a query
 @pytest.mark.parametrize("query, text", [
-    ("slg_path(path(1, X), 7)", "malformed continuation term: bad generator id"),
-    ("path(1, X), slg_path(path(1, Y), 0)", "answer/2: generator 0 is already complete"),
+    ("slg_path(path(1, X), 7)", "slgcall/1: bad generator id"),
+    ("path(1, X), slg_path(path(1, Y), 0)", "slgcall/1: generator 0 is already complete"),
 ], ids=["bad-id", "complete"])
 def test_query_naming_a_generated_predicate_exits_2(capsys, query, text):
     code, out, err = run_cli(capsys, "--gen", "chain:3", "--query", query)
@@ -380,6 +380,13 @@ def test_non_utf8_program_exits_2_naming_file_and_byte(tmp_path, prefix):
     proc = run_limited("-m", "cctab.cli", str(f), "--query", "p(X)")
     assert (proc.returncode, proc.stdout, proc.stderr) == (
         2, "", f"error: {f}: byte {len(prefix) + 2} is not UTF-8 (invalid start byte)\n")
+
+
+def test_non_utf8_program_exits_2_in_process(capsys, tmp_path):
+    f = tmp_path / "latin1.pl"
+    f.write_bytes(b"p(a).\np(\xff).\n")
+    assert run_cli(capsys, str(f), "--query", "p(X)") == (
+        2, "", f"error: {f}: byte 8 is not UTF-8 (invalid start byte)\n")
 
 
 @pytest.mark.parametrize("newline", ["\r", "\r\n"], ids=["cr", "crlf"])

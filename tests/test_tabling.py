@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import random
 import re
 
 import pytest
@@ -29,11 +30,12 @@ from cctab import (
 )
 from cctab.engine import Machine, solve as sld_solve
 from cctab.oracle import oracle_answers_for
-from cctab.terms import NIL, pred_of
-from cctab.tabling import COMPLETE, DROPPED, EVALUATING, StoredCont, TableSpace, complete
+from cctab.terms import pred_of
+from cctab.tabling import COMPLETE, DROPPED, EVALUATING, StoredCont, TableSpace
 
 from conftest import (HERE, answers, make_engine, memory_error_at_answer, read_fixture,
                       run_limited)
+from test_differential import PROGRAMS, SEED, random_program
 
 
 def test_mixed_loop_general_finds_both_answers(mixed_loop_src):
@@ -178,8 +180,8 @@ h(X) :- t(Y), X is Y * 10, X < 100.
 
     orig_suspend = Engine._suspend
 
-    def spy(self, machine, cont, gen_id, entry):
-        r = orig_suspend(self, machine, cont, gen_id, entry)
+    def spy(self, machine, cont, owner, entry):
+        r = orig_suspend(self, machine, cont, owner, entry)
         stored = list(entry.continuations.values())[-1]
         captured[id(stored)] = (stored, print_term(stored.term))
         return r
@@ -207,20 +209,11 @@ def test_answer_into_completed_table_errors(mixed_loop_src):
 def test_complete_with_pending_work_errors():
     space = TableSpace()
     entry = space.new_generator(parse_term("t(_)"))
-    stored = StoredCont(parse_term("c(0, [], t(0), [])"), 0, entry.id, entry)
+    stored = StoredCont(parse_term("c(0, [], t(0), [])"), 0, entry, entry)
     arena = [(stored, parse_term("t(0)"))]
     space.arenas.append(arena)
     with pytest.raises(TablingError, match="pending"):
-        complete(space, entry)
-
-
-def test_complete_of_a_complete_leader_errors():
-    space = TableSpace()
-    entry = space.new_generator(parse_term("t(_)"))
-    complete(space, entry)
-    assert (entry.status, space.stack) == (COMPLETE, [])
-    with pytest.raises(TablingError, match="^complete: leader is not an evaluating generator$"):
-        complete(space, entry)
+        space.complete(entry)
 
 
 def test_finishing_a_completed_group_errors(mixed_loop_src):
@@ -233,17 +226,6 @@ def test_finishing_a_completed_group_errors(mixed_loop_src):
         eng._finish_group(entry)
     assert str(info.value) == "internal: generator completed while its choice point was live"
     eng.space.check()
-
-
-def test_suspension_outside_any_evaluation_errors():
-    # a hand-made evaluating generator, with no arena open to resume into
-    eng = make_engine(":- table t/1.\nt(0).\n")
-    eng.space.new_generator(parse_term("t(_)"))
-    m = Machine(eng.index, runtime=eng)
-    x = m.store.new_var("X")
-    goal = Struct("slgcall", (Struct("k", (Int(0), NIL, Struct("t", (x,)), NIL)),))
-    with pytest.raises(TablingError, match="^suspension outside any tabled evaluation$"):
-        eng.on_slgcall(m, goal, None)
 
 
 def test_malformed_continuation_arity():
@@ -531,7 +513,7 @@ def replace_answer(entry, text, nvars):
 # that leaves one complete table, p(A), with two answers; and the error it
 # must raise.
 CORRUPTIONS = {
-    "open_stack": (lambda space, entry: space.stack.append(entry.id),
+    "open_stack": (lambda space, entry: space.stack.append(entry),
                    "check: stack [0], 0 open arenas"),
     "not_indexed": (lambda space, entry: space.variant_index.clear(),
                     "check: p(A) is not indexed to its entry"),
@@ -589,8 +571,8 @@ def test_complete_keeps_outer_generators_on_the_stack():
     space = TableSpace()
     first = space.new_generator(parse_term("t(_)"))
     second = space.new_generator(parse_term("u(_)"))
-    complete(space, second)
-    assert space.stack == [first.id]
+    space.complete(second)
+    assert space.stack == [first]
     assert (first.status, first.pos) == (EVALUATING, 0)
     assert (second.status, second.pos) == (COMPLETE, None)
 
@@ -1071,3 +1053,52 @@ def test_dropped_generator_is_refused(query, prim):
         list(eng.solve(parse_query(query)))
     assert eng.space.entries[0].answers == [] and eng.counters.generators == generators
     assert eng.space.stack == [] and eng.space.arenas == []
+
+
+def check_evaluation_invariants(space):
+    """The invariants that let the runtime read a generator's arena and stack
+    position without testing them: an arena is open while any generator is
+    evaluating, and the completion stack holds exactly the evaluating
+    entries, each at its position and depending on none above it."""
+    assert space.arenas or not space.stack
+    for pos, e in enumerate(space.stack):
+        assert (e.pos, e.status) == (pos, EVALUATING)
+        assert e.deplink <= e.pos
+    stacked = sum(e.pos is not None for e in space.entries)
+    assert stacked == len(space.stack)
+
+
+def invariant_programs():
+    """(source, query) pairs: the differential test's seeded programs, the
+    generated graphs and the mixed loop."""
+    rng = random.Random(SEED)
+    for _ in range(PROGRAMS):
+        src = random_program(rng)
+        for t in sorted(p.name for p in parse_program(src).tabled):
+            yield src, f"{t}(X, Y)"
+    for kind in ("chain", "cycle", "grid"):
+        for size in (3, 6):
+            yield gen_fixture(kind, size), "path(X, Y)"
+    yield read_fixture("mixed_loop.pl"), "t(A)"
+
+
+@pytest.mark.parametrize("mode", list(Mode), ids=lambda m: m.value)
+def test_evaluation_invariants_hold_at_every_primitive(mode, monkeypatch):
+    calls = []
+    for name in ("on_slg", "on_slgcall", "on_answer"):
+        real = getattr(Engine, name)
+
+        def hook(self, machine, goal, rest, *more, real=real):
+            check_evaluation_invariants(self.space)
+            calls.append(real.__name__)
+            result = real(self, machine, goal, rest, *more)
+            check_evaluation_invariants(self.space)
+            return result
+
+        monkeypatch.setattr(Engine, name, hook)
+    for src, query in invariant_programs():
+        eng = make_engine(src, mode)
+        for _ in range(2):  # a cold query, then a re-query
+            list(eng.solve(parse_query(query)))
+            eng.space.check()
+    assert len(calls) > 10_000
