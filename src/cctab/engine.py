@@ -515,14 +515,14 @@ class ClauseCP:
 class StoredIterCP:
     """Iterate a table's answers, binding a live term to each in turn.
 
-    table is the table's entry: its answers, in insertion order, and its
-    call pattern (tabling.call_pattern) are read at every retry, as legacy
-    mode reads incomplete tables.  live holds the ids of the live term's
-    unbound variables, in the order its variant numbers them.  While the
-    table has a pattern, its answers are ground instances of its call, and
-    each binds each live variable to the answer's argument at its place,
-    one binding and one trail entry each, as unify_stored would.  Without
-    one, each answer is unified, with as many new variables as its index
+    table is the table's entry: its answer records, in insertion order, are
+    read at every retry, as legacy mode reads incomplete tables.  live holds
+    the ids of the live term's unbound variables, in the order its variant
+    numbers them.  While the table has a call pattern (tabling.call_pattern),
+    each record is the tuple of a ground instance's values at the call's
+    variables, and binds each live variable to its value, one binding and
+    one trail entry each, as unify_stored would.  Any other record is an
+    answer term, which is unified, with as many new variables as its index
     entry says it has.
     """
 
@@ -544,19 +544,15 @@ class StoredIterCP:
         while len(trail) > mark:  # store.undo_to(mark), inline
             bindings[trail.pop()] = None
         answers = self.table.answers
-        pattern = self.table.pattern  # no answer is stored while this retry runs
         while self.i < len(answers):
-            term = answers[self.i]
+            rec = answers[self.i]
             self.i += 1
-            if pattern is None:
-                if not unify_stored(self.target, term, [None] * self.table.index[term], None,
-                                    store):
-                    continue
-            else:
-                args = term.args
-                for v, k in zip(self.live, pattern.places):
-                    bindings[v] = args[k]
+            if type(rec) is tuple:
+                for v, x in zip(self.live, rec):
+                    bindings[v] = x
                 trail.extend(self.live)
+            elif not unify_stored(self.target, rec, [None] * self.table.index[rec], None, store):
+                continue
             m.goals = self.rest
             return True
         return False
@@ -672,7 +668,7 @@ class Machine:
                 elif key == ("slgcall", 1):
                     go_on = self.runtime.on_slgcall(self, goal, rest)
                 else:
-                    go_on = self.runtime.on_answer(self, goal, rest)
+                    go_on = self.runtime.on_answer(self, *args)
                 if not go_on and not self.backtrack():
                     return EXHAUSTED
                 continue

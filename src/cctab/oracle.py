@@ -232,7 +232,7 @@ def compare_answer_sets(space, facts: dict, pred: PredId, call: Term = None):
     entry = space.lookup(canonical_variant(call))
     if entry is None or entry.status != COMPLETE:
         raise RangeRestrictionError(f"no completed table entry for {print_term(call)}")
-    engine_set = set(entry.answers)
+    engine_set = {entry.term_of(rec) for rec in entry.answers}
     oracle_set = oracle_answers_for(facts, entry.call)
     missing = sorted(oracle_set - engine_set, key=print_term)
     extra = sorted(engine_set - oracle_set, key=print_term)

@@ -18,17 +18,21 @@ generator is done.  Resumption is a failure-driven loop over the table: a
 generator called by slg/1 owns its group's FIFO worklist of (continuation,
 answer) pairs, and its GeneratorCP resumes the next pair each time the
 machine backtracks into it.
-A table keeps one record per answer, its frozen term, listed in insertion
-order and mapped to its number of variables by the index, and one per
-continuation, its StoredCont, keyed by its frozen term.  It decides
-substitution factoring (Ramakrishnan et al., JLP 1999) once: its call
-pattern says where the call's variables are, and on_answer clears it at the
-first answer that is not a ground instance of the call.  While it holds, a
-read binds the live call's variables to an answer's arguments, and a
+A table keeps one record per answer, listed in insertion order and mapped
+to its answer's number of variables by the index, and one per continuation,
+its StoredCont, keyed by its frozen term.  It decides substitution factoring
+(Ramakrishnan et al., JLP 1999) once: its call pattern says where the call's
+variables are.  While the pattern holds, an answer's record is the tuple of
+its values at those places, which is its own key: it is hashed and compared
+in C, and no answer term is built for it.  on_answer clears the pattern at
+the first answer that is not a ground instance of the call, and turns every
+tuple back into its term; from then on each record is the answer's frozen
+term.  GeneratorEntry.term_of gives any record's term.  While the pattern
+holds, a read binds the live call's variables to a record's values, and a
 resumption follows the resume plan its continuation gets at its first
-resumption: the answer's arguments, ground subterms and new variables fill
-the head map of each clause it runs in place, and its guards, call(Cont)
-chain, fact join and answer/2 run from the map, with no unification (see
+resumption: the answer's values, ground subterms and new variables fill the
+head map of each clause it runs in place, and its guards, call(Cont) chain,
+fact join and answer/2 run from the map, with no unification (see
 Engine._resume).  Once it is cleared, or for a continuation with no plan,
 each answer is unified with the live or pending call, and the machine
 resolves the stored term against its predicate's one clause.  When a read
@@ -121,17 +125,39 @@ class StoredCont:
 class GeneratorEntry:
     id: int
     call: Term  # frozen call; its variant key
-    answers: list = field(default_factory=list)  # frozen answer terms, insertion order
-    index: dict = field(default_factory=dict)  # answer term, as variant key -> its nvars
+    # one record per answer, in insertion order: the tuple of its values at
+    # places while pattern holds, else its frozen term
+    answers: list = field(default_factory=list)
+    index: dict = field(default_factory=dict)  # record, as its answer's variant key -> its nvars
     continuations: dict = field(default_factory=dict)  # frozen term, as variant key -> StoredCont
     status: str = EVALUATING  # then COMPLETE, or DROPPED
     pos: int = None  # completion stack index while EVALUATING
     deplink: int = None  # lowest stack position this generator depends on
     suspension_total: int = 0  # cumulative; survives completion
     pattern: CallPattern = None  # call_pattern(call); None once an answer is no ground instance
+    places: tuple = None  # pattern's places, kept once it is cleared, for tuples still queued
+
+    def term_of(self, rec) -> Term:
+        """The answer term of one of answers' records: a tuple's values put
+        into the call at places; any other record is its term itself."""
+        if type(rec) is not tuple:
+            return rec
+        args = list(self.call.args)
+        for k, v in zip(self.places, rec):
+            args[k] = v
+        return Struct(self.call.functor, tuple(args))
+
+    def clear_pattern(self):
+        """Record answers as terms from now on: each tuple is turned back into
+        its term, in place and in insertion order, and the pattern cleared.
+        The three writes are one statement, so an interrupt at a line leaves
+        the table as it was or as it ends."""
+        terms = [self.term_of(rec) for rec in self.answers]
+        self.answers[:], self.index, self.pattern = terms, dict.fromkeys(terms, 0), None
 
 
-CallPattern = namedtuple("CallPattern", "functor arity ground values places")
+# key takes an answer's argument tuple to its record, the values at places
+CallPattern = namedtuple("CallPattern", "functor arity ground values places key")
 
 
 def call_pattern(call: Term) -> CallPattern | None:
@@ -154,7 +180,14 @@ def call_pattern(call: Term) -> CallPattern | None:
     if len({args[i].id for i in places}) < len(places):
         return None
     ground = itemgetter(*fixed) if fixed else None
-    return CallPattern(call.functor, len(args), ground, ground and ground(args), tuple(places))
+    first = places[0] if places else 0
+    if places == list(range(first, first + len(places))):
+        # a slice, also for one place or none; all the arguments slice to their tuple itself
+        key = itemgetter(slice(first, first + len(places)))
+    else:
+        key = itemgetter(*places)
+    return CallPattern(call.functor, len(args), ground, ground and ground(args), tuple(places),
+                       key)
 
 
 def is_instance(pattern: CallPattern, answer: Term) -> bool:
@@ -181,13 +214,18 @@ class TableSpace:
         return self.variant_index.get(call)
 
     def new_generator(self, call: Term, creator=None) -> GeneratorEntry:
-        entry = GeneratorEntry(id=len(self.entries), call=call, pattern=call_pattern(call))
-        self.entries.append(entry)
-        self.variant_index[call] = entry
+        """Open the generator of a frozen call.  It is on the stack before it
+        is published anywhere else, so that a query cut short at any point
+        here leaves it unpublished or reached by Engine._purge_incomplete."""
+        pattern = call_pattern(call)
+        entry = GeneratorEntry(id=len(self.entries), call=call, pattern=pattern,
+                               places=pattern and pattern.places)
         entry.pos = entry.deplink = len(self.stack)
-        self.stack.append(entry)
         if creator is not None:  # evaluating, as Engine._generator found it
             entry.deplink = min(entry.deplink, creator.deplink)
+        self.stack.append(entry)
+        self.variant_index[call] = entry
+        self.entries.append(entry)
         self.counters.generators += 1
         return entry
 
@@ -196,8 +234,9 @@ class TableSpace:
         do: no generator is evaluating and no arena is open, every entry is
         complete or dropped, variant_index maps each complete call to its
         entry and nothing else, each table indexes every answer once, and
-        while a table has a call pattern, every answer is a ground instance
-        of its call.  For tests; no query calls it."""
+        its records are tuples exactly while it has a call pattern, each as
+        long as its places and holding a ground answer.  For tests; no query
+        calls it."""
         if self.stack or self.arenas:
             raise TablingError(f"check: stack {[e.id for e in self.stack]}, "
                                f"{len(self.arenas)} open arenas")
@@ -213,11 +252,19 @@ class TableSpace:
             if len(entry.answers) != len(entry.index):
                 raise TablingError(f"check: {call} has {len(entry.answers)} answers, "
                                    f"{len(entry.index)} indexed")
-            for t in entry.answers:
-                if t not in entry.index:
-                    raise TablingError(f"check: {call} does not index {print_term(t)}")
-                if entry.pattern and (entry.index[t] or not is_instance(entry.pattern, t)):
-                    raise TablingError(f"check: {call} keeps its pattern but holds {print_term(t)}")
+            for rec in entry.answers:
+                if rec not in entry.index:
+                    why = "does not index"
+                elif entry.pattern is None:
+                    why = "has no pattern but holds a tuple for" if type(rec) is tuple else None
+                elif type(rec) is not tuple or entry.index[rec]:
+                    why = "keeps its pattern but holds"
+                elif len(rec) != len(entry.places):
+                    why = f"has a record of {len(rec)} values, not {len(entry.places)}, for"
+                else:
+                    why = None
+                if why:
+                    raise TablingError(f"check: {call} {why} {print_term(entry.term_of(rec))}")
         if len(self.variant_index) != complete_entries:
             raise TablingError("check: variant_index holds an entry that is not complete")
 
@@ -305,10 +352,12 @@ class _ContClause:
     built-in, the slots of its new variables, _build's steps for its
     compound arguments, the getter of its arguments).  For an answer/2,
     build is _build's steps and new the slots of the variables first met in
-    it."""
+    it; flat is (the slot of its Id variable, the answer's functor, the
+    getter of the answer's arguments) when the answer is a compound with no
+    compound argument, else None."""
 
     __slots__ = ("head", "nvars", "names", "guards", "rest", "answer", "cont", "join", "linear",
-                 "tail", "build", "new")
+                 "tail", "build", "new", "flat")
 
     def __init__(self, clause, index):
         self.head, body, self.nvars, self.names = clause
@@ -319,7 +368,7 @@ class _ContClause:
         self.rest = body[k:]
         ids = [t.id for t in walk_subterms(self.head) if type(t) is Var]
         self.linear = len(set(ids)) == len(ids)  # no variable occurs twice in the head
-        self.answer = self.cont = self.join = self.build = None
+        self.answer = self.cont = self.join = self.build = self.flat = None
         rest = keys[k:]
         if rest == [("call", 1)] and type(body[k].args[0]) is Var:
             # the variables of the head and the guards, with repeats
@@ -348,6 +397,45 @@ class _ContClause:
             new = []
             self.build = _build(self.answer, self.nvars, known, self.tail, new)
             self.new = tuple(new)
+            id_t, ans = self.answer.args
+            if type(id_t) is Var and len(self.build) == 2:  # the answer's step, then answer/2's
+                self.flat = (id_t.id, ans.functor, self.build[0][2])
+
+
+def _read_form(goals, n):
+    """The function that builds the goals of a direct read's solution in
+    Engine.solve from its values, those of a query with n variable ids,
+    with no instantiate.  One flat goal whose arguments are the query's
+    variables in order takes the values as its argument tuple: a table's
+    record itself, when they are one.  Other goals are built by _build's
+    steps over a map of the values followed by the goals' constants, one
+    flat goal by its one step."""
+    if (len(goals) == 1 and type(goals[0]) is Struct
+            and [a.id if type(a) is Var else None for a in goals[0].args] == list(range(n))):
+        functor = goals[0].functor
+        return lambda values: [Struct(functor, tuple(values))]
+    tail, steps, outs = [], [], []  # outs: the slot of each goal
+    known = set(range(n))
+    for g in goals:
+        if type(g) is Struct:
+            steps += _build(g, n, known, tail, [])
+            outs.append(steps[-1][0])
+        elif type(g) is Var:
+            outs.append(g.id)
+        else:
+            outs.append(n + len(tail))
+            tail.append(g)
+    if len(goals) == len(steps) == 1:
+        ((_slot, functor, get),) = steps
+        return lambda values: [Struct(functor, get([*values, *tail]))]
+
+    def build(values):
+        hmap = [*values, *tail]
+        for slot, f, get in steps:
+            hmap[slot] = Struct(f, get(hmap))
+        return [hmap[k] for k in outs]
+
+    return build
 
 
 def _build(goal, nvars, known, tail, new):
@@ -391,11 +479,13 @@ def _build(goal, nvars, known, tail, new):
 class Solution:
     """One solution of a query: goals, the resolved instances of the query
     goals.  bindings, the named query variables' resolved values, is built
-    from values (by query variable id) and named (name -> id) when read."""
+    from values (by query variable id; a list, or a table's record when a
+    direct read's values are exactly its tuple) and named (name -> id) when
+    read."""
 
     __slots__ = ("goals", "values", "named")
 
-    def __init__(self, goals: list, values: list, named: dict):
+    def __init__(self, goals: list, values, named: dict):
         self.goals = goals
         self.values = values
         self.named = named
@@ -438,9 +528,11 @@ class Engine:
 
         When a solution's newest choice point reads a complete table that
         keeps its call pattern, with no goal after the read, the table's
-        further answers become solutions straight from their arguments, and
-        the machine resumes once they are given.  A query variable whose
-        value is a compound leaves them to the machine."""
+        further answers become solutions straight from their records, and
+        the machine resumes once they are given.  Their goals are built by
+        the query's read form (_read_form), decided at its first such read.
+        A query variable whose value is a compound leaves them to the
+        machine."""
         if not isinstance(goals, (list, tuple)):
             goals = [goals]
         if not _reserve:  # at the first query, and at the first after each handler ran
@@ -453,6 +545,7 @@ class Engine:
         bindings = machine.store.bindings
         resolve = machine.store.resolve
         cps = machine.cps
+        form = None
         try:
             while machine.run() == SOLUTION:
                 values = []  # of each query variable, by id
@@ -472,10 +565,10 @@ class Engine:
                 if table.pattern is None or table.status != COMPLETE:
                     continue
                 # The read ends the query.  A query variable whose binding
-                # chain ends at one of its live variables takes the answer's
-                # argument at that variable's place; any other keeps its value.
-                place = dict(zip(cp.live, table.pattern.places))
-                fill = []  # (query variable id, argument place)
+                # chain ends at one of its live variables takes the record's
+                # value for that variable; any other keeps its value.
+                place = {v: k for k, v in enumerate(cp.live)}  # -> its place in a record
+                fill = []  # (query variable id, place in a record)
                 for i, t in enumerate(live):
                     k = None
                     while type(t) is Var:
@@ -489,14 +582,22 @@ class Engine:
                     elif type(t) is Struct:
                         break  # the machine builds it from each answer
                 else:
+                    if form is None:
+                        form = _read_form(goals, len(live))
+                    # each query variable takes its own place, in order: the
+                    # record is the solution's values
+                    whole = len(cp.live) == len(live) and fill == [(i, i) for i in range(len(live))]
                     answers = table.answers
                     for n in range(cp.i, len(answers)):
                         cp.i = n + 1
-                        args = answers[n].args
-                        values = values[:]
-                        for i, k in fill:
-                            values[i] = args[k]
-                        yield Solution([instantiate(g, values) for g in goals], values, named)
+                        rec = answers[n]
+                        if whole:
+                            values = rec
+                        else:
+                            values = values[:]
+                            for i, k in fill:
+                                values[i] = rec[k]
+                        yield Solution(form(values), values, named)
                     # the machine's retry of cp now fails, and pops it
         except GeneratorExit:
             # Closed at a yield, where no evaluation is in progress; a purge
@@ -512,11 +613,11 @@ class Engine:
             raise
 
     def answer_terms(self, call: Term) -> list:
-        """Stored answers for the variant of call, in insertion order."""
+        """Stored answers for the variant of call, as terms, in insertion order."""
         entry = self.space.lookup(canonical_variant(call))
         if entry is None:
             return []
-        return list(entry.answers)
+        return [entry.term_of(rec) for rec in entry.answers]
 
     # -- tabling primitive hooks (called from Machine.run) --------------------
     #
@@ -620,26 +721,43 @@ class Engine:
         for t in entry.answers:
             arena.append((stored, t))
 
-    def on_answer(self, machine, goal, rest, ground=False):
-        """Record the answer of goal, answer(Id, Answer), for generator Id.
-        ground says that Answer is ground, as a resume plan can tell; it is
-        then stored as it is, since freezing a ground term returns it, with
-        the hash the plan preset or one computed at its first lookup.  An
-        answer that is no ground instance of the call clears its pattern."""
+    def on_answer(self, machine, id_t, answer, args=None):
+        """Record an answer, as answer(Id, Answer) does, for the generator
+        that the Id term id_t names; False, for the machine to backtrack.  A
+        resume plan passes args, the argument tuple of a compound answer
+        whose functor answer is, each argument an atom or an integer, and no
+        answer term is built.  While the table keeps its call pattern, a
+        ground instance of its call is recorded as its values at the places,
+        the tuple that pattern.key takes from its arguments; the first answer
+        that is none clears the pattern."""
         store = machine.store
-        entry = self._generator(store.walk(goal.args[0]), "answer/2")
-        t, nvars = (goal.args[1], 0) if ground else store.freeze(goal.args[1])
-        if t in entry.index:
+        entry = self._generator(store.walk(id_t), "answer/2")
+        pattern = entry.pattern
+        if args is None:
+            rec, nvars = store.freeze(answer)
+            if pattern and (nvars or not is_instance(pattern, rec)):
+                entry.clear_pattern()
+            elif pattern:
+                rec = pattern.key(rec.args)
+        elif pattern and answer == pattern.functor and len(args) == pattern.arity and (
+                pattern.ground is None or pattern.ground(args) == pattern.values):
+            rec, nvars = pattern.key(args), 0
+        else:
+            rec, nvars = Struct(answer, args), 0
+            rec._hash = hash((answer, len(args), *args))  # Struct.__hash__'s tokens, in its order
+            if pattern:
+                entry.clear_pattern()
+        index = entry.index
+        if rec in index:
             return False
-        entry.index[t] = nvars
-        entry.answers.append(t)
-        if entry.pattern and (nvars or not is_instance(entry.pattern, t)):
-            entry.pattern = None
+        # index first: a purge drops the key of an answer cut short here
+        index[rec] = nvars
+        entry.answers.append(rec)
         self.space.counters.answers += 1
         if entry.continuations:
             arena = self.space.arenas[-1]
             for stored in entry.continuations.values():
-                arena.append((stored, t))
+                arena.append((stored, rec))
         return False
 
     # -- internals -------------------------------------------------------------
@@ -658,6 +776,8 @@ class Engine:
             entry.status = DROPPED
             entry.continuations.clear()
             entry.pos = None
+            if len(entry.index) > len(entry.answers):  # on_answer was cut between its writes
+                entry.index.popitem()
         space.stack.clear()
         space.arenas.clear()
 
@@ -687,8 +807,8 @@ class Engine:
         place, (slg, base, fills, fresh, clause, more): the slg_resolutions
         it counts; its head map with the ground slots filled, followed by
         the clause's builder tail, or None when nothing reads or writes the
-        map (no guard, no loose variable, and a call(Cont) goes on); (answer
-        argument index, head slot) pairs; (loose index, head slot, name)
+        map (no guard, no loose variable, and a call(Cont) goes on); (place in
+        an answer's record, head slot) pairs; (loose index, head slot, name)
         triples, in the order unification meets them; the clause; and
         whether a call(Cont) goes on to a deeper one.  nloose counts the
         loose variables."""
@@ -702,7 +822,8 @@ class Engine:
         if stored.table.pattern is None:
             return False
         pending = term.args[2].args  # a variant of the table's call
-        arg_of = {pending[i].id: i for i in stored.table.pattern.places}  # variable id -> argument
+        # variable id -> its place in an answer's record
+        arg_of = {pending[i].id: k for k, i in enumerate(stored.table.pattern.places)}
         loose: dict = {}  # variable id of term that no answer argument binds -> its index
         depths = []
         while True:
@@ -753,8 +874,8 @@ class Engine:
         """Resume a stored continuation with an answer on machine m.
 
         While the continuation's table keeps its call pattern, every answer is
-        a ground instance of the pending call and follows the resume plan: it
-        fills each clause's head map from the answer's arguments and the
+        a ground instance of the pending call, its record a tuple, and follows
+        the resume plan: it fills each clause's head map from the record and the
         plan's ground slots, and makes the new variables that unification
         would for the loose ones.  The clause's guards run in place, their
         arguments built from the head map, and a call(Cont) tail goes on into
@@ -773,7 +894,6 @@ class Engine:
         if not plan or stored.table.pattern is None:
             return self._call_stored(m, stored, ans)
         nloose, depths = plan
-        args = ans.args
         store = m.store
         spend = m.budget.spend
         counters = self.space.counters
@@ -786,8 +906,8 @@ class Engine:
             counters.slg_resolutions += slg
             if base is not None:
                 hmap = base.copy()
-                for i, slot in fills:
-                    hmap[slot] = args[i]
+                for k, slot in fills:
+                    hmap[slot] = ans[k]
                 for k, slot, name in fresh:  # instantiate's, then unify_stored's steps
                     x = loose[k]
                     if x is None:
@@ -827,13 +947,17 @@ class Engine:
         return True
 
     def _call_stored(self, m, stored, ans) -> bool:
-        """Unify the answer, with the number of variables its table's index
-        holds for it, with stored's pending call and hand the stored term to
-        machine m, which resolves it against its one clause; False when they
-        do not unify."""
+        """Unify the answer of the record ans, with the number of variables
+        its table's index holds for it, with stored's pending call and hand
+        the stored term to machine m, which resolves it against its one
+        clause; False when they do not unify.  A tuple, queued while the
+        table kept its pattern, is a ground answer whose term is built here."""
         store = m.store
         term = stored.term
-        ans_nvars = stored.table.index[ans]
+        if type(ans) is tuple:
+            ans, ans_nvars = stored.table.term_of(ans), 0
+        else:
+            ans_nvars = stored.table.index[ans]
         varmap = [None] * stored.nvars
         if ans_nvars:
             # the answer is the stored side here, so an unbound variable of the
@@ -903,24 +1027,24 @@ class Engine:
 
     def _put_answer(self, m, clause, hmap):
         """Spend answer/2's step and record clause's answer from the head map
-        hmap, built by the clause's build.  An answer whose arguments are
-        each an atom or an integer is ground: it is stored as it is, not
-        frozen again, with the hash of its variant key."""
+        hmap.  A flat answer whose arguments are each an atom or an integer
+        goes to on_answer as its functor and argument tuple, with no term
+        built; any other is built by the clause's build."""
         m.budget.spend()
         for slot in clause.new:  # a variable first met in the answer
             hmap[slot] = m.store.new_var(clause.names[slot])
-        for slot, f, getter in clause.build:
-            hmap[slot] = goal = Struct(f, getter(hmap))
-        t = goal.args[1]
-        if type(t) is Struct:
-            for a in t.args:
+        if clause.flat is not None:
+            id_slot, functor, getter = clause.flat
+            args = getter(hmap)
+            for a in args:
                 if type(a) is Var or type(a) is Struct:
                     break
-            else:  # Struct.__hash__'s tokens, in its order
-                t._hash = hash((t.functor, len(t.args), *t.args))
-                self.on_answer(m, goal, None, True)
+            else:
+                self.on_answer(m, hmap[id_slot], functor, args)
                 return
-        self.on_answer(m, goal, None)  # which freezes it
+        for slot, f, getter in clause.build:
+            hmap[slot] = goal = Struct(f, getter(hmap))
+        self.on_answer(m, *goal.args)  # which freezes it
 
     def _finish_group(self, entry):
         space = self.space

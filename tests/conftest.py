@@ -77,10 +77,10 @@ def memory_error_at_answer(monkeypatch, k: int):
     real = cctab.tabling.Engine.on_answer
     calls = []
 
-    def on_answer(self, machine, goal, rest, ground=False):
-        calls.append(goal)
+    def on_answer(self, machine, id_t, answer, args=None):
+        calls.append(answer)
         if len(calls) == k:
             raise MemoryError
-        return real(self, machine, goal, rest, ground)
+        return real(self, machine, id_t, answer, args)
 
     monkeypatch.setattr(cctab.tabling.Engine, "on_answer", on_answer)

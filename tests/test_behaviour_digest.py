@@ -59,8 +59,8 @@ def run_program(h, src, queries, mode):
     for e in eng.space.entries:
         done = "complete" if e.status == COMPLETE else "evaluating"
         h.update(f"{print_term(e.call)} {done}:".encode())
-        for t in e.answers:
-            h.update(print_term(t).encode() + b";")
+        for rec in e.answers:
+            h.update(print_term(e.term_of(rec)).encode() + b";")
         h.update(b"\n")
     h.update(repr(dataclasses.asdict(eng.counters)).encode() + b"\n")
 

@@ -18,13 +18,38 @@ import pytest
 
 import cctab.engine
 import cctab.tabling
-from cctab import Error, Mode, gen_fixture, parse_query, parse_term, print_term
+from cctab import Atom, Error, Mode, Struct, Var, gen_fixture, parse_query, parse_term, print_term
 from cctab.engine import DEFAULT_BUDGET, StoredIterCP
 from cctab.tabling import COMPLETE, EVALUATING, call_pattern, is_instance
 from cctab.terms import canonical_variant
 
 from conftest import make_engine, read_fixture
 from test_behaviour_digest import fixed_programs, random_programs
+
+
+class AnswerTerms:
+    """A table's answer records as their terms, each built when it is read,
+    so that a read sees the table grow."""
+
+    def __init__(self, entry):
+        self.entry = entry
+
+    def __len__(self):
+        return len(self.entry.answers)
+
+    def __getitem__(self, i):
+        return self.entry.term_of(self.entry.answers[i])
+
+
+class NvarsByTerm:
+    """A table's index looked up by answer term: the term's number of
+    variables, none for the term of a tuple, which is ground."""
+
+    def __init__(self, entry):
+        self.entry = entry
+
+    def __getitem__(self, term):
+        return self.entry.index.get(term, 0)
 
 
 class UnifyingReader(StoredIterCP):
@@ -34,8 +59,8 @@ class UnifyingReader(StoredIterCP):
     __slots__ = ()
 
     def __init__(self, target, table, mark, rest, live):
-        # the same, growing list and index
-        table = SimpleNamespace(answers=table.answers, index=table.index, pattern=None)
+        # the same, growing table, seen as terms
+        table = SimpleNamespace(answers=AnswerTerms(table), index=NvarsByTerm(table), pattern=None)
         super().__init__(target, table, mark, rest, live)
 
 
@@ -144,11 +169,13 @@ CALL_PATTERNS = {
     "non_instance": ("p(1, Y)", ("p", 2, (1,)), ["p(1, 2)", "p(1, f(a))"],
                      ["p(2, 3)", "q(1, 3)", "p(1)", "p(f(1), 1)"]),
     # other shapes: a ground compound argument, two ground arguments, no
-    # variable, a variable also inside a compound, and an atom
+    # variable, variables on either side of a ground argument, a variable
+    # also inside a compound, and an atom
     "ground_compound": ("q(f(1), Y)", ("q", 2, (1,)), ["q(f(1), a)"], ["q(f(2), a)", "q(1, a)"]),
     "two_ground": ("r(1, X, b)", ("r", 3, (1,)), ["r(1, 2, b)", "r(1, b, b)"],
                    ["r(1, 2, c)", "r(2, 2, b)"]),
     "ground": ("p(1, a)", ("p", 2, ()), ["p(1, a)"], ["p(1, b)", "p(a, 1)"]),
+    "gapped": ("r(X, a, Y)", ("r", 3, (0, 2)), ["r(1, a, 2)", "r(b, a, f(c))"], ["r(1, b, 2)"]),
     "shared": ("p(X, f(X))", None),
     "atom": ("p", None),
 }
@@ -167,6 +194,10 @@ def test_call_patterns(case):
     assert (pattern.functor, pattern.arity, pattern.places) == want
     assert [is_instance(pattern, parse_term(a)) for a in instances + others] == (
         [True] * len(instances) + [False] * len(others))
+    # an instance is recorded as its values at the places
+    for a in instances:
+        args = parse_term(a).args
+        assert pattern.key(args) == tuple(args[i] for i in pattern.places)
 
 
 def test_an_open_call_keeps_each_answers_arguments_as_its_substitution():
@@ -179,8 +210,8 @@ def test_an_open_call_keeps_each_answers_arguments_as_its_substitution():
         for _ in range(2):
             sols = list(eng.solve(parse_query("p(Z, Y)")))
             (entry,) = eng.space.entries
-            t, s = entry.answers[1], sols[1]
-            assert entry.index[t] == 0 and print_term(t) == "p(b, c)"
+            t, s = entry.term_of(entry.answers[1]), sols[1]
+            assert entry.index[entry.answers[1]] == 0 and print_term(t) == "p(b, c)"
             assert (entry.pattern is not None) == kept
             assert s.bindings["Z"] is t.args[0] and s.bindings["Y"] is t.args[1]
 
@@ -281,6 +312,7 @@ ENDING_READS = {
     "W = V, path(X, Y)": (CHAIN, 1),  # W and V keep an unbound variable
     "Z = f(X), path(X, Y)": (CHAIN, 10),  # Z's value is a compound: the machine builds it
     "path(X, Y), true": (CHAIN, 10),  # a goal runs after the read
+    "true, path(X, Y)": (CHAIN, 1),  # the atom goal is built as itself
     "path(X, X)": (CYCLE, 4),  # the table has no pattern
     # three non-empty reads and path(5, Y)'s empty one, above edge/2's choice point
     "edge(A, B), path(B, Y)": (CHAIN, 3),
@@ -313,6 +345,21 @@ def test_reads_that_end_the_query(query, mode, monkeypatch):
     binds = read_binds(monkeypatch)
     assert transcript(eng, goals) == got[1]
     assert binds[0] == want_binds
+
+
+def test_a_goal_held_by_a_query_variable_ends_a_read_as_its_value(monkeypatch):
+    # only a goal list given to Engine.solve can hold a variable as a goal:
+    # bound to true, it is built from its value
+    g = Var(0, "G")
+    goals = [Struct("=", (g, Atom("true"))), g, Struct("path", (Var(1, "X"), Var(2, "Y")))]
+    eng, ref = make_engine(CHAIN), make_engine(CHAIN)
+    want = transcript(ref, goals, unifying=True)
+    assert want[0] == ([("G", "true"), ("X", "1"), ("Y", "2")], ["true = true", "true",
+                                                                   "path(1, 2)"])
+    assert transcript(eng, goals) == want
+    again = transcript(ref, goals, unifying=True)
+    binds = read_binds(monkeypatch)
+    assert transcript(eng, goals) == again and binds[0] == 1
 
 
 def test_a_legacy_read_of_an_incomplete_table_binds_every_answer(monkeypatch):

@@ -28,6 +28,7 @@ from cctab.tabling import Engine
 
 from conftest import HERE, answers, make_engine, read_fixture
 from test_behaviour_digest import fixed_programs, random_programs
+from test_read_path import read_unifications, same_as_unifying_reader
 from test_tabling import table_digest
 
 
@@ -37,7 +38,9 @@ def machine_resume(self, m, stored, ans):
     against its clause and runs that clause's body goal by goal."""
     store = m.store
     term = stored.term
-    ans_nvars = stored.table.index[ans]
+    # a record in the table's own form: a ground answer's tuple, or its term
+    ans_nvars = 0 if type(ans) is tuple else stored.table.index[ans]
+    ans = stored.table.term_of(ans)
     varmap = [None] * stored.nvars
     if ans_nvars:
         # the answer is the stored side, so a variable of the continuation
@@ -294,6 +297,52 @@ def test_without_plans_nothing_runs_in_place(mode, monkeypatch):
     assert resumptions > 100 and in_place == []
 
 
+# p records p(1, 2) and p(1, 3) as tuples while continuations wait in the
+# arena, each paired with both tuples; then h's answer p(1, _G) clears the
+# pattern, and the queued tuples are resumed by unification, also those of
+# a continuation whose plan was made before the clear.  In legacy mode h
+# reads p's incomplete table, binding p(1, 2) from its tuple, and the clear
+# comes before that read goes on to p(1, 3)
+CLEARED_UNDER_QUEUED = """:- table p/2.
+p(1, 2).
+p(1, 3).
+p(X, Y) :- p(X, Z), q(Z, Y).
+p(X, Y) :- h(X, Y).
+h(X, Y) :- p(X, Z), r(Z, Y).
+q(2, 4).
+q(3, 5).
+r(2, W).
+"""
+
+
+@pytest.mark.parametrize("mode, want, tuples, unified", [
+    (Mode.GENERAL, ["p(1, 2)", "p(1, 3)", "p(1, 4)", "p(1, 5)", "p(1, _G)"], 5, []),
+    (Mode.LEGACY, ["p(1, 2)", "p(1, 3)", "p(1, _G)", "p(1, 4)", "p(1, 5)"], 2, ["evaluating"] * 2),
+], ids=["general", "legacy"])
+def test_a_pattern_cleared_under_queued_tuples(mode, want, tuples, unified, monkeypatch):
+    handed = []  # per _call_stored: whether it got a tuple after the pattern was cleared
+    real = Engine._call_stored
+
+    def _call_stored(self, m, stored, ans):
+        handed.append(type(ans) is tuple and stored.table.pattern is None)
+        return real(self, m, stored, ans)
+
+    monkeypatch.setattr(Engine, "_call_stored", _call_stored)
+    got = same_without_plans(CLEARED_UNDER_QUEUED, ["p(X, Y)"], mode)
+    assert got[0] == got[1] == want and handed.count(True) == tuples
+    # the unifying reader's transcripts run TableSpace.check() after each query
+    same_as_unifying_reader(CLEARED_UNDER_QUEUED, ["p(X, Y)", "p(X, Y)"], mode)
+    reads = read_unifications(monkeypatch)
+    eng = make_engine(CLEARED_UNDER_QUEUED, mode)
+    assert answers(eng, "p(X, Y)") == want
+    # legacy reads of the incomplete table unify what follows the clear;
+    # then the caller reads the complete table, all of it by unification
+    assert reads == unified + ["complete"] * 5
+    (entry,) = eng.space.entries
+    assert entry.pattern is None and entry.places == (0, 1)
+    assert not any(type(rec) is tuple for rec in entry.answers)
+
+
 # two tables in the style of the mixed benchmark workload: t0 loops through
 # the bridge h0 (guard Z < 3) and reaches t1 through the bridge g0 (`is`,
 # then >); t1 also calls t0
@@ -484,9 +533,9 @@ def test_an_unknown_predicate_in_a_tail_is_an_existence_error():
     assert out[0] == ["ExistenceError: unknown predicate nope/2"]
 
 
-# (program, query, its answers, how many on_answer calls are told their
-# answer is ground with plans and without, of how many); the machine's calls
-# tell none of them, and with plans every resumption follows one
+# (program, query, its answers, how many on_answer calls are given a ground
+# answer's argument tuple with plans and without, of how many); the
+# machine's calls give none, and with plans every resumption follows one
 GROUND = {
     # g/2's `is` binds its loose [Y] to an integer
     "is": PLANNED["bridge_is"][:3] + ((3, 0), 5),
@@ -509,6 +558,12 @@ GROUND = {
                        "r(A, B) :- slgcall(k(0, [B], p(A), [])).\n"
                        "k(Id, [B], p(A), []) :- B = f(C), answer(Id, r(A, B)).\n",
                        "r(A, B)", ["r(1, f(_G))", "r(2, f(_G))"], (0, 0), 4),
+    # the hand-written answer r(A, c) is ground but no instance of the call
+    # r(X, b): the first clears the table's pattern, and the read finds none
+    "non_instance": (":- table r/2.\n:- table p/1.\np(1).\np(2).\n"
+                     "r(A, B) :- slgcall(k(0, [], p(A), [])).\n"
+                     "k(Id, [], p(A), []) :- answer(Id, r(A, c)).\n",
+                     "r(X, b)", [], (2, 0), 4),
 }
 
 
@@ -518,9 +573,9 @@ def test_answers_ground_through_bound_variables(case, monkeypatch):
     told = []
     real = Engine.on_answer
 
-    def on_answer(self, machine, goal, rest, ground=False):
-        told.append(ground)
-        return real(self, machine, goal, rest, ground)
+    def on_answer(self, machine, id_t, answer, args=None):
+        told.append(args is not None)
+        return real(self, machine, id_t, answer, args)
 
     monkeypatch.setattr(Engine, "on_answer", on_answer)
     got = same_without_plans(src, [query], Mode.GENERAL)
@@ -531,11 +586,13 @@ def test_answers_ground_through_bound_variables(case, monkeypatch):
 
 
 def test_preset_answer_hashes_equal_fresh_ones(monkeypatch):
-    # freeze and _put_answer preset a stored term's hash from Struct.__hash__'s
+    # freeze and on_answer preset a stored term's hash from Struct.__hash__'s
     # tokens, a leaf being its own token: answers that mix atoms, negative
-    # integers and a compound must hash as a fresh copy of the same term does
+    # integers and a compound must hash as a fresh copy of the same term does.
+    # t's first answer, t(z, _G), clears its pattern, so that its table keeps
+    # terms; p's keeps tuples
     src = (":- table t/2.\n:- table p/2.\np(1, 2).\np(b, 3).\np(-1, 2).\n"
-           "e(2, a).\ne(3, -4).\ne(2, f(b)).\nt(X, Y) :- p(X, W), e(W, Y).\n")
+           "e(2, a).\ne(3, -4).\ne(2, f(b)).\nt(z, Y).\nt(X, Y) :- p(X, W), e(W, Y).\n")
     put = []
     real = Engine._put_answer
 
@@ -545,11 +602,11 @@ def test_preset_answer_hashes_equal_fresh_ones(monkeypatch):
 
     monkeypatch.setattr(Engine, "_put_answer", _put_answer)
     eng = make_engine(src)
-    assert answers(eng, "t(X, Y)") == ["t(1, a)", "t(1, f(b))", "t(b, -4)", "t(-1, a)",
-                                       "t(-1, f(b))"]
+    assert answers(eng, "t(X, Y)") == ["t(z, _G)", "t(1, a)", "t(1, f(b))", "t(b, -4)",
+                                       "t(-1, a)", "t(-1, f(b))"]
     assert len(put) == 5
-    stored = [t for e in eng.space.entries for t in e.answers]
-    assert len(stored) == 8  # t's 5 answers and p's 3
+    stored = [t for e in eng.space.entries for t in e.answers if type(t) is Struct]
+    assert len(stored) == 6  # t's 6 answers; p's 3 are tuples
     for t in stored:
         assert hash(t) == hash(Struct(t.functor, t.args))
 

@@ -1,7 +1,9 @@
 import dataclasses
+import gc
 import hashlib
 import random
 import re
+import tracemalloc
 
 import pytest
 
@@ -61,6 +63,27 @@ def test_suspensions_match_stored_continuations(mixed_loop_src):
     eng = make_engine(mixed_loop_src)
     list(eng.solve(parse_query("t(A)")))
     assert eng.counters.suspensions == sum(e.suspension_total for e in eng.space.entries)
+
+
+def test_a_stored_answer_keeps_at_most_150_bytes():
+    # while a table keeps its call pattern, an answer is recorded as the
+    # tuple of its values: the 16,384 answers of chain-128's cold
+    # path(X, Y) keep about 105 bytes each (about 200 as frozen terms)
+    eng = make_engine(gen_fixture("chain", 128))
+    goals = parse_query("path(X, Y)")
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for _ in eng.solve(goals):
+            pass
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    stored = sum(len(e.answers) for e in eng.space.entries)
+    assert stored == 16_384
+    assert retained / stored <= 150
 
 
 def test_two_cycle_reachability_answer_set():
@@ -125,7 +148,7 @@ q(X) :- p(X).
     # q's variant was evaluated in the same group and is complete too
     q_entries = [e for e in eng.space.entries if e.call.functor == "q"]
     assert q_entries and all(e.status == COMPLETE for e in q_entries)
-    assert sorted(print_term(t) for t in q_entries[0].answers) == [
+    assert sorted(print_term(t) for t in eng.answer_terms(q_entries[0].call)) == [
         "q(0)",
         "q(1)",
         "q(2)",
@@ -201,9 +224,8 @@ def test_answer_into_completed_table_errors(mixed_loop_src):
     eng = make_engine(mixed_loop_src)
     list(eng.solve(parse_query("t(A)")))
     m = Machine(eng.index, runtime=eng)
-    goal = Struct("answer", (Int(0), parse_term("t(9)")))
     with pytest.raises(TablingError, match="complete"):
-        eng.on_answer(m, goal, None)
+        eng.on_answer(m, Int(0), parse_term("t(9)"))
 
 
 def test_complete_with_pending_work_errors():
@@ -509,6 +531,13 @@ def replace_answer(entry, text, nvars):
     entry.answers[1] = t
 
 
+def replace_record(entry, rec):
+    """Store the tuple rec in place of entry's second answer."""
+    del entry.index[entry.answers[1]]
+    entry.index[rec] = 0
+    entry.answers[1] = rec
+
+
 # One corruption per invariant TableSpace.check() tests, made after a query
 # that leaves one complete table, p(A), with two answers; and the error it
 # must raise.
@@ -527,6 +556,10 @@ CORRUPTIONS = {
                      "check: p(A) keeps its pattern but holds q(2)"),
     "nonground": (lambda space, entry: replace_answer(entry, "p(X)", 1),
                   "check: p(A) keeps its pattern but holds p(_0)"),
+    "tuple_without_pattern": (lambda space, entry: setattr(entry, "pattern", None),
+                              "check: p(A) has no pattern but holds a tuple for p(1)"),
+    "long_tuple": (lambda space, entry: replace_record(entry, (Int(2), Int(3))),
+                   "check: p(A) has a record of 2 values, not 1, for p(2)"),
     "dropped_indexed": (lambda space, entry: setattr(entry, "status", DROPPED),
                         "check: variant_index holds an entry that is not complete"),
 }
