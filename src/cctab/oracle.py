@@ -229,7 +229,7 @@ def compare_answer_sets(space, facts: dict, pred: PredId, call: Term = None):
     if call is None:
         args = tuple(Var(i, f"_{i}") for i in range(pred.arity))
         call = Struct(pred.name, args) if args else Atom(pred.name)
-    entry = space.lookup(canonical_variant(call))
+    entry = space.variant_index.get(canonical_variant(call))
     if entry is None or entry.status != COMPLETE:
         raise RangeRestrictionError(f"no completed table entry for {print_term(call)}")
     engine_set = {entry.term_of(rec) for rec in entry.answers}

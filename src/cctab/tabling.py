@@ -190,14 +190,6 @@ def call_pattern(call: Term) -> CallPattern | None:
                        key)
 
 
-def is_instance(pattern: CallPattern, answer: Term) -> bool:
-    """Whether a ground answer is an instance of the call with this pattern."""
-    ground = pattern.ground
-    return (type(answer) is Struct and answer.functor == pattern.functor
-            and len(answer.args) == pattern.arity
-            and (ground is None or ground(answer.args) == pattern.values))
-
-
 class TableSpace:
     """Call-variant table: generators, answers, continuations, completion stack.
     While the stack holds an entry, an arena is open."""
@@ -208,10 +200,6 @@ class TableSpace:
         self.stack: list = []  # the EVALUATING generators' entries, oldest first
         self.arenas: list = []  # active resumption worklists, innermost last
         self.counters = Counters()
-
-    def lookup(self, call: Term):
-        """The entry of a frozen call's variant, or None."""
-        return self.variant_index.get(call)
 
     def new_generator(self, call: Term, creator=None) -> GeneratorEntry:
         """Open the generator of a frozen call.  It is on the stack before it
@@ -228,45 +216,6 @@ class TableSpace:
         self.entries.append(entry)
         self.counters.generators += 1
         return entry
-
-    def check(self):
-        """Raise TablingError unless the invariants that hold between queries
-        do: no generator is evaluating and no arena is open, every entry is
-        complete or dropped, variant_index maps each complete call to its
-        entry and nothing else, each table indexes every answer once, and
-        its records are tuples exactly while it has a call pattern, each as
-        long as its places and holding a ground answer.  For tests; no query
-        calls it."""
-        if self.stack or self.arenas:
-            raise TablingError(f"check: stack {[e.id for e in self.stack]}, "
-                               f"{len(self.arenas)} open arenas")
-        complete_entries = 0
-        for entry in self.entries:
-            call = print_term(entry.call)
-            if entry.status == COMPLETE:
-                complete_entries += 1
-                if self.variant_index.get(entry.call) is not entry:
-                    raise TablingError(f"check: {call} is not indexed to its entry")
-            elif entry.status != DROPPED:
-                raise TablingError(f"check: {call} is {entry.status}")
-            if len(entry.answers) != len(entry.index):
-                raise TablingError(f"check: {call} has {len(entry.answers)} answers, "
-                                   f"{len(entry.index)} indexed")
-            for rec in entry.answers:
-                if rec not in entry.index:
-                    why = "does not index"
-                elif entry.pattern is None:
-                    why = "has no pattern but holds a tuple for" if type(rec) is tuple else None
-                elif type(rec) is not tuple or entry.index[rec]:
-                    why = "keeps its pattern but holds"
-                elif len(rec) != len(entry.places):
-                    why = f"has a record of {len(rec)} values, not {len(entry.places)}, for"
-                else:
-                    why = None
-                if why:
-                    raise TablingError(f"check: {call} {why} {print_term(entry.term_of(rec))}")
-        if len(self.variant_index) != complete_entries:
-            raise TablingError("check: variant_index holds an entry that is not complete")
 
     def complete(self, leader: GeneratorEntry):
         """Mark the evaluating leader's whole group complete and erase its
@@ -404,38 +353,21 @@ class _ContClause:
 
 def _read_form(goals, n):
     """The function that builds the goals of a direct read's solution in
-    Engine.solve from its values, those of a query with n variable ids,
-    with no instantiate.  One flat goal whose arguments are the query's
-    variables in order takes the values as its argument tuple: a table's
-    record itself, when they are one.  Other goals are built by _build's
-    steps over a map of the values followed by the goals' constants, one
-    flat goal by its one step."""
-    if (len(goals) == 1 and type(goals[0]) is Struct
-            and [a.id if type(a) is Var else None for a in goals[0].args] == list(range(n))):
+    Engine.solve from its values, those of a query with n variable ids.  One
+    flat goal whose arguments are the query's variables in order takes the
+    values as its argument tuple: a table's record itself, when they are
+    one.  Any other flat goal is built by its one _build step, and any other
+    query by instantiate, as the query's first solution is."""
+    if len(goals) == 1 and type(goals[0]) is Struct:
         functor = goals[0].functor
-        return lambda values: [Struct(functor, tuple(values))]
-    tail, steps, outs = [], [], []  # outs: the slot of each goal
-    known = set(range(n))
-    for g in goals:
-        if type(g) is Struct:
-            steps += _build(g, n, known, tail, [])
-            outs.append(steps[-1][0])
-        elif type(g) is Var:
-            outs.append(g.id)
-        else:
-            outs.append(n + len(tail))
-            tail.append(g)
-    if len(goals) == len(steps) == 1:
-        ((_slot, functor, get),) = steps
-        return lambda values: [Struct(functor, get([*values, *tail]))]
-
-    def build(values):
-        hmap = [*values, *tail]
-        for slot, f, get in steps:
-            hmap[slot] = Struct(f, get(hmap))
-        return [hmap[k] for k in outs]
-
-    return build
+        if [a.id if type(a) is Var else None for a in goals[0].args] == list(range(n)):
+            return lambda values: [Struct(functor, tuple(values))]
+        tail = []
+        steps = _build(goals[0], n, set(range(n)), tail, [])
+        if len(steps) == 1:
+            get = steps[0][2]
+            return lambda values: [Struct(functor, get([*values, *tail]))]
+    return lambda values: [instantiate(g, values) for g in goals]
 
 
 def _build(goal, nvars, known, tail, new):
@@ -614,7 +546,7 @@ class Engine:
 
     def answer_terms(self, call: Term) -> list:
         """Stored answers for the variant of call, as terms, in insertion order."""
-        entry = self.space.lookup(canonical_variant(call))
+        entry = self.space.variant_index.get(canonical_variant(call))
         if entry is None:
             return []
         return [entry.term_of(rec) for rec in entry.answers]
@@ -633,7 +565,7 @@ class Engine:
         store = machine.store
         frozen, nvars = store.freeze(call, None, live)
         space = self.space
-        entry = space.lookup(frozen)
+        entry = space.variant_index.get(frozen)
         if entry is not None:
             return entry
         pred = pred_of(frozen)
@@ -725,28 +657,28 @@ class Engine:
         """Record an answer, as answer(Id, Answer) does, for the generator
         that the Id term id_t names; False, for the machine to backtrack.  A
         resume plan passes args, the argument tuple of a compound answer
-        whose functor answer is, each argument an atom or an integer, and no
-        answer term is built.  While the table keeps its call pattern, a
-        ground instance of its call is recorded as its values at the places,
-        the tuple that pattern.key takes from its arguments; the first answer
-        that is none clears the pattern."""
+        whose functor answer is, each argument an atom or an integer; any
+        other answer is frozen, a ground compound going on as its functor
+        and arguments.  While the table keeps its call pattern, one test
+        tells a ground instance of its call, recorded as pattern.key's tuple
+        of its arguments; the first answer that is none clears the pattern."""
         store = machine.store
         entry = self._generator(store.walk(id_t), "answer/2")
         pattern = entry.pattern
         if args is None:
             rec, nvars = store.freeze(answer)
-            if pattern and (nvars or not is_instance(pattern, rec)):
-                entry.clear_pattern()
-            elif pattern:
-                rec = pattern.key(rec.args)
-        elif pattern and answer == pattern.functor and len(args) == pattern.arity and (
-                pattern.ground is None or pattern.ground(args) == pattern.values):
+            if type(rec) is Struct and not nvars:
+                answer, args = rec.functor, rec.args
+        else:
+            rec = None
+        if (pattern and args is not None and answer == pattern.functor and len(args) == pattern.arity
+                and (pattern.ground is None or pattern.ground(args) == pattern.values)):
             rec, nvars = pattern.key(args), 0
         else:
-            rec, nvars = Struct(answer, args), 0
-            rec._hash = hash((answer, len(args), *args))  # Struct.__hash__'s tokens, in its order
             if pattern:
                 entry.clear_pattern()
+            if rec is None:  # a planned answer: freeze presets the hash of the same compound
+                rec, nvars = store.freeze(Struct(answer, args))
         index = entry.index
         if rec in index:
             return False

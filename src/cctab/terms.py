@@ -96,8 +96,8 @@ class Struct:
     def __hash__(self):
         # the hash of the preorder tokens, left to right: functor and arity of
         # a compound, any other term itself (an atom or integer hashes as its
-        # str or int, without a Python-level call); BindingStore.freeze and
-        # Engine._put_answer preset _hash from the same tokens
+        # str or int, without a Python-level call); BindingStore.freeze
+        # presets _hash from the same tokens
         h = self._hash
         if h is None:
             toks = []

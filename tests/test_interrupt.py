@@ -7,7 +7,7 @@ that any prefix of it is either invisible to later queries or reached by
 that purge.  The sweep below raises an exception of its own at the k-th
 line event inside the methods that write tables, for every k, on a few
 small programs in both modes.  Each time only that exception or a
-cctab.Error may escape, TableSpace.check() must pass, and a second query on
+cctab.Error may escape, invariants.check must pass, and a second query on
 the same engine must give a fresh engine's solutions, in order.
 """
 
@@ -21,6 +21,7 @@ from cctab import Error, Mode, gen_fixture, parse_query
 from cctab.tabling import DROPPED, Engine, GeneratorEntry, TableSpace
 
 from conftest import answers, make_engine, read_fixture
+from invariants import check
 from test_resume_plan import CLEARED_UNDER_QUEUED
 
 
@@ -45,17 +46,17 @@ PROGRAMS = {
 
 
 @contextmanager
-def interrupt_at(k: int):
-    """Raise Interrupt at the k-th line event inside WRITERS.  A tracer
-    installed before, as the statement check's, goes on seeing every event;
-    an exception from a trace function unsets it, so it is put back before
-    the purge runs."""
+def interrupt_at(k: int, codes=CODES):
+    """Raise Interrupt at the k-th line event inside the code objects codes,
+    WRITERS' by default.  A tracer installed before, as the statement
+    check's, goes on seeing every event; an exception from a trace function
+    unsets it, so it is put back before the purge runs."""
     outer = sys.gettrace()
     lines = 0
 
     def call(frame, event, arg):
         inner = outer(frame, event, arg) if outer is not None else None
-        if frame.f_code not in CODES:
+        if frame.f_code not in codes:
             return inner
 
         def line(frame, event, arg):
@@ -93,25 +94,32 @@ def outcome(eng, query) -> list:
         return [f"{type(e).__name__}: {e}"]
 
 
-@pytest.mark.parametrize("mode", list(Mode), ids=lambda m: m.value)
-@pytest.mark.parametrize("program", list(PROGRAMS))
-def test_an_interrupt_at_any_line_leaves_the_tables_usable(program, mode):
+def sweep(program, mode, codes=CODES) -> int:
+    """Interrupt the query of PROGRAMS' program at the k-th line event
+    inside codes, for k = 1, 2, ... until a run ends uncut, each on a new
+    engine; after each, the table space must pass check, and a second query
+    must give a fresh engine's solutions.  The number of runs."""
     src, query = PROGRAMS[program]
     want = outcome(make_engine(src, mode), query)
     for k in count(1):
         eng = make_engine(src, mode)
         try:
-            with interrupt_at(k):
+            with interrupt_at(k, codes):
                 outcome(eng, query)
         except Interrupt:
             cut = True
         else:
             cut = False
-        eng.space.check()
+        check(eng.space)
         assert outcome(eng, query) == want, k
         if not cut:
-            break
-    assert k > 50  # the sweep reached past every line of the writes
+            return k
+
+
+@pytest.mark.parametrize("mode", list(Mode), ids=lambda m: m.value)
+@pytest.mark.parametrize("program", list(PROGRAMS))
+def test_an_interrupt_at_any_line_leaves_the_tables_usable(program, mode):
+    assert sweep(program, mode) > 50  # the sweep reached past every line of the writes
 
 
 def test_a_purge_drops_the_key_of_an_answer_cut_between_its_writes():
@@ -123,5 +131,5 @@ def test_a_purge_drops_the_key_of_an_answer_cut_between_its_writes():
     entry.index[(1,)] = 0
     eng._purge_incomplete()
     assert entry.status == DROPPED and entry.index == {} and entry.answers == []
-    eng.space.check()
+    check(eng.space)
     assert answers(eng, "p(X)") == ["p(1)", "p(2)"]

@@ -8,7 +8,7 @@ arguments.  When such a read of a complete table ends the query, its
 further answers become solutions straight from the table.  Every
 observable result must equal what a reader that unifies each whole answer
 against the call gives: solutions, their order, their binding names and
-the counters.  TableSpace.check() runs after every query.
+the counters.  invariants.check runs after every query.
 """
 
 from itertools import islice
@@ -18,12 +18,14 @@ import pytest
 
 import cctab.engine
 import cctab.tabling
-from cctab import Atom, Error, Mode, Struct, Var, gen_fixture, parse_query, parse_term, print_term
-from cctab.engine import DEFAULT_BUDGET, StoredIterCP
-from cctab.tabling import COMPLETE, EVALUATING, call_pattern, is_instance
-from cctab.terms import canonical_variant
+from cctab import (Atom, Error, Int, Mode, Struct, Var, gen_fixture, parse_query, parse_term,
+                   print_term)
+from cctab.engine import DEFAULT_BUDGET, Machine, StoredIterCP
+from cctab.tabling import COMPLETE, EVALUATING, call_pattern
+from cctab.terms import canonical_variant, vars_of
 
 from conftest import make_engine, read_fixture
+from invariants import check
 from test_behaviour_digest import fixed_programs, random_programs
 
 
@@ -78,7 +80,7 @@ def transcript(eng, goals, unifying=False, depth_budget=DEFAULT_BUDGET) -> list:
                             [print_term(g) for g in s.goals]))
         except Error as e:
             out.append(f"{type(e).__name__}: {e}")
-    eng.space.check()
+    check(eng.space)
     out.append(eng.counters.stats_line())
     return out
 
@@ -165,7 +167,8 @@ CALL_PATTERNS = {
     # the EDGE_CASES calls
     "repeated": ("p(X, X)", None),
     "compound": ("q(f(Z), Y)", None),
-    "nonground": ("p(Z, Y)", ("p", 2, (0, 1)), ["p(1, 2)", "p(a, f(b))"], ["q(1, 2)", "p(1)", "7"]),
+    "nonground": ("p(Z, Y)", ("p", 2, (0, 1)), ["p(1, 2)", "p(a, f(b))"],
+                  ["q(1, 2)", "p(1)", "7", "p(a, X)"]),
     "non_instance": ("p(1, Y)", ("p", 2, (1,)), ["p(1, 2)", "p(1, f(a))"],
                      ["p(2, 3)", "q(1, 3)", "p(1)", "p(f(1), 1)"]),
     # other shapes: a ground compound argument, two ground arguments, no
@@ -186,18 +189,29 @@ def test_call_patterns(case):
     call, want, *answers = CALL_PATTERNS[case]
     if case in EDGE_CASES:
         assert call == EDGE_CASES[case][1]
-    pattern = call_pattern(canonical_variant(parse_term(call)))
+    frozen = canonical_variant(parse_term(call))
+    pattern = call_pattern(frozen)
     if want is None:
         assert pattern is None
         return
     instances, others = answers
     assert (pattern.functor, pattern.arity, pattern.places) == want
-    assert [is_instance(pattern, parse_term(a)) for a in instances + others] == (
-        [True] * len(instances) + [False] * len(others))
-    # an instance is recorded as its values at the places
-    for a in instances:
-        args = parse_term(a).args
-        assert pattern.key(args) == tuple(args[i] for i in pattern.places)
+    # Engine.on_answer's one instance test, each answer given to a fresh
+    # table of the call: an instance keeps the pattern and is recorded as its
+    # values at the places; any other answer clears it and is stored whole
+    eng = make_engine("")
+    machine = Machine(eng.index, runtime=eng)
+    for a in instances + others:
+        entry = eng.space.new_generator(frozen)
+        term = parse_term(a)
+        for _ in vars_of(term):  # a store variable, unbound, for each of its variables
+            machine.store.new_var()
+        eng.on_answer(machine, Int(entry.id), term)
+        assert (entry.pattern is not None) == (a in instances), a
+        if a in instances:
+            assert entry.answers == [tuple(term.args[i] for i in pattern.places)]
+        else:
+            assert entry.answers == [term]
 
 
 def test_an_open_call_keeps_each_answers_arguments_as_its_substitution():
@@ -223,7 +237,7 @@ def test_nonground_answer_binds_fresh_variables():
         sols = list(eng.solve(parse_query(query)))
         z, y = sols[2].bindings["Z"], sols[2].bindings["Y"]
         assert print_term(y) == "f(_G, _G)" and y.args[0] is z and y.args[1] is not z
-        eng.space.check()
+        check(eng.space)
 
 
 def read_unifications(monkeypatch) -> list:
@@ -412,5 +426,5 @@ def test_a_query_closed_partway_then_run_again(mode):
             run = ref.solve(goals)
             assert len(list(islice(run, k))) == k
             run.close()
-        eng.space.check()
+        check(eng.space)
         assert transcript(eng, goals) == transcript(ref, goals, unifying=True), k

@@ -27,6 +27,7 @@ from cctab.engine import instantiate, unify_stored
 from cctab.tabling import Engine
 
 from conftest import HERE, answers, make_engine, read_fixture
+from invariants import check
 from test_behaviour_digest import fixed_programs, random_programs
 from test_read_path import read_unifications, same_as_unifying_reader
 from test_tabling import table_digest
@@ -330,11 +331,12 @@ def test_a_pattern_cleared_under_queued_tuples(mode, want, tuples, unified, monk
     monkeypatch.setattr(Engine, "_call_stored", _call_stored)
     got = same_without_plans(CLEARED_UNDER_QUEUED, ["p(X, Y)"], mode)
     assert got[0] == got[1] == want and handed.count(True) == tuples
-    # the unifying reader's transcripts run TableSpace.check() after each query
+    # the unifying reader's transcripts run invariants.check after each query
     same_as_unifying_reader(CLEARED_UNDER_QUEUED, ["p(X, Y)", "p(X, Y)"], mode)
     reads = read_unifications(monkeypatch)
     eng = make_engine(CLEARED_UNDER_QUEUED, mode)
     assert answers(eng, "p(X, Y)") == want
+    check(eng.space)
     # legacy reads of the incomplete table unify what follows the clear;
     # then the caller reads the complete table, all of it by unification
     assert reads == unified + ["complete"] * 5
@@ -586,11 +588,11 @@ def test_answers_ground_through_bound_variables(case, monkeypatch):
 
 
 def test_preset_answer_hashes_equal_fresh_ones(monkeypatch):
-    # freeze and on_answer preset a stored term's hash from Struct.__hash__'s
-    # tokens, a leaf being its own token: answers that mix atoms, negative
-    # integers and a compound must hash as a fresh copy of the same term does.
-    # t's first answer, t(z, _G), clears its pattern, so that its table keeps
-    # terms; p's keeps tuples
+    # freeze presets a stored term's hash from Struct.__hash__'s tokens, a
+    # leaf being its own token: answers that mix atoms, negative integers and
+    # a compound must hash as a fresh copy of the same term does.  t's first
+    # answer, t(z, _G), clears its pattern, so that its table keeps terms, and
+    # each planned answer after it is frozen; p's keeps tuples
     src = (":- table t/2.\n:- table p/2.\np(1, 2).\np(b, 3).\np(-1, 2).\n"
            "e(2, a).\ne(3, -4).\ne(2, f(b)).\nt(z, Y).\nt(X, Y) :- p(X, W), e(W, Y).\n")
     put = []

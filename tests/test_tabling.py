@@ -37,6 +37,7 @@ from cctab.tabling import COMPLETE, DROPPED, EVALUATING, StoredCont, TableSpace
 
 from conftest import (HERE, answers, make_engine, memory_error_at_answer, read_fixture,
                       run_limited)
+from invariants import check, check_evaluation_invariants
 from test_differential import PROGRAMS, SEED, random_program
 
 
@@ -247,7 +248,7 @@ def test_finishing_a_completed_group_errors(mixed_loop_src):
     with pytest.raises(TablingError) as info:
         eng._finish_group(entry)
     assert str(info.value) == "internal: generator completed while its choice point was live"
-    eng.space.check()
+    check(eng.space)
 
 
 def test_malformed_continuation_arity():
@@ -437,6 +438,42 @@ def test_chain_counters_in_closed_form(n, mode):
         slg_resolutions=(n - 1) ** 2 + n + 1 if general else n + 1)
 
 
+def recursive_chain(rule: str, n: int) -> str:
+    """chain-n's edges under path(X, Y) :- edge(X, Y), then rule."""
+    edges = "".join(f"edge({i}, {i + 1}).\n" for i in range(1, n + 1))
+    return f":- table path/2.\npath(X, Y) :- edge(X, Y).\n{rule}\n{edges}"
+
+
+@pytest.mark.parametrize("mode", list(Mode), ids=lambda m: m.value)
+@pytest.mark.parametrize("n", [8, 16, 32])
+def test_left_recursive_chain_counters_in_closed_form(n, mode):
+    # one generator, suspended once; each answer resumes it and runs the
+    # fact join edge(Z, Y), answer/2 in place
+    eng = make_engine(recursive_chain("path(X, Y) :- path(X, Z), edge(Z, Y).", n), mode)
+    assert len(answers(eng, "path(X, Y)")) == n * (n + 1) // 2
+    general = mode is Mode.GENERAL
+    assert dataclasses.asdict(eng.counters) == dict(
+        suspensions=1, resumptions=n * (n + 1) // 2, e_cells=3, h_cells=4 if general else 3,
+        trail_at_suspend=2, generators=1, answers=n * (n + 1) // 2,
+        slg_resolutions=n * (n + 1) // 2 + 1 if general else 1)
+
+
+@pytest.mark.parametrize("mode", list(Mode), ids=lambda m: m.value)
+@pytest.mark.parametrize("n", [8, 16, 32])
+def test_doubly_recursive_chain_counters_in_closed_form(n, mode):
+    # path(X, Z), path(Z, Y): a generator per node, and each resumption
+    # hands the plan's machine tail, the second path/2 call, to the machine
+    eng = make_engine(recursive_chain("path(X, Y) :- path(X, Z), path(Z, Y).", n), mode)
+    assert len(answers(eng, "path(X, Y)")) == n * (n + 1) // 2
+    general = mode is Mode.GENERAL
+    s = n * (n + 1) + 1
+    resumptions = n * (n + 1) * (2 * n + 1) // 6
+    assert dataclasses.asdict(eng.counters) == dict(
+        suspensions=s, resumptions=resumptions, e_cells=3 * s,
+        h_cells=(4 if general else 3) * s, trail_at_suspend=s + 1, generators=n + 1,
+        answers=n * n, slg_resolutions=resumptions + n + 1 if general else n + 1)
+
+
 def test_non_ground_tabled_answer_prints_fresh_variable():
     eng = make_engine(":- table p/2.\np(a, X).\np(b, c).\n")
     assert answers(eng, "p(a, Y)") == ["p(a, _G)"]
@@ -477,10 +514,10 @@ def test_out_of_memory_is_a_resource_limit(mode, monkeypatch):
         answers(eng, "path(X, Y)")
     assert info.value.__suppress_context__
     assert eng.space.stack == [] and eng.space.arenas == []
-    eng.space.check()
+    check(eng.space)
     monkeypatch.undo()
     assert answers(eng, "path(X, Y)") == answers(fresh, "path(X, Y)")
-    eng.space.check()
+    check(eng.space)
 
 
 def test_a_second_out_of_memory_is_a_resource_limit(monkeypatch):
@@ -494,7 +531,7 @@ def test_a_second_out_of_memory_is_a_resource_limit(monkeypatch):
             answers(eng, query)
         monkeypatch.undo()
         assert cctab.tabling._reserve == []
-        eng.space.check()
+        check(eng.space)
         assert answers(eng, "path(9, Y)") == answers(fresh, "path(9, Y)")
         assert len(cctab.tabling._reserve) == 1
     assert answers(eng, "path(X, Y)") == answers(fresh, "path(X, Y)")
@@ -519,7 +556,7 @@ def test_slg_of_a_non_callable_errors(query, error, text):
     eng = make_engine(":- table p/1.\np(1).\n")
     with pytest.raises(error, match=f"^{re.escape(text)}$"):
         answers(eng, query)
-    eng.space.check()
+    check(eng.space)
 
 
 def replace_answer(entry, text, nvars):
@@ -538,7 +575,7 @@ def replace_record(entry, rec):
     entry.answers[1] = rec
 
 
-# One corruption per invariant TableSpace.check() tests, made after a query
+# One corruption per invariant invariants.check tests, made after a query
 # that leaves one complete table, p(A), with two answers; and the error it
 # must raise.
 CORRUPTIONS = {
@@ -570,10 +607,10 @@ def test_table_space_check_finds_each_corruption(case):
     corrupt, text = CORRUPTIONS[case]
     eng = make_engine(":- table p/1.\np(1).\np(2).\n")
     assert answers(eng, "p(X)") == ["p(1)", "p(2)"]
-    eng.space.check()
+    check(eng.space)
     corrupt(eng.space, eng.space.entries[0])
     with pytest.raises(TablingError, match=f"^{re.escape(text)}$"):
-        eng.space.check()
+        check(eng.space)
 
 
 REQUERY_AFTER_CYCLIC_TERM = """
@@ -1088,19 +1125,6 @@ def test_dropped_generator_is_refused(query, prim):
     assert eng.space.stack == [] and eng.space.arenas == []
 
 
-def check_evaluation_invariants(space):
-    """The invariants that let the runtime read a generator's arena and stack
-    position without testing them: an arena is open while any generator is
-    evaluating, and the completion stack holds exactly the evaluating
-    entries, each at its position and depending on none above it."""
-    assert space.arenas or not space.stack
-    for pos, e in enumerate(space.stack):
-        assert (e.pos, e.status) == (pos, EVALUATING)
-        assert e.deplink <= e.pos
-    stacked = sum(e.pos is not None for e in space.entries)
-    assert stacked == len(space.stack)
-
-
 def invariant_programs():
     """(source, query) pairs: the differential test's seeded programs, the
     generated graphs and the mixed loop."""
@@ -1133,5 +1157,5 @@ def test_evaluation_invariants_hold_at_every_primitive(mode, monkeypatch):
         eng = make_engine(src, mode)
         for _ in range(2):  # a cold query, then a re-query
             list(eng.solve(parse_query(query)))
-            eng.space.check()
+            check(eng.space)
     assert len(calls) > 10_000
