@@ -114,6 +114,8 @@ def run(args) -> int:
     goals = parse_query(args.query)
     if args.oracle_check and len(goals) != 1:
         raise Error("--oracle-check needs a single-goal query")
+    if args.oracle_check and pred_of(goals[0]) not in program.tabled:
+        raise Error(f"--oracle-check needs a tabled predicate, not {print_term(goals[0])}")
     engine = Engine(translated)
     for solution in engine.solve(goals, depth_budget=args.depth):
         print(", ".join(print_term(g) for g in solution.goals))

@@ -518,12 +518,11 @@ class StoredIterCP:
     table is the table's entry: its answer records, in insertion order, are
     read at every retry, as legacy mode reads incomplete tables.  live holds
     the ids of the live term's unbound variables, in the order its variant
-    numbers them.  While the table has a call pattern (tabling.call_pattern),
-    each record is the tuple of a ground instance's values at the call's
-    variables, and binds each live variable to its value, one binding and
-    one trail entry each, as unify_stored would.  Any other record is an
-    answer term, which is unified, with as many new variables as its index
-    entry says it has.
+    numbers them.  A tuple record holds a ground instance's values at the
+    variables of the table's call pattern (tabling.call_pattern), and binds
+    each live variable to its value, one binding and one trail entry each,
+    as unify_stored would.  Any other record is an answer term, which is
+    unified, with as many new variables as its index entry says it has.
     """
 
     __slots__ = ("target", "table", "i", "mark", "rest", "live")

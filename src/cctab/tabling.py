@@ -21,23 +21,22 @@ machine backtracks into it.
 A table keeps one record per answer, listed in insertion order and mapped
 to its answer's number of variables by the index, and one per continuation,
 its StoredCont, keyed by its frozen term.  It decides substitution factoring
-(Ramakrishnan et al., JLP 1999) once: its call pattern says where the call's
-variables are.  While the pattern holds, an answer's record is the tuple of
-its values at those places, which is its own key: it is hashed and compared
-in C, and no answer term is built for it.  on_answer clears the pattern at
-the first answer that is not a ground instance of the call, and turns every
-tuple back into its term; from then on each record is the answer's frozen
-term.  GeneratorEntry.term_of gives any record's term.  While the pattern
-holds, a read binds the live call's variables to a record's values, and a
-resumption follows the resume plan its continuation gets at its first
+(Ramakrishnan et al., JLP 1999) once, when it is made: its call pattern says
+where the call's variables are.  An answer that is a ground instance of the
+call is recorded as the tuple of its values at those places, which is its
+own key: it is hashed and compared in C, and no answer term is built for
+it.  Any other answer is recorded as its frozen term, beside the tuples.  A
+record is written once; GeneratorEntry.term_of gives any record's term.  A
+read binds the live call's variables to a tuple's values, and a resumption
+by a tuple follows the resume plan its continuation gets at its first
 resumption: the answer's values, ground subterms and new variables fill the
 head map of each clause it runs in place, and its guards, call(Cont) chain,
 fact join and answer/2 run from the map, with no unification (see
-Engine._resume).  Once it is cleared, or for a continuation with no plan,
-each answer is unified with the live or pending call, and the machine
-resolves the stored term against its predicate's one clause.  When a read
-of a complete table that keeps its pattern ends the query, its remaining
-answers become solutions straight from the table (see Engine.solve).
+Engine._resume).  A term record, or any record for a continuation with no
+plan, is unified with the live or pending call, and the machine resolves
+the stored term against its predicate's one clause.  When a read of a
+complete table ends the query, its tuples become solutions straight from
+the table (see Engine.solve).
 
 Suspended continuations are frozen at capture time: copied with their
 bindings applied, except for ground subterms, which no binding reaches and
@@ -125,8 +124,9 @@ class StoredCont:
 class GeneratorEntry:
     id: int
     call: Term  # frozen call; its variant key
-    # one record per answer, in insertion order: the tuple of its values at
-    # places while pattern holds, else its frozen term
+    # one record per answer, in insertion order: a ground instance of the
+    # call's pattern as the tuple of its values at its places, any other
+    # answer as its frozen term
     answers: list = field(default_factory=list)
     index: dict = field(default_factory=dict)  # record, as its answer's variant key -> its nvars
     continuations: dict = field(default_factory=dict)  # frozen term, as variant key -> StoredCont
@@ -134,26 +134,17 @@ class GeneratorEntry:
     pos: int = None  # completion stack index while EVALUATING
     deplink: int = None  # lowest stack position this generator depends on
     suspension_total: int = 0  # cumulative; survives completion
-    pattern: CallPattern = None  # call_pattern(call); None once an answer is no ground instance
-    places: tuple = None  # pattern's places, kept once it is cleared, for tuples still queued
+    pattern: CallPattern = None  # call_pattern(call), fixed when the table is made
 
     def term_of(self, rec) -> Term:
         """The answer term of one of answers' records: a tuple's values put
-        into the call at places; any other record is its term itself."""
+        into the call at the pattern's places; a term record is itself."""
         if type(rec) is not tuple:
             return rec
         args = list(self.call.args)
-        for k, v in zip(self.places, rec):
+        for k, v in zip(self.pattern.places, rec):
             args[k] = v
         return Struct(self.call.functor, tuple(args))
-
-    def clear_pattern(self):
-        """Record answers as terms from now on: each tuple is turned back into
-        its term, in place and in insertion order, and the pattern cleared.
-        The three writes are one statement, so an interrupt at a line leaves
-        the table as it was or as it ends."""
-        terms = [self.term_of(rec) for rec in self.answers]
-        self.answers[:], self.index, self.pattern = terms, dict.fromkeys(terms, 0), None
 
 
 # key takes an answer's argument tuple to its record, the values at places
@@ -205,9 +196,7 @@ class TableSpace:
         """Open the generator of a frozen call.  It is on the stack before it
         is published anywhere else, so that a query cut short at any point
         here leaves it unpublished or reached by Engine._purge_incomplete."""
-        pattern = call_pattern(call)
-        entry = GeneratorEntry(id=len(self.entries), call=call, pattern=pattern,
-                               places=pattern and pattern.places)
+        entry = GeneratorEntry(id=len(self.entries), call=call, pattern=call_pattern(call))
         entry.pos = entry.deplink = len(self.stack)
         if creator is not None:  # evaluating, as Engine._generator found it
             entry.deplink = min(entry.deplink, creator.deplink)
@@ -353,11 +342,11 @@ class _ContClause:
 
 def _read_form(goals, n):
     """The function that builds the goals of a direct read's solution in
-    Engine.solve from its values, those of a query with n variable ids.  One
-    flat goal whose arguments are the query's variables in order takes the
-    values as its argument tuple: a table's record itself, when they are
-    one.  Any other flat goal is built by its one _build step, and any other
-    query by instantiate, as the query's first solution is."""
+    Engine.solve from a table's tuple, the values of a query with n variable
+    ids.  One flat goal whose arguments are the query's variables in order
+    takes the tuple as its argument tuple.  Any other flat goal is built by
+    its one _build step, and any other query by instantiate, as the query's
+    first solution is."""
     if len(goals) == 1 and type(goals[0]) is Struct:
         functor = goals[0].functor
         if [a.id if type(a) is Var else None for a in goals[0].args] == list(range(n)):
@@ -411,9 +400,8 @@ def _build(goal, nvars, known, tail, new):
 class Solution:
     """One solution of a query: goals, the resolved instances of the query
     goals.  bindings, the named query variables' resolved values, is built
-    from values (by query variable id; a list, or a table's record when a
-    direct read's values are exactly its tuple) and named (name -> id) when
-    read."""
+    from values (by query variable id: a list, or a direct read's tuple)
+    and named (name -> id) when read."""
 
     __slots__ = ("goals", "values", "named")
 
@@ -459,12 +447,12 @@ class Engine:
         depth_budget resolution steps.
 
         When a solution's newest choice point reads a complete table that
-        keeps its call pattern, with no goal after the read, the table's
-        further answers become solutions straight from their records, and
-        the machine resumes once they are given.  Their goals are built by
-        the query's read form (_read_form), decided at its first such read.
-        A query variable whose value is a compound leaves them to the
-        machine."""
+        has a call pattern, with no goal after the read, and the query's
+        variables are the read's live variables, in order, the table's
+        further tuples become solutions straight from the table, up to its
+        next term record: the machine's retry of the read unifies that one,
+        and the direct read goes on after it.  Their goals are built by the
+        query's read form (_read_form), decided at its first such read."""
         if not isinstance(goals, (list, tuple)):
             goals = [goals]
         if not _reserve:  # at the first query, and at the first after each handler ran
@@ -491,46 +479,33 @@ class Engine:
                 # positional: a keyword call costs measurably more per solution
                 yield Solution([instantiate(g, values) for g in goals], values, named)
                 cp = cps[-1] if cps else None
-                if type(cp) is not StoredIterCP or cp.rest is not None:
+                if (type(cp) is not StoredIterCP or cp.rest is not None
+                        or cp.table.pattern is None or cp.table.status != COMPLETE
+                        or len(cp.live) != len(live)):
                     continue
-                table = cp.table
-                if table.pattern is None or table.status != COMPLETE:
-                    continue
-                # The read ends the query.  A query variable whose binding
-                # chain ends at one of its live variables takes the record's
-                # value for that variable; any other keeps its value.
-                place = {v: k for k, v in enumerate(cp.live)}  # -> its place in a record
-                fill = []  # (query variable id, place in a record)
-                for i, t in enumerate(live):
-                    k = None
-                    while type(t) is Var:
-                        k = place.get(t.id)
-                        b = bindings[t.id]
-                        if b is None:
-                            break
-                        t = b
-                    if k is not None:
-                        fill.append((i, k))
-                    elif type(t) is Struct:
-                        break  # the machine builds it from each answer
+                # The read ends the query.  Each query variable, in order,
+                # must be one of its live variables, in order, or bound to
+                # it through a chain of variables: a tuple is then the
+                # values of a solution.
+                for t, v in zip(live, cp.live):
+                    while type(t) is Var and t.id != v:
+                        t = bindings[t.id]
+                    if type(t) is not Var:
+                        break
                 else:
                     if form is None:
                         form = _read_form(goals, len(live))
-                    # each query variable takes its own place, in order: the
-                    # record is the solution's values
-                    whole = len(cp.live) == len(live) and fill == [(i, i) for i in range(len(live))]
-                    answers = table.answers
+                    answers = cp.table.answers
                     for n in range(cp.i, len(answers)):
-                        cp.i = n + 1
                         rec = answers[n]
-                        if whole:
-                            values = rec
-                        else:
-                            values = values[:]
-                            for i, k in fill:
-                                values[i] = rec[k]
-                        yield Solution(form(values), values, named)
-                    # the machine's retry of cp now fails, and pops it
+                        if type(rec) is not tuple:
+                            break  # the machine's retry of cp unifies it
+                        yield Solution(form(rec), rec, named)
+                    else:
+                        n = len(answers)
+                    # only this machine reads cp, and it is dropped when the
+                    # query is closed at a yield
+                    cp.i = n
         except GeneratorExit:
             # Closed at a yield, where no evaluation is in progress; a purge
             # here could run at garbage collection, inside another query.
@@ -659,9 +634,9 @@ class Engine:
         resume plan passes args, the argument tuple of a compound answer
         whose functor answer is, each argument an atom or an integer; any
         other answer is frozen, a ground compound going on as its functor
-        and arguments.  While the table keeps its call pattern, one test
-        tells a ground instance of its call, recorded as pattern.key's tuple
-        of its arguments; the first answer that is none clears the pattern."""
+        and arguments.  When the table has a call pattern, one test tells a
+        ground instance of its call, recorded as pattern.key's tuple of its
+        arguments; any other answer is recorded as its frozen term."""
         store = machine.store
         entry = self._generator(store.walk(id_t), "answer/2")
         pattern = entry.pattern
@@ -674,11 +649,8 @@ class Engine:
         if (pattern and args is not None and answer == pattern.functor and len(args) == pattern.arity
                 and (pattern.ground is None or pattern.ground(args) == pattern.values)):
             rec, nvars = pattern.key(args), 0
-        else:
-            if pattern:
-                entry.clear_pattern()
-            if rec is None:  # a planned answer: freeze presets the hash of the same compound
-                rec, nvars = store.freeze(Struct(answer, args))
+        elif rec is None:  # a planned answer: freeze presets the hash of the same compound
+            rec, nvars = store.freeze(Struct(answer, args))
         index = entry.index
         if rec in index:
             return False
@@ -805,17 +777,16 @@ class Engine:
     def _resume(self, m, stored, ans) -> bool:
         """Resume a stored continuation with an answer on machine m.
 
-        While the continuation's table keeps its call pattern, every answer is
-        a ground instance of the pending call, its record a tuple, and follows
-        the resume plan: it fills each clause's head map from the record and the
-        plan's ground slots, and makes the new variables that unification
-        would for the loose ones.  The clause's guards run in place, their
-        arguments built from the head map, and a call(Cont) tail goes on into
-        the clause Cont names.  An answer/2 tail goes to _put_answer and a
-        fact join to _join; any other tail, and a join that _join leaves, is
-        handed to the machine.  Each goal spends the step and counts the
-        slg_resolutions the machine would.  Once the pattern is cleared, or
-        for a continuation with no plan, the answer is unified with the
+        A tuple record, a ground instance of the pending call, follows the
+        continuation's resume plan: it fills each clause's head map from the
+        record and the plan's ground slots, and makes the new variables that
+        unification would for the loose ones.  The clause's guards run in
+        place, their arguments built from the head map, and a call(Cont) tail
+        goes on into the clause Cont names.  An answer/2 tail goes to
+        _put_answer and a fact join to _join; any other tail, and a join that
+        _join leaves, is handed to the machine.  Each goal spends the step
+        and counts the slg_resolutions the machine would.  A term record, and
+        any record for a continuation with no plan, is unified with the
         pending call, and the machine resolves the stored term.  True when
         m.goals holds goals for m to run; False when the resumption failed or
         ended here.
@@ -823,7 +794,7 @@ class Engine:
         plan = stored.plan
         if plan is None:
             plan = stored.plan = self._resume_plan(stored)
-        if not plan or stored.table.pattern is None:
+        if not plan or type(ans) is not tuple:
             return self._call_stored(m, stored, ans)
         nloose, depths = plan
         store = m.store
@@ -882,8 +853,8 @@ class Engine:
         """Unify the answer of the record ans, with the number of variables
         its table's index holds for it, with stored's pending call and hand
         the stored term to machine m, which resolves it against its one
-        clause; False when they do not unify.  A tuple, queued while the
-        table kept its pattern, is a ground answer whose term is built here."""
+        clause; False when they do not unify.  A tuple, for a continuation
+        with no plan, is a ground answer whose term is built here."""
         store = m.store
         term = stored.term
         if type(ans) is tuple:

@@ -4,7 +4,7 @@ check holds between queries, check_evaluation_invariants at every tabling
 primitive while a query runs.
 """
 
-from cctab import TablingError, print_term
+from cctab import Struct, TablingError, print_term
 from cctab.tabling import COMPLETE, DROPPED, EVALUATING
 
 
@@ -13,8 +13,10 @@ def check(space):
     do in the TableSpace space: no generator is evaluating and no arena is
     open, every entry is complete or dropped, variant_index maps each
     complete call to its entry and nothing else, each table indexes every
-    answer once, and its records are tuples exactly while it has a call
-    pattern, each as long as its places and holding a ground answer."""
+    answer once, and each record is written in the one form its answer
+    takes: a tuple, in a table with a call pattern, as long as its places
+    and indexed as ground; any other record a term, which may sit in any
+    table but is no ground instance of a pattern, which is a tuple."""
     if space.stack or space.arenas:
         raise TablingError(f"check: stack {[e.id for e in space.stack]}, "
                            f"{len(space.arenas)} open arenas")
@@ -30,21 +32,34 @@ def check(space):
         if len(entry.answers) != len(entry.index):
             raise TablingError(f"check: {call} has {len(entry.answers)} answers, "
                                f"{len(entry.index)} indexed")
+        pattern = entry.pattern
         for rec in entry.answers:
             if rec not in entry.index:
                 why = "does not index"
-            elif entry.pattern is None:
-                why = "has no pattern but holds a tuple for" if type(rec) is tuple else None
-            elif type(rec) is not tuple or entry.index[rec]:
-                why = "keeps its pattern but holds"
-            elif len(rec) != len(entry.places):
-                why = f"has a record of {len(rec)} values, not {len(entry.places)}, for"
+            elif type(rec) is not tuple:
+                instance = not entry.index[rec] and is_instance(pattern, rec)
+                why = "holds as a term the ground instance" if instance else None
+            elif pattern is None:
+                values = ", ".join(print_term(v) for v in rec)
+                raise TablingError(f"check: {call} has no pattern but holds the tuple ({values})")
+            elif entry.index[rec]:
+                why = "indexes as non-ground the tuple of"
+            elif len(rec) != len(pattern.places):
+                why = f"has a record of {len(rec)} values, not {len(pattern.places)}, for"
             else:
                 why = None
             if why:
                 raise TablingError(f"check: {call} {why} {print_term(entry.term_of(rec))}")
     if len(space.variant_index) != complete_entries:
         raise TablingError("check: variant_index holds an entry that is not complete")
+
+
+def is_instance(pattern, t) -> bool:
+    """Whether the ground term t is an instance of the call of pattern, a
+    table's call pattern or None."""
+    return (pattern is not None and type(t) is Struct and t.functor == pattern.functor
+            and len(t.args) == pattern.arity
+            and (pattern.ground is None or pattern.ground(t.args) == pattern.values))
 
 
 def check_evaluation_invariants(space):

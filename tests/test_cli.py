@@ -223,6 +223,13 @@ def test_multi_goal_oracle_check_is_refused_before_running(capsys):
     assert (code, out, err) == (2, "", "error: --oracle-check needs a single-goal query\n")
 
 
+@pytest.mark.parametrize("query", ["edge(1, X)", "X = 1", "nope(X)"])
+def test_oracle_check_of_an_untabled_goal_is_refused_before_running(capsys, query):
+    code, out, err = run_cli(capsys, "--gen", "chain:3", "--query", query, "--oracle-check")
+    assert (code, out) == (2, "")
+    assert err == f"error: --oracle-check needs a tabled predicate, not {query}\n"
+
+
 @pytest.mark.parametrize("query", ["", "  "])
 def test_empty_query_is_a_parse_error(capsys, query):
     code, out, err = run_cli(capsys, "--gen", "chain:3", "--query", query)

@@ -18,7 +18,7 @@ from itertools import count
 import pytest
 
 from cctab import Error, Mode, gen_fixture, parse_query
-from cctab.tabling import DROPPED, Engine, GeneratorEntry, TableSpace
+from cctab.tabling import DROPPED, Engine, TableSpace
 
 from conftest import answers, make_engine, read_fixture
 from invariants import check
@@ -30,12 +30,12 @@ class Interrupt(BaseException):
 
 
 WRITERS = (TableSpace.new_generator, Engine._variant, Engine.on_answer, Engine._put_answer,
-           Engine._suspend, TableSpace.complete, Engine._finish_group,
-           GeneratorEntry.clear_pattern)
+           Engine._suspend, TableSpace.complete, Engine._finish_group)
 CODES = {f.__code__ for f in WRITERS}
 
 # (program, query): bridges, a ground call, a table that gets no answer, a
-# pattern cleared by a non-ground answer, and one cleared under queued tuples
+# non-ground answer stored as a term beside tuples, and a term record
+# stored while tuples are queued for resumption
 PROGRAMS = {
     "bridges": (read_fixture("mixed_loop.pl"), "t(A)"),
     "ground_call": (gen_fixture("chain", 3), "path(1, 4)"),

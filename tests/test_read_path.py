@@ -1,11 +1,13 @@
 """Table reads by substitution.
 
-Each table has a call pattern, made with it: where its call's variables
-are, or None when the call repeats a variable or holds one inside a
-compound argument.  A read of a ground answer from a table that keeps its
-pattern binds the live call's variables straight from the answer's
-arguments.  When such a read of a complete table ends the query, its
-further answers become solutions straight from the table.  Every
+Each table has a call pattern, made with it and never changed: where its
+call's variables are, or None when the call repeats a variable or holds
+one inside a compound argument.  A ground instance of the call is recorded
+as the tuple of its values there, any other answer as its term, and a
+record is written once.  A read of a tuple binds the live call's variables
+straight from its values.  When such a read of a complete table ends the
+query, its further tuples become solutions straight from the table, up to
+a term record, which the read unifies.  Every
 observable result must equal what a reader that unifies each whole answer
 against the call gives: solutions, their order, their binding names and
 the counters.  invariants.check runs after every query.
@@ -126,11 +128,12 @@ EDGE_CASES = {
     "nonground": (":- table p/2.\np(a, X).\np(b, c).\np(X, f(X, Y)).\n", "p(Z, Y)",
                   ["p(a, _G)", "p(b, c)", "p(_G, f(_G, _G))"]),
     # a hand-written answer/2 stores p(2, 3) in p(1, B)'s table: not an
-    # instance of the call, so it clears the pattern, and every answer unifies
+    # instance of the call, so it is stored as its term, and the read
+    # unifies it beside the tuples of the others
     "non_instance": (":- table p/2.\np(1, Y) :- answer(0, p(2, 3)).\np(1, 2).\np(X, 4).\n",
                      "p(1, Y)", ["p(1, 2)", "p(1, 4)"]),
     # the same, stored while p(1, Z) reads the table: in legacy mode the
-    # reader of the incomplete table unifies the answers after it
+    # reader of the incomplete table unifies it and binds the tuples after it
     "cleared_mid_read": (":- table p/2.\np(1, 2).\np(1, Y) :- h(Z), q(Z, Y).\nh(Z) :- p(1, Z).\n"
                          "q(2, 3).\nq(3, Y) :- answer(0, p(5, 5)).\nq(3, 4).\n",
                          "p(1, Y)", ["p(1, 2)", "p(1, 3)", "p(1, 4)"]),
@@ -147,18 +150,19 @@ def test_read_edge_cases(case, mode):
 
 
 def test_edge_case_substitutions():
-    # p(X, X) and q(f(Z), Y) never have a pattern; p(Z, Y) loses its own to
-    # the non-ground answer p(a, _G), and p(1, Y) to the answer p(2, 3) or
-    # p(5, 5)
-    kept = []
+    # p(X, X) and q(f(Z), Y) have no pattern, so every answer is a term; the
+    # others keep theirs, each ground instance a tuple, and the non-ground
+    # answers of p(Z, Y) and p(1, Y)'s p(2, 3) and p(5, 5) terms beside them
+    kinds = {}
     for case in EDGE_CASES:
         src, query, _ = EDGE_CASES[case]
         eng = make_engine(src)
         list(eng.solve(parse_query(query)))
         (entry,) = eng.space.entries
-        assert (call_pattern(entry.call) is None) == (case in ("repeated", "compound"))
-        kept.append(entry.pattern is not None)
-    assert kept == [False, False, False, False, False]
+        assert (entry.pattern is None) == (case in ("repeated", "compound"))
+        kinds[case] = "".join("t" if type(rec) is tuple else "T" for rec in entry.answers)
+    assert kinds == {"repeated": "TTT", "compound": "TTT", "nonground": "TtT",
+                     "non_instance": "Ttt", "cleared_mid_read": "ttTt"}
 
 
 # call -> its pattern as (functor, arity, positions of the variables), or
@@ -197,36 +201,62 @@ def test_call_patterns(case):
     instances, others = answers
     assert (pattern.functor, pattern.arity, pattern.places) == want
     # Engine.on_answer's one instance test, each answer given to a fresh
-    # table of the call: an instance keeps the pattern and is recorded as its
-    # values at the places; any other answer clears it and is stored whole
+    # table of the call: an instance is recorded as its values at the
+    # places, any other answer whole, and the pattern made with the table
+    # stays
     eng = make_engine("")
     machine = Machine(eng.index, runtime=eng)
     for a in instances + others:
         entry = eng.space.new_generator(frozen)
+        made = entry.pattern
         term = parse_term(a)
         for _ in vars_of(term):  # a store variable, unbound, for each of its variables
             machine.store.new_var()
         eng.on_answer(machine, Int(entry.id), term)
-        assert (entry.pattern is not None) == (a in instances), a
+        assert entry.pattern is made, a
         if a in instances:
             assert entry.answers == [tuple(term.args[i] for i in pattern.places)]
         else:
             assert entry.answers == [term]
 
 
+@pytest.mark.parametrize("other", ["p(1, X)", "p(2, 3)", "q(1, 2)"],
+                         ids=["nonground", "non_instance", "functor"])
+def test_a_record_is_written_once(other):
+    # answers to a table of p(1, Y) given to Engine.on_answer: those before
+    # and after one that is no ground instance are tuples, that one is its
+    # term, and no record is rewritten
+    eng = make_engine("")
+    machine = Machine(eng.index, runtime=eng)
+    entry = eng.space.new_generator(canonical_variant(parse_term("p(1, Y)")))
+    made = entry.pattern
+    answers = ["p(1, 2)", "p(1, 3)", other, "p(1, 4)"]
+    records = []
+    for a in answers:
+        term = parse_term(a)
+        for _ in vars_of(term):  # a store variable, unbound, for each of its variables
+            machine.store.new_var()
+        eng.on_answer(machine, Int(entry.id), term)
+        records.append(entry.answers[-1])
+        assert all(rec is old for rec, old in zip(entry.answers, records)), a
+    assert entry.pattern is made
+    assert [type(rec) is tuple for rec in entry.answers] == [True, True, False, True]
+    assert [print_term(entry.term_of(rec)) for rec in entry.answers] == answers
+    assert list(entry.index.values()) == [0, 0, len(vars_of(parse_term(other))), 0]
+
+
 def test_an_open_call_keeps_each_answers_arguments_as_its_substitution():
     # p(Z, Y) has its variables as arguments, so a read binds them to the
-    # ground answer p(b, c)'s own arguments, cold and again: by pattern while
-    # every answer is ground, by unification once p(a, _G) has cleared it
-    for src, kept in [(":- table p/2.\np(a, d).\np(b, c).\n", True),
-                      (EDGE_CASES["nonground"][0], False)]:
+    # ground answer p(b, c)'s own arguments, cold and again, from its tuple:
+    # also beside the term records of the non-ground answers
+    for src in [":- table p/2.\np(a, d).\np(b, c).\n", EDGE_CASES["nonground"][0]]:
         eng = make_engine(src)
         for _ in range(2):
             sols = list(eng.solve(parse_query("p(Z, Y)")))
             (entry,) = eng.space.entries
             t, s = entry.term_of(entry.answers[1]), sols[1]
-            assert entry.index[entry.answers[1]] == 0 and print_term(t) == "p(b, c)"
-            assert (entry.pattern is not None) == kept
+            assert entry.answers[1] == (t.args[0], t.args[1]) and print_term(t) == "p(b, c)"
+            assert entry.index[entry.answers[1]] == 0
             assert s.bindings["Z"] is t.args[0] and s.bindings["Y"] is t.args[1]
 
 
@@ -286,14 +316,15 @@ def test_legacy_read_of_an_incomplete_table_binds_by_pattern(monkeypatch):
     same_as_unifying_reader(src, ["t(A)", "t(A)"], Mode.LEGACY)
 
 
-def test_a_pattern_cleared_during_a_legacy_read_unifies_the_rest(monkeypatch):
+def test_a_term_record_stored_during_a_legacy_read_is_unified_alone(monkeypatch):
     unified = read_unifications(monkeypatch)
     src, query, want = EDGE_CASES["cleared_mid_read"]
     eng = make_engine(src, Mode.LEGACY)
     assert [goals[0] for _b, goals in transcript(eng, parse_query(query))[:-1]] == want
-    # p(1, 2) and p(1, 3) are bound by pattern; p(5, 5), stored while p(1, 3)
-    # is read, and p(1, 4) are unified, then all four by the complete read
-    assert unified == [EVALUATING] * 2 + [COMPLETE] * 4
+    # p(5, 5), stored as its term while p(1, 3) is read, is unified, by the
+    # read of the incomplete table and again by the complete read; p(1, 2),
+    # p(1, 3) and p(1, 4) are bound from their tuples each time
+    assert unified == [EVALUATING, COMPLETE]
 
 
 def test_rereading_a_complete_table_unifies_nothing(monkeypatch):
@@ -311,25 +342,32 @@ def test_rereading_a_complete_table_unifies_nothing(monkeypatch):
 
 # -- reads that end the query ----------------------------------------------------
 #
-# Once a read of a complete table that keeps its pattern has given a
-# solution with no goal after it, Engine.solve makes the table's further
-# answers solutions itself; the read's choice point binds only the first.
+# Once a read of a complete table that has a pattern has given a solution
+# with no goal after it, and the query's variables are the read's live
+# variables, in order, Engine.solve makes the table's further tuples
+# solutions itself; the read's choice point binds only the first, and each
+# term record, after which the direct read goes on.
 
 CHAIN, CYCLE = gen_fixture("chain", 4), gen_fixture("cycle", 3)
+# the non-ground answer path(0, _G) is recorded as its term, fifth of eleven
+CHAIN_TERM = CHAIN + "path(0, Y).\n"
 
 # query -> its program, and how many answers the table reads of a re-query bind:
-# the first of each non-empty read when the rest are read directly, else all
+# the first and each term record when the tuples are read directly, else all
 ENDING_READS = {
     "path(X, Y)": (CHAIN, 1),
     "path(1, Y)": (CHAIN, 1),
-    "Y = 3, path(X, Y)": (CHAIN, 1),  # Y keeps its value, 3
-    "W = V, path(X, Y)": (CHAIN, 1),  # W and V keep an unbound variable
-    "Z = f(X), path(X, Y)": (CHAIN, 10),  # Z's value is a compound: the machine builds it
+    "path(A, B)": (CHAIN_TERM, 2),  # the direct read stops at path(0, _G), and goes on
+    "Y = 3, path(X, Y)": (CHAIN, 2),  # Y is no live variable of the read
+    "W = V, path(X, Y)": (CHAIN, 10),  # nor are W and V
+    "Z = f(X), path(X, Y)": (CHAIN, 10),  # nor Z
     "path(X, Y), true": (CHAIN, 10),  # a goal runs after the read
     "true, path(X, Y)": (CHAIN, 1),  # the atom goal is built as itself
     "path(X, X)": (CYCLE, 4),  # the table has no pattern
-    # three non-empty reads and path(5, Y)'s empty one, above edge/2's choice point
-    "edge(A, B), path(B, Y)": (CHAIN, 3),
+    # A and B are the read's live variables, in the other order
+    "rev(A, B)": (CHAIN + "rev(X, Y) :- path(Y, X).\n", 10),
+    # A and B are no live variables of the four reads above edge/2's choice point
+    "edge(A, B), path(B, Y)": (CHAIN, 6),
 }
 
 
@@ -363,7 +401,8 @@ def test_reads_that_end_the_query(query, mode, monkeypatch):
 
 def test_a_goal_held_by_a_query_variable_ends_a_read_as_its_value(monkeypatch):
     # only a goal list given to Engine.solve can hold a variable as a goal:
-    # bound to true, it is built from its value
+    # bound to true, it is built from its value; G is no live variable of
+    # the read, so the read binds every answer
     g = Var(0, "G")
     goals = [Struct("=", (g, Atom("true"))), g, Struct("path", (Var(1, "X"), Var(2, "Y")))]
     eng, ref = make_engine(CHAIN), make_engine(CHAIN)
@@ -373,7 +412,7 @@ def test_a_goal_held_by_a_query_variable_ends_a_read_as_its_value(monkeypatch):
     assert transcript(eng, goals) == want
     again = transcript(ref, goals, unifying=True)
     binds = read_binds(monkeypatch)
-    assert transcript(eng, goals) == again and binds[0] == 1
+    assert transcript(eng, goals) == again and binds[0] == 10
 
 
 def test_a_legacy_read_of_an_incomplete_table_binds_every_answer(monkeypatch):

@@ -138,10 +138,10 @@ def unplanned_resumptions(monkeypatch) -> list:
 # (program, query, its answers, how many of its resumptions follow no plan,
 # of how many); the generator ids in answer/2 follow the query's
 NOT_PLANNED = {
-    # p(f(X), X) is not ground, so it clears the table's call pattern, and
-    # p(g(1), 2) is unified too
+    # p(f(X), X) is not ground, so its record is its term, which is
+    # unified; p(g(1), 2), a tuple after it, follows the plan
     "nonground": (":- table r/2.\n:- table p/2.\np(f(X), X).\np(g(1), 2).\n"
-                  "r(A, B) :- p(A, B).\n", "r(A, B)", ["r(f(_G), _G)", "r(g(1), 2)"], 2, 2),
+                  "r(A, B) :- p(A, B).\n", "r(A, B)", ["r(f(_G), _G)", "r(g(1), 2)"], 1, 2),
     # the pending call p(X, X) repeats a variable, and the hand-written head
     # of k does not, so only a unification can refuse the answer p(1, 2)
     "repeated": (":- table r/2.\n:- table p/2.\np(1, 1).\np(X, X) :- answer(1, p(1, 2)).\n"
@@ -160,17 +160,17 @@ NOT_PLANNED = {
                        "t(X, Y) :- X = f(Z), p(Z, Y).\n", "t(A, B)", ["t(f(1), 2)", "t(f(3), 4)"],
                        2, 2),
     # hand-written answers to p(1, Y), generator 1, that are not instances of
-    # it: a wrong constant, a wrong functor, a wrong arity; p(1, 2) is one,
-    # but the first clears the table's call pattern, so it is unified too
+    # it: a wrong constant, a wrong functor, a wrong arity; each is recorded
+    # as its term and unified, and p(1, 2), an instance, follows the plan
     "non_instance": (":- table r/1.\n:- table p/2.\np(1, Y) :- answer(1, p(2, 3)).\n"
                      "p(1, Y) :- answer(1, q(1, 3)).\np(1, Y) :- answer(1, p(1)).\n"
-                     "p(1, 2).\nr(Y) :- p(1, Y).\n", "r(Y)", ["r(2)"], 4, 4),
+                     "p(1, 2).\nr(Y) :- p(1, Y).\n", "r(Y)", ["r(2)"], 3, 4),
     # the bridge h/1's continuation follows its plan for p(1, 2) and
-    # p(1, 3), whose resumption stores p(5, 5) and clears the pattern of
-    # p(1, Z): p(5, 5) and p(1, 4) are unified, though the plan is built
+    # p(1, 3), whose resumption stores p(5, 5), no instance of p(1, Z), as
+    # its term: p(5, 5) is unified, and p(1, 4) follows the plan again
     "cleared_after_plan": (":- table p/2.\np(1, 2).\np(1, Y) :- h(Z), q(Z, Y).\n"
                            "h(Z) :- p(1, Z).\nq(2, 3).\nq(3, Y) :- answer(0, p(5, 5)).\n"
-                           "q(3, 4).\n", "p(1, Y)", ["p(1, 2)", "p(1, 3)", "p(1, 4)"], 2, 4),
+                           "q(3, 4).\n", "p(1, Y)", ["p(1, 2)", "p(1, 3)", "p(1, 4)"], 1, 4),
     # the hand-written head k(Id, [], p(A, A), []) repeats a variable, so
     # only a unification can refuse the answer p(1, 2)
     "nonlinear": (":- table r/1.\n:- table p/2.\np(1, 1).\np(1, 2).\np(2, 2).\n"
@@ -298,12 +298,37 @@ def test_without_plans_nothing_runs_in_place(mode, monkeypatch):
     assert resumptions > 100 and in_place == []
 
 
+def resumptions_by_record(monkeypatch) -> list:
+    """For each resumption of the engine from now on, its record and how it
+    went on: "tp" for a tuple that followed its continuation's plan, "tu"
+    for a tuple unified (its continuation has no plan), "Tu" for a term
+    record, unified."""
+    records = []
+    unified = [0]
+    real_resume = Engine._resume
+    real_unify_stored = cctab.tabling.unify_stored
+
+    def unify_stored(*args):
+        unified[0] += 1
+        return real_unify_stored(*args)
+
+    def resume(self, m, stored, ans):
+        before = unified[0]
+        try:
+            return real_resume(self, m, stored, ans)
+        finally:
+            records.append(("t" if type(ans) is tuple else "T") + "pu"[unified[0] > before])
+
+    monkeypatch.setattr(cctab.tabling, "unify_stored", unify_stored)
+    monkeypatch.setattr(Engine, "_resume", resume)
+    return records
+
+
 # p records p(1, 2) and p(1, 3) as tuples while continuations wait in the
-# arena, each paired with both tuples; then h's answer p(1, _G) clears the
-# pattern, and the queued tuples are resumed by unification, also those of
-# a continuation whose plan was made before the clear.  In legacy mode h
-# reads p's incomplete table, binding p(1, 2) from its tuple, and the clear
-# comes before that read goes on to p(1, 3)
+# arena, each paired with both tuples; then h's answer p(1, _G) is recorded
+# as its term beside them.  In legacy mode h reads p's incomplete table,
+# binding p(1, 2) from its tuple, and p(1, _G) is stored before that read
+# goes on to p(1, 3); p(1, 4) and p(1, 5) are tuples queued after it
 CLEARED_UNDER_QUEUED = """:- table p/2.
 p(1, 2).
 p(1, 3).
@@ -316,33 +341,58 @@ r(2, W).
 """
 
 
-@pytest.mark.parametrize("mode, want, tuples, unified", [
-    (Mode.GENERAL, ["p(1, 2)", "p(1, 3)", "p(1, 4)", "p(1, 5)", "p(1, _G)"], 5, []),
-    (Mode.LEGACY, ["p(1, 2)", "p(1, 3)", "p(1, _G)", "p(1, 4)", "p(1, 5)"], 2, ["evaluating"] * 2),
+@pytest.mark.parametrize("mode, want, resumed, unified", [
+    (Mode.GENERAL, ["p(1, 2)", "p(1, 3)", "p(1, 4)", "p(1, 5)", "p(1, _G)"],
+     "tp tp tu tu tp tu tp tu Tu Tu", []),
+    (Mode.LEGACY, ["p(1, 2)", "p(1, 3)", "p(1, _G)", "p(1, 4)", "p(1, 5)"],
+     "tp tp Tu tp tp", ["evaluating"]),
 ], ids=["general", "legacy"])
-def test_a_pattern_cleared_under_queued_tuples(mode, want, tuples, unified, monkeypatch):
-    handed = []  # per _call_stored: whether it got a tuple after the pattern was cleared
-    real = Engine._call_stored
-
-    def _call_stored(self, m, stored, ans):
-        handed.append(type(ans) is tuple and stored.table.pattern is None)
-        return real(self, m, stored, ans)
-
-    monkeypatch.setattr(Engine, "_call_stored", _call_stored)
+def test_a_term_record_among_queued_tuples(mode, want, resumed, unified, monkeypatch):
     got = same_without_plans(CLEARED_UNDER_QUEUED, ["p(X, Y)"], mode)
-    assert got[0] == got[1] == want and handed.count(True) == tuples
+    assert got[0] == got[1] == want
     # the unifying reader's transcripts run invariants.check after each query
     same_as_unifying_reader(CLEARED_UNDER_QUEUED, ["p(X, Y)", "p(X, Y)"], mode)
+    records = resumptions_by_record(monkeypatch)
     reads = read_unifications(monkeypatch)
     eng = make_engine(CLEARED_UNDER_QUEUED, mode)
     assert answers(eng, "p(X, Y)") == want
     check(eng.space)
-    # legacy reads of the incomplete table unify what follows the clear;
-    # then the caller reads the complete table, all of it by unification
-    assert reads == unified + ["complete"] * 5
+    # each tuple whose continuation has a plan follows it, also when it is
+    # resumed after the term record; the term record alone is unified
+    assert " ".join(records) == resumed
+    # legacy reads of the incomplete table unify the term record; then the
+    # caller's read of the complete table unifies it, and binds the tuples
+    assert reads == unified + ["complete"]
     (entry,) = eng.space.entries
-    assert entry.pattern is None and entry.places == (0, 1)
-    assert not any(type(rec) is tuple for rec in entry.answers)
+    assert [type(rec) is tuple for rec in entry.answers] == [a != "p(1, _G)" for a in want]
+
+
+# a record is written once: p(1, _G), stored second, is a term, and each
+# ground answer stored after it, directly or by a resumption, is a tuple;
+# the suspended p(X, Z) is resumed by the tuples queued after the term
+# record through its plan
+WRITTEN_ONCE = """:- table p/2.
+p(1, 2).
+p(1, X).
+p(1, 3).
+p(X, Y) :- p(X, Z), q(Z, Y).
+q(2, 4).
+q(3, 5).
+q(4, 6).
+"""
+
+
+@pytest.mark.parametrize("mode", list(Mode), ids=lambda m: m.value)
+def test_tuples_queued_after_a_term_record_follow_their_plan(mode, monkeypatch):
+    want = ["p(1, 2)", "p(1, _G)", "p(1, 3)", "p(1, 4)", "p(1, 5)", "p(1, 6)"]
+    got = same_without_plans(WRITTEN_ONCE, ["p(X, Y)"], mode)
+    assert got[0] == got[1] == want
+    records = resumptions_by_record(monkeypatch)
+    eng = make_engine(WRITTEN_ONCE, mode)
+    assert answers(eng, "p(X, Y)") == want
+    assert records == ["tp", "Tu", "tp", "tp", "tp", "tp"]
+    (entry,) = eng.space.entries
+    assert [type(rec) is tuple for rec in entry.answers] == [a != "p(1, _G)" for a in want]
 
 
 # two tables in the style of the mixed benchmark workload: t0 loops through
@@ -443,11 +493,11 @@ JOINS = {
                           "r(B, C) :- slgcall(k(0, [B], p(A), [])).\n"
                           "k(Id, [B], p(A), []) :- e(A, C), answer(Id, r(B, C)).\n",
                           "r(B, C)", ["r(_G, a)", "r(_G, b)"], (0, 2), 2),
-    # a non-ground answer clears the table's call pattern: both answers are
-    # unified, and the machine runs the join
+    # a non-ground answer is recorded as its term: it is unified, and the
+    # machine runs its join; p(g, 3), a tuple, follows the plan
     "nonground_answer": (":- table t/2.\n:- table p/2.\np(f(V), 2).\np(g, 3).\ne(2, 5).\n"
                          "e(3, 6).\nt(X, Y) :- p(X, W), e(W, Y).\n",
-                         "t(A, B)", ["t(f(_G), 5)", "t(g, 6)"], (2, 2), 2),
+                         "t(A, B)", ["t(f(_G), 5)", "t(g, 6)"], (1, 2), 2),
     # hand-written: the machine counts a call of slg_e/2 as an SLG resolution
     "slg_facts": (":- table r/1.\n:- table p/1.\np(1).\np(2).\nslg_e(1, a).\nslg_e(2, b).\n"
                   "r(B) :- slgcall(k(0, [], p(A), [])).\n"
@@ -561,7 +611,7 @@ GROUND = {
                        "k(Id, [B], p(A), []) :- B = f(C), answer(Id, r(A, B)).\n",
                        "r(A, B)", ["r(1, f(_G))", "r(2, f(_G))"], (0, 0), 4),
     # the hand-written answer r(A, c) is ground but no instance of the call
-    # r(X, b): the first clears the table's pattern, and the read finds none
+    # r(X, b): each is recorded as its term, and the read finds none
     "non_instance": (":- table r/2.\n:- table p/1.\np(1).\np(2).\n"
                      "r(A, B) :- slgcall(k(0, [], p(A), [])).\n"
                      "k(Id, [], p(A), []) :- answer(Id, r(A, c)).\n",
@@ -590,11 +640,12 @@ def test_answers_ground_through_bound_variables(case, monkeypatch):
 def test_preset_answer_hashes_equal_fresh_ones(monkeypatch):
     # freeze presets a stored term's hash from Struct.__hash__'s tokens, a
     # leaf being its own token: answers that mix atoms, negative integers and
-    # a compound must hash as a fresh copy of the same term does.  t's first
-    # answer, t(z, _G), clears its pattern, so that its table keeps terms, and
-    # each planned answer after it is frozen; p's keeps tuples
-    src = (":- table t/2.\n:- table p/2.\np(1, 2).\np(b, 3).\np(-1, 2).\n"
-           "e(2, a).\ne(3, -4).\ne(2, f(b)).\nt(z, Y).\nt(X, Y) :- p(X, W), e(W, Y).\n")
+    # a compound must hash as a fresh copy of the same term does.  The call
+    # t(X, Y, X) repeats a variable, so its table has no pattern and keeps
+    # terms: each planned answer is frozen, the flat ones by on_answer from
+    # their argument tuples; p's table keeps tuples
+    src = (":- table t/3.\n:- table p/2.\np(1, 2).\np(b, 3).\np(-1, 2).\n"
+           "e(2, a).\ne(3, -4).\ne(2, f(b)).\nt(z, Y, z).\nt(X, Y, X) :- p(X, W), e(W, Y).\n")
     put = []
     real = Engine._put_answer
 
@@ -604,8 +655,8 @@ def test_preset_answer_hashes_equal_fresh_ones(monkeypatch):
 
     monkeypatch.setattr(Engine, "_put_answer", _put_answer)
     eng = make_engine(src)
-    assert answers(eng, "t(X, Y)") == ["t(z, _G)", "t(1, a)", "t(1, f(b))", "t(b, -4)",
-                                       "t(-1, a)", "t(-1, f(b))"]
+    assert answers(eng, "t(X, Y, X)") == ["t(z, _G, z)", "t(1, a, 1)", "t(1, f(b), 1)",
+                                          "t(b, -4, b)", "t(-1, a, -1)", "t(-1, f(b), -1)"]
     assert len(put) == 5
     stored = [t for e in eng.space.entries for t in e.answers if type(t) is Struct]
     assert len(stored) == 6  # t's 6 answers; p's 3 are tuples

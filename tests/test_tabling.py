@@ -67,9 +67,9 @@ def test_suspensions_match_stored_continuations(mixed_loop_src):
 
 
 def test_a_stored_answer_keeps_at_most_150_bytes():
-    # while a table keeps its call pattern, an answer is recorded as the
-    # tuple of its values: the 16,384 answers of chain-128's cold
-    # path(X, Y) keep about 105 bytes each (about 200 as frozen terms)
+    # a ground instance of a table's call is recorded as the tuple of its
+    # values: the 16,384 answers of chain-128's cold path(X, Y) keep about
+    # 105 bytes each (about 200 as frozen terms)
     eng = make_engine(gen_fixture("chain", 128))
     goals = parse_query("path(X, Y)")
     gc.collect()
@@ -589,12 +589,12 @@ CORRUPTIONS = {
                          "check: p(A) has 2 answers, 0 indexed"),
     "unindexed_term": (lambda space, entry: entry.answers.__setitem__(1, parse_term("q(2)")),
                        "check: p(A) does not index q(2)"),
-    "non_instance": (lambda space, entry: replace_answer(entry, "q(2)", 0),
-                     "check: p(A) keeps its pattern but holds q(2)"),
-    "nonground": (lambda space, entry: replace_answer(entry, "p(X)", 1),
-                  "check: p(A) keeps its pattern but holds p(_0)"),
+    "instance_as_term": (lambda space, entry: replace_answer(entry, "p(2)", 0),
+                         "check: p(A) holds as a term the ground instance p(2)"),
+    "nonground": (lambda space, entry: entry.index.__setitem__(entry.answers[1], 1),
+                  "check: p(A) indexes as non-ground the tuple of p(2)"),
     "tuple_without_pattern": (lambda space, entry: setattr(entry, "pattern", None),
-                              "check: p(A) has no pattern but holds a tuple for p(1)"),
+                              "check: p(A) has no pattern but holds the tuple (1)"),
     "long_tuple": (lambda space, entry: replace_record(entry, (Int(2), Int(3))),
                    "check: p(A) has a record of 2 values, not 1, for p(2)"),
     "dropped_indexed": (lambda space, entry: setattr(entry, "status", DROPPED),
@@ -610,6 +610,20 @@ def test_table_space_check_finds_each_corruption(case):
     check(eng.space)
     corrupt(eng.space, eng.space.entries[0])
     with pytest.raises(TablingError, match=f"^{re.escape(text)}$"):
+        check(eng.space)
+
+
+def test_table_space_check_lets_a_term_record_sit_in_any_table():
+    # a non-instance and a non-ground answer are recorded as terms beside
+    # the tuples of a table with a pattern, as in one with none
+    for src, query in [(":- table p/1.\np(1).\np(2).\n", "p(X)"),
+                       (":- table p/2.\np(1, 1).\np(2, 2).\n", "p(X, X)")]:
+        eng = make_engine(src)
+        answers(eng, query)
+        (entry,) = eng.space.entries
+        replace_answer(entry, "q(2)", 0)
+        check(eng.space)
+        replace_answer(entry, "p(X)" if entry.pattern else "p(X, X)", 1)
         check(eng.space)
 
 
